@@ -1,24 +1,21 @@
 #!/usr/bin/env python3
 """Run the objective comparison across all synthetic shift fixtures.
 
-Convenience wrapper over ``tide compare`` for sweeping every fixture
-kind in one invocation::
+Loops ``tide compare`` over the fixture kinds in one invocation::
 
     python scripts/run_shift_suite.py --out results/ --seeds 0,1,2,3,4
 
 writes results/<fixture>/{compare.csv,compare.md,summary.json} per
-fixture and prints the markdown tables.
+fixture and prints the markdown tables. Each fixture goes through
+``tide.cli.main``, so the TIDE_THREADS cap and the exit codes are the
+CLI's; the first failing fixture's exit code is returned.
 """
 
 import argparse
-import os
+import sys
 from pathlib import Path
 
-# Pin BLAS pools before numpy loads (same contract as the CLI).
-os.environ.setdefault("OMP_NUM_THREADS", os.environ.get("TIDE_THREADS", "1"))
-
-from tide.experiment import run_benchmark_suite
-from tide.trainer import OBJECTIVE_MODES
+from tide.cli import main as tide_main
 
 FIXTURES = ("feature", "structure", "joint")
 
@@ -28,23 +25,21 @@ def main(argv=None):
     ap.add_argument("--out", type=Path, default=Path("results"))
     ap.add_argument("--fixtures", default=",".join(FIXTURES),
                     help="comma-separated subset of feature,structure,joint")
-    ap.add_argument("--modes", default=",".join(OBJECTIVE_MODES))
-    ap.add_argument("--seeds", default="0,1,2,3,4")
-    ap.add_argument("--epochs", type=int, default=None)
+    for flag in ("--modes", "--seeds", "--epochs"):
+        ap.add_argument(flag, help=f"passed to tide compare {flag}")
     args = ap.parse_args(argv)
 
-    modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-    overrides = {} if args.epochs is None else {"epochs": args.epochs}
-
+    extra = [arg for flag in ("modes", "seeds", "epochs")
+             if getattr(args, flag) is not None
+             for arg in (f"--{flag}", getattr(args, flag))]
     for fixture in (f.strip() for f in args.fixtures.split(",") if f.strip()):
-        outdir = args.out / fixture
-        outdir.mkdir(parents=True, exist_ok=True)
-        run_benchmark_suite(fixture, modes, seeds, outdir, **overrides)
-        print(f"== {fixture} ==")
-        print((outdir / "compare.md").read_text())
+        print(f"== {fixture} ==", flush=True)
+        code = tide_main(["compare", "--fixture", fixture,
+                          "--out", str(args.out / fixture), *extra])
+        if code:
+            return code
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    sys.exit(main())

@@ -229,14 +229,6 @@ def spmm(sp, x: Tensor) -> Tensor:
     return _record("spmm", out, (x,), lambda g: (sp.csr_t @ g,))
 
 
-def exp(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    with np.errstate(over="ignore"):
-        out = np.exp(a.values)
-    # _record rejects Inf, so overflow is reported rather than propagated
-    return _record("exp", out, (a,), lambda g: (g * out,))
-
-
 def log(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     if np.any(a.values <= 0.0):
@@ -257,19 +249,6 @@ def softplus(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out = np.logaddexp(0.0, a.values)
     return _record("softplus", out, (a,), lambda g: (g * expit(a.values),))
-
-
-def row_softmax(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    shifted = a.values - a.values.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def bwd(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _record("row_softmax", out, (a,), bwd)
 
 
 def row_logsumexp(a: Tensor) -> Tensor:
@@ -331,23 +310,6 @@ def scale_shift(mu: Tensor, sigma: Tensor, eps: np.ndarray) -> Tensor:
             f"scale_shift shape mismatch: {mu.shape} vs {sigma.shape} vs {eps.shape}")
     out = mu.values + sigma.values * eps
     return _record("scale_shift", out, (mu, sigma), lambda g: (g, g * eps))
-
-
-def concat(a: Tensor, b: Tensor, axis: int = 1) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if axis not in (0, 1):
-        raise ShapeError(f"concat axis must be 0 or 1, got {axis}")
-    if a.shape[1 - axis] != b.shape[1 - axis]:
-        raise ShapeError(f"concat shape mismatch: {a.shape} vs {b.shape} on axis {axis}")
-    out = np.concatenate([a.values, b.values], axis=axis)
-    split = a.shape[axis]
-
-    def bwd(g):
-        if axis == 0:
-            return g[:split], g[split:]
-        return g[:, :split], g[:, split:]
-
-    return _record("concat", out, (a, b), bwd)
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:

@@ -240,68 +240,46 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     import numpy as np
 
-    from .detection import (MetricError, energy_score, evaluate,
-                            histogram_data, propagate_energy, softmax_rows,
+    from .detection import (histogram_data, score_splits, softmax_rows,
                             write_scores_csv)
     from .graph import load_bundle
-    from .model import joint_logits_at_mean, load_checkpoint
+    from .model import load_checkpoint
 
     model = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-    _require_file(args.checkpoint + ".json", "checkpoint manifest")
     config = _load_config(args)
     g_id = load_bundle(_require_file(args.data, "ID bundle"))
     g_ood = load_bundle(_require_file(args.ood_data, "OOD bundle"))
+    # Only the ID bundle must match: a label-leave-out OOD bundle may
+    # legitimately carry fewer classes.
+    if model.C != g_id.C:
+        raise CliError(f"checkpoint has C={model.C} classes but the ID "
+                       f"bundle has C={g_id.C}")
 
-    test_id = g_id.mask("test_id")
-    test_ood = g_ood.mask("test_ood")
-    if test_ood.size == 0:
-        raise MetricError("OOD bundle has an empty test_ood split")
-    if test_id.size == 0:
-        raise MetricError("ID bundle has an empty test_id split")
-
-    logits_id = joint_logits_at_mean(model, g_id)
-    logits_ood = joint_logits_at_mean(model, g_ood)
-    raw_id = energy_score(logits_id)
-    raw_ood = energy_score(logits_ood)
-    prop_id = propagate_energy(raw_id, g_id, config.prop_alpha, config.prop_k)
-    prop_ood = propagate_energy(raw_ood, g_ood, config.prop_alpha, config.prop_k)
-
-    is_ood = np.concatenate([np.zeros(test_id.size, dtype=bool),
-                             np.ones(test_ood.size, dtype=bool)])
-    preds_id = logits_id.argmax(axis=1)
-    preds_ood = logits_ood.argmax(axis=1)
-
-    def picked(a_id, a_ood):
-        return np.concatenate([np.asarray(a_id)[test_id],
-                               np.asarray(a_ood)[test_ood]])
-
-    scores_prop = picked(prop_id.e, prop_ood.e)
-    scores_raw = picked(raw_id.e, raw_ood.e)
-    report = evaluate(scores_prop, is_ood, preds_id, g_id.y, test_id)
-    report_raw = evaluate(scores_raw, is_ood, preds_id, g_id.y, test_id)
+    s = score_splits(model, g_id, g_ood, config.prop_alpha, config.prop_k)
+    report = s.report_prop
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     doc = report.to_dict()
-    doc["raw"] = report_raw.to_dict()
+    doc["raw"] = s.report_raw.to_dict()
     doc["propagation"] = {"alpha": config.prop_alpha, "k": config.prop_k}
     with open(outdir / "report.json", "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
+    test_id, test_ood = g_id.mask("test_id"), g_ood.mask("test_ood")
     write_scores_csv(outdir / "scores.csv",
                      node_ids=np.concatenate([test_id, test_ood]),
-                     scores=scores_prop, is_ood=is_ood,
-                     predicted=picked(preds_id, preds_ood),
-                     labels=picked(g_id.y, g_ood.y))
+                     scores=s.prop, is_ood=s.is_ood,
+                     predicted=s.logits.argmax(axis=1),
+                     labels=np.concatenate([g_id.y[test_id], g_ood.y[test_ood]]))
 
-    conf_id = softmax_rows(logits_id).max(axis=1)[test_id]
-    conf_ood = softmax_rows(logits_ood).max(axis=1)[test_ood]
+    conf = softmax_rows(s.logits).max(axis=1)
     hist = {
         "bins": 64,
-        "energy_raw": histogram_data(raw_id.e[test_id], raw_ood.e[test_ood]),
-        "energy_prop": histogram_data(prop_id.e[test_id], prop_ood.e[test_ood]),
-        "confidence": histogram_data(conf_id, conf_ood),
+        "energy_raw": histogram_data(s.raw[~s.is_ood], s.raw[s.is_ood]),
+        "energy_prop": histogram_data(s.prop[~s.is_ood], s.prop[s.is_ood]),
+        "confidence": histogram_data(conf[~s.is_ood], conf[s.is_ood]),
     }
     with open(outdir / "hist.json", "w") as fh:
         json.dump(hist, fh, sort_keys=True, indent=1)

@@ -1,9 +1,10 @@
 """Energy scoring, propagation over the graph, and detection metrics.
 
 Scores are oriented "higher means more OOD" everywhere: the energy
--logsumexp(logits) is large for uncertain nodes, and the max-softmax
-baseline is negated to match. Metrics follow fixed tie rules so that a
-brute-force reimplementation reproduces them to float precision:
+-logsumexp(logits) is large for uncertain nodes. ``score_splits`` is
+the one scoring path of ``tide eval`` and the comparison harness.
+Metrics follow fixed tie rules so that a brute-force reimplementation
+reproduces them to float precision:
 AUROC counts ties as half via average ranks, AUPR sweeps distinct
 scores in descending order with step interpolation, FPR95 thresholds
 at the k-th largest OOD score with k = ceil(0.95 * n_ood).
@@ -18,6 +19,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .graph import Graph, SparseMatrix, row_stochastic_adjacency
+from .model import TideModel, joint_logits_at_mean
 
 
 class MetricError(ValueError):
@@ -90,21 +92,11 @@ def propagate_energy(scores: EnergyScores, g: Graph, alpha: float, k: int) -> En
     return EnergyScores(e=e, propagated=k > 0, k=int(k), alpha=float(alpha))
 
 
-def msp_score(logits: np.ndarray) -> np.ndarray:
-    """Negated max softmax probability (higher = more OOD)."""
-    return -softmax_rows(np.asarray(logits, dtype=np.float64)).max(axis=1)
-
-
 def predictive_entropy(logits: np.ndarray) -> np.ndarray:
     """Shannon entropy of the per-node softmax, in nats."""
     p = softmax_rows(np.asarray(logits, dtype=np.float64))
     safe = np.clip(p, 1e-300, None)
     return -(p * np.log(safe)).sum(axis=1)
-
-
-def classify_ood(scores: np.ndarray, tau: float) -> np.ndarray:
-    """Decision rule: flag OOD when score >= tau (ties are OOD)."""
-    return np.asarray(scores, dtype=np.float64) >= tau
 
 
 def auroc_score(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
@@ -183,6 +175,54 @@ def evaluate(scores: np.ndarray, is_ood: np.ndarray,
         n_id=int(id_scores.size),
         n_ood=int(ood_scores.size),
     )
+
+
+@dataclass
+class SplitScores:
+    """The joint classifier on the ID test split, then the OOD pool.
+
+    Every array runs over the evaluated nodes in that order; the two
+    reports score them by raw and by propagated energy.
+    """
+
+    logits: np.ndarray
+    is_ood: np.ndarray
+    raw: np.ndarray
+    prop: np.ndarray
+    report_raw: DetectionReport
+    report_prop: DetectionReport
+
+
+def score_splits(model: TideModel, g_id: Graph, g_ood: Graph,
+                 alpha: float, k: int) -> SplitScores:
+    """Mean-path logits, raw and propagated energies, and both reports.
+
+    Propagation runs over each whole graph before the test rows are
+    picked, so a node's score sees its neighbours in every split.
+    """
+    test_id, test_ood = g_id.mask("test_id"), g_ood.mask("test_ood")
+    if test_ood.size == 0:
+        raise MetricError("OOD bundle has an empty test_ood split")
+    if test_id.size == 0:
+        raise MetricError("ID bundle has an empty test_id split")
+    logits_id = joint_logits_at_mean(model, g_id)
+    logits_ood = joint_logits_at_mean(model, g_ood)
+    raw_id, raw_ood = energy_score(logits_id), energy_score(logits_ood)
+    prop_id = propagate_energy(raw_id, g_id, alpha, k)
+    prop_ood = propagate_energy(raw_ood, g_ood, alpha, k)
+
+    is_ood = np.concatenate([np.zeros(test_id.size, dtype=bool),
+                             np.ones(test_ood.size, dtype=bool)])
+    preds_id = logits_id.argmax(axis=1)
+
+    def picked(a_id, a_ood):
+        return np.concatenate([a_id[test_id], a_ood[test_ood]])
+
+    raw, prop = picked(raw_id.e, raw_ood.e), picked(prop_id.e, prop_ood.e)
+    return SplitScores(
+        logits=picked(logits_id, logits_ood), is_ood=is_ood, raw=raw, prop=prop,
+        report_raw=evaluate(raw, is_ood, preds_id, g_id.y, test_id),
+        report_prop=evaluate(prop, is_ood, preds_id, g_id.y, test_id))
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .detection import (DetectionReport, energy_score, evaluate,
-                        predictive_entropy, propagate_energy)
+from .detection import predictive_entropy, score_splits
 from .graph import Graph
-from .model import joint_logits_at_mean
 from .shift import CsbmParams, ShiftSpec, apply_shift, gen_csbm
 from .trainer import TideConfig, TrainResult, train_tide
 
@@ -96,8 +94,6 @@ class RunOutcome:
     """Everything measured from one (mode, seed) training run."""
 
     row: dict
-    report_raw: DetectionReport
-    report_prop: DetectionReport
     result: TrainResult
 
 
@@ -107,28 +103,8 @@ def run_single(mode: str, seed: int, g_id: Graph, g_ood: Graph,
     config = bench_config(mode, seed, **config_overrides)
     result = train_tide(g_id, config)
 
-    logits_id = joint_logits_at_mean(result.model, g_id)
-    logits_ood = joint_logits_at_mean(result.model, g_ood)
-    test_id = g_id.mask("test_id")
-    test_ood = g_ood.mask("test_ood")
-
-    raw_id = energy_score(logits_id)
-    raw_ood = energy_score(logits_ood)
-    prop_id = propagate_energy(raw_id, g_id, config.prop_alpha, config.prop_k)
-    prop_ood = propagate_energy(raw_ood, g_ood, config.prop_alpha, config.prop_k)
-
-    is_ood = np.concatenate([np.zeros(test_id.size, dtype=bool),
-                             np.ones(test_ood.size, dtype=bool)])
-    preds_id = logits_id.argmax(axis=1)
-
-    def rep(e_id, e_ood):
-        scores = np.concatenate([e_id[test_id], e_ood[test_ood]])
-        return evaluate(scores, is_ood, preds_id, g_id.y, test_id)
-
-    report_raw = rep(raw_id.e, raw_ood.e)
-    report_prop = rep(prop_id.e, prop_ood.e)
-    ent_id = float(np.mean(predictive_entropy(logits_id[test_id])))
-    ent_ood = float(np.mean(predictive_entropy(logits_ood[test_ood])))
+    s = score_splits(result.model, g_id, g_ood, config.prop_alpha, config.prop_k)
+    report_raw, report_prop = s.report_raw, s.report_prop
 
     row = {
         "mode": mode,
@@ -140,11 +116,10 @@ def run_single(mode: str, seed: int, g_id: Graph, g_ood: Graph,
         "aupr_prop": report_prop.aupr,
         "fpr95_prop": report_prop.fpr95,
         "id_acc": report_raw.id_accuracy,
-        "ent_id": ent_id,
-        "ent_ood": ent_ood,
+        "ent_id": float(np.mean(predictive_entropy(s.logits[~s.is_ood]))),
+        "ent_ood": float(np.mean(predictive_entropy(s.logits[s.is_ood]))),
     }
-    return RunOutcome(row=row, report_raw=report_raw,
-                      report_prop=report_prop, result=result)
+    return RunOutcome(row=row, result=result)
 
 
 def run_comparison(fixture: str, modes: list[str], seeds: list[int],

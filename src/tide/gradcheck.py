@@ -5,7 +5,9 @@ graph, 8-wide model, fixed reparameterization noise) and compares the
 tape's gradients against central differences, parameter entry by
 parameter entry. The probe dimensions keep the slowest check (the full
 routed objective, ~1.3k parameters, two evaluations each) well under
-the 30 s budget.
+the 30 s budget. The energy_reg and tide_total checks call the
+trainer's own ``energy_margin`` and ``forward_components``, so the
+audited objective is the one that trains.
 
 The margin thresholds are placed just inside the initial energy range
 so both sides of the squared hinge have active terms; the hinge is C1,
@@ -15,42 +17,31 @@ within the step size of a threshold (true for the frozen seeds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from . import autodiff as ad
 from .autodiff import Tensor, check_gradients_params
-from .detection import propagation_operator
 from .graph import sym_normalized_adjacency
 from .model import (NOISE_STREAM, build_model, component_rng, encode_feature,
                     encode_joint, encode_structure, predict_logits,
                     reparameterize)
-from .objectives import (club_estimate, cross_entropy, energy_reg_loss,
-                         energy_tensor, kl_standard_normal,
-                         propagate_energy_tensor, recon_cind_loss, tide_total,
-                         vib_loss)
+from .objectives import (club_estimate, cross_entropy, kl_standard_normal,
+                         recon_cind_loss, tide_total)
 from .shift import CsbmParams, ShiftSpec, apply_feature_shift, gen_csbm
-from .trainer import TideConfig
-
-COMPONENTS = ("cross_entropy", "kl", "club", "recon", "energy_reg", "tide_total")
+from .trainer import (ExposureInputs, TideConfig, energy_margin,
+                      forward_components)
 
 
 @dataclass
 class _Probe:
-    """Frozen inputs for all checks: graphs, operators, model, noise."""
+    """Frozen inputs for all checks: graph, operators, model, noise."""
 
     g: object
-    exposure: object
     model: object
     config: TideConfig
     X: Tensor
-    X_exp: Tensor
     A: object
-    A_exp: object
-    prop_id: object
-    prop_exp: object
-    eps: dict = field(default_factory=dict)
+    exposure: ExposureInputs
+    eps: dict
 
 
 def _build_probe(seed: int, n: int, d: int, hidden: int, C: int) -> _Probe:
@@ -66,13 +57,9 @@ def _build_probe(seed: int, n: int, d: int, hidden: int, C: int) -> _Probe:
                         epochs=0)
     eps = {tag: component_rng(seed, NOISE_STREAM[tag]).standard_normal((n, hidden))
            for tag in ("z", "v", "q", "z_exposure")}
-    return _Probe(g=g, exposure=exposure, model=model, config=config,
-                  X=Tensor(g.X), X_exp=Tensor(exposure.X),
+    return _Probe(g=g, model=model, config=config, X=Tensor(g.X),
                   A=sym_normalized_adjacency(g),
-                  A_exp=sym_normalized_adjacency(exposure),
-                  prop_id=propagation_operator(g),
-                  prop_exp=propagation_operator(exposure),
-                  eps=eps)
+                  exposure=ExposureInputs.build(g, exposure), eps=eps)
 
 
 def _params(probe: _Probe, *groups: str) -> dict[str, Tensor]:
@@ -90,50 +77,10 @@ def _sample(probe: _Probe, tag: str):
     return reparameterize(dist, probe.eps[tag])
 
 
-def _energy_margin(probe: _Probe) -> Tensor:
-    cfg, model = probe.config, probe.model
-    s_id = _sample(probe, "z")
-    e_id = propagate_energy_tensor(
-        energy_tensor(predict_logits(s_id, probe.A, model, "z")),
-        probe.prop_id, cfg.prop_alpha, cfg.prop_k)
-    dist_e = encode_joint(probe.X_exp, probe.A_exp, model)
-    s_ood = reparameterize(dist_e, probe.eps["z_exposure"])
-    e_ood = propagate_energy_tensor(
-        energy_tensor(predict_logits(s_ood, probe.A_exp, model, "z")),
-        probe.prop_exp, cfg.prop_alpha, cfg.prop_k)
-    return energy_reg_loss(ad.gather_rows(e_id, probe.g.mask("train")),
-                           ad.gather_rows(e_ood, probe.exposure.mask("train")),
-                           cfg.t_id, cfg.t_ood)
-
-
-def _tide_objective(probe: _Probe) -> Tensor:
-    cfg, g, model = probe.config, probe.g, probe.model
-    train = g.mask("train")
-    comps: dict[str, Tensor] = {}
-
-    dist_z = encode_joint(probe.X, probe.A, model)
-    s_z = reparameterize(dist_z, probe.eps["z"])
-    logits_z = predict_logits(s_z, probe.A, model, "z")
-    comps["vib_z"] = vib_loss(logits_z, g.y, train, dist_z, cfg.beta_z)
-
-    dist_v = encode_feature(probe.X, model)
-    s_v = reparameterize(dist_v, probe.eps["v"])
-    comps["vib_v"] = vib_loss(predict_logits(s_v, None, model, "v"),
-                              g.y, train, dist_v, cfg.beta_v)
-
-    dist_q = encode_structure(probe.A, model)
-    s_q = reparameterize(dist_q, probe.eps["q"])
-    comps["vib_q"] = vib_loss(predict_logits(s_q, probe.A, model, "q"),
-                              g.y, train, dist_q, cfg.beta_q)
-
-    comps["cind"] = recon_cind_loss(s_z, probe.X, model)
-    comps["pmi_zv"] = club_estimate(s_z, s_v, model["club_zv.p1"], model["club_zv.p2"])
-    comps["pmi_zq"] = club_estimate(s_z, s_q, model["club_zq.p1"], model["club_zq.p2"])
-    comps["pmi_vq"] = club_estimate(s_v, s_q, model["club_vq.p1"], model["club_vq.p2"])
-    comps["energy_reg"] = _energy_margin(probe)
-
-    fused, _ = tide_total(comps, cfg)
-    return fused
+def _training_objective(probe: _Probe) -> Tensor:
+    comps, _ = forward_components(probe.model, probe.X, probe.A, probe.g,
+                                  probe.config, probe.eps, probe.exposure)
+    return tide_total(comps, probe.config)[0]
 
 
 def gradient_check_report(seed: int = 0, h: float = 1e-5, n: int = 10,
@@ -167,10 +114,12 @@ def gradient_check_report(seed: int = 0, h: float = 1e-5, n: int = 10,
                 if nm.startswith("z_enc.")},
              **_params(probe, "recon")}),
         "energy_reg": (
-            lambda: _energy_margin(probe),
+            lambda: energy_margin(
+                predict_logits(_sample(probe, "z"), probe.A, model, "z"),
+                model, g, probe.config, probe.exposure, probe.eps["z_exposure"]),
             _params(probe, "z")),
         "tide_total": (
-            lambda: _tide_objective(probe),
+            lambda: _training_objective(probe),
             dict(model.parameters())),
     }
 

@@ -1,4 +1,4 @@
-"""Graph container, adjacency normalizations, and file formats.
+"""Graph container, adjacency normalizations, and the bundle format.
 
 A Graph is an immutable bag of (X, edges, y, masks). Edges are stored
 canonically: each undirected edge once as (u, v) with u < v, sorted,
@@ -6,10 +6,9 @@ deduplicated, self-loops dropped. Builders that need both directions
 expand on the fly, so adjacency operators are symmetric by
 construction.
 
-Two on-disk representations are supported: a four-file layout
-(features / edges / labels / splits) and a single-JSON "bundle" used by
-the generated benchmarks. Both round-trip exactly: floats are written
-with shortest-repr precision.
+On disk a graph is a single-JSON "bundle" (see ``bundle_dict``); it
+round-trips exactly, since floats are written with shortest-repr
+precision.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ class GraphError(ValueError):
 
 
 class GraphFormatError(ValueError):
-    """A file failed to parse; message carries path and line number."""
+    """A bundle failed to parse; the message names the file."""
 
 
 class SparseMatrix:
@@ -216,88 +215,6 @@ def row_stochastic_adjacency(g: Graph) -> SparseMatrix:
     u, v = _both_directions(g.edges)
     vals = 1.0 / deg[u]
     return SparseMatrix(g.n, u, v, vals)
-
-
-# ---------------------------------------------------------------------------
-# Four-file layout
-# ---------------------------------------------------------------------------
-
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
-
-
-def _parse_lines(path: Path, convert):
-    out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(convert(line))
-            except ValueError as err:
-                raise GraphFormatError(f"{path}:{lineno}: {err}") from err
-    return out
-
-
-def load_graph(features_path, edges_path, labels_path, splits_path) -> Graph:
-    features_path, edges_path = Path(features_path), Path(edges_path)
-    labels_path, splits_path = Path(labels_path), Path(splits_path)
-
-    rows = _parse_lines(features_path, lambda s: [float(t) for t in s.split()])
-    if not rows:
-        raise GraphFormatError(f"{features_path}: no feature rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise GraphFormatError(
-            f"{features_path}: inconsistent feature widths {sorted(widths)}")
-    X = np.array(rows, dtype=np.float64)
-    n = X.shape[0]
-
-    def parse_edge(s: str):
-        parts = s.split()
-        if len(parts) != 2:
-            raise ValueError(f"expected 'u v', got {s!r}")
-        return [int(parts[0]), int(parts[1])]
-
-    edge_rows = _parse_lines(edges_path, parse_edge)
-    edges = np.array(edge_rows, dtype=np.int64) if edge_rows \
-        else np.empty((0, 2), dtype=np.int64)
-
-    y = np.array(_parse_lines(labels_path, int), dtype=np.int64)
-    if y.shape[0] != n:
-        raise GraphFormatError(
-            f"{labels_path}: {y.shape[0]} labels but {n} feature rows")
-
-    try:
-        with open(splits_path) as fh:
-            splits = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise GraphFormatError(f"{splits_path}: {err}") from err
-    if not isinstance(splits, dict) or set(splits) != set(MASK_NAMES):
-        raise GraphFormatError(
-            f"{splits_path}: expected keys {list(MASK_NAMES)}")
-    return make_graph(X, edges, y, masks=splits)
-
-
-def save_graph(g: Graph, features_path, edges_path, labels_path, splits_path) -> None:
-    with open(features_path, "w") as fh:
-        for row in g.X:
-            fh.write(" ".join(_fmt_float(v) for v in row) + "\n")
-    with open(edges_path, "w") as fh:
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")
-    with open(labels_path, "w") as fh:
-        for label in g.y:
-            fh.write(f"{label}\n")
-    with open(splits_path, "w") as fh:
-        fh.write(_splits_json(g))
-        fh.write("\n")
-
-
-def _splits_json(g: Graph) -> str:
-    splits = {name: [int(i) for i in g.mask(name)] for name in MASK_NAMES}
-    return json.dumps(splits, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

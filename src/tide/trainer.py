@@ -1,11 +1,12 @@
-"""Joint training of the three networks and deterministic inference.
+"""Joint training of the three networks.
 
-One epoch is one full-graph forward of every active network, one fused
-backward whose per-network gradient restriction implements the loss
-routing, an Adam step on the encoder/head/reconstruction parameters,
-and (in tide mode) an ascent step on the pair projections so they keep
-acting as dependence critics. Inference uses only the joint network's
-mean path: logits, argmax predictions, propagated energies.
+One epoch is one full-graph forward of the branches the objective
+trains (``MODE_GROUPS``), one fused backward whose per-network gradient
+restriction implements the loss routing, an Adam step on those
+branches' parameters, and (in tide mode) an ascent step on the pair
+projections so they keep acting as dependence critics.
+``forward_components`` is that forward; the gradient audit calls it
+too, so the audited objective is the trained one.
 
 Runs are bit-deterministic under a fixed seed: initialization and
 per-epoch noise come from per-component seed streams, and training
@@ -14,34 +15,37 @@ consumes them in a fixed order.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .detection import EnergyScores, energy_score, propagate_energy, propagation_operator
-from .graph import Graph, sym_normalized_adjacency
+from .detection import propagation_operator
+from .graph import Graph, SparseMatrix, sym_normalized_adjacency
 from .model import (NOISE_STREAM, TideModel, build_model, component_rng,
                     encode_feature, encode_joint, encode_structure,
                     joint_logits_at_mean, predict_logits, reparameterize)
-from .objectives import (LossBreakdown, club_estimate, cross_entropy,
-                         energy_reg_loss, energy_tensor,
-                         propagate_energy_tensor, recon_cind_loss, tide_total,
-                         vib_loss)
+from .objectives import (club_estimate, cross_entropy, energy_reg_loss,
+                         energy_tensor, propagate_energy_tensor,
+                         recon_cind_loss, tide_total, vib_loss)
 
-OBJECTIVE_MODES = ("sl", "ib", "ib_cind", "tide")
-
-# Appendix-style search grids, kept for reference by sweep scripts; the
-# config does not force values onto them (the supervised baseline needs
-# beta = 0, which no grid contains).
-BETA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
-ALPHA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
-LAMBDA_CIND_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
-THRESHOLD_GRID = tuple(float(t) for t in range(-9, 1))
+# Parameter groups each objective trains: the training forward builds
+# only these branches and Adam steps only these groups. In sl/ib/ib_cind
+# nothing couples V or Q to the joint classifier, so they stay at their
+# initial values. The critic projections ("club") get tide's separate
+# ascent step.
+MODE_GROUPS = {
+    "sl": ("z",),
+    "ib": ("z",),
+    "ib_cind": ("z", "recon"),
+    "tide": ("z", "v", "q", "recon"),
+}
+OBJECTIVE_MODES = tuple(MODE_GROUPS)
 
 
 class ConfigError(ValueError):
@@ -50,6 +54,17 @@ class ConfigError(ValueError):
 
 class TrainingError(RuntimeError):
     pass
+
+
+def _has_type(value, kind: str) -> bool:
+    """JSON-level type check for one config field (bool is not a number)."""
+    if kind == "bool":
+        return isinstance(value, bool)
+    if kind == "str":
+        return isinstance(value, str)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int if kind == "int" else (int, float))
 
 
 @dataclass(frozen=True)
@@ -77,6 +92,11 @@ class TideConfig:
     objective_mode: str = "tide"
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, f.type):
+                raise ConfigError(
+                    f"{f.name} must be of type {f.type}, got {value!r}")
         if self.objective_mode not in OBJECTIVE_MODES:
             raise ConfigError(
                 f"objective_mode must be one of {OBJECTIVE_MODES}, "
@@ -169,6 +189,105 @@ def _accuracy(logits: np.ndarray, y: np.ndarray, mask: np.ndarray) -> float:
     return float(np.mean(preds == y[mask]))
 
 
+@dataclass(frozen=True)
+class ExposureInputs:
+    """Fixed inputs of the energy margin: the ID propagation operator and
+    the auxiliary OOD graph whose train rows are pushed away."""
+
+    prop_id: SparseMatrix
+    X: Tensor
+    A: SparseMatrix
+    prop: SparseMatrix
+    train: np.ndarray
+
+    @classmethod
+    def build(cls, g: Graph, exposure_graph: Graph) -> "ExposureInputs":
+        train = exposure_graph.mask("train")
+        if train.size == 0:
+            raise TrainingError("exposure graph has no train mask")
+        return cls(prop_id=propagation_operator(g), X=Tensor(exposure_graph.X),
+                   A=sym_normalized_adjacency(exposure_graph),
+                   prop=propagation_operator(exposure_graph), train=train)
+
+
+@contextlib.contextmanager
+def _component(name: str):
+    """Report a numerics failure inside one loss term by the term's name."""
+    try:
+        yield
+    except (ad.NumericsError, ad.DomainError) as err:
+        raise TrainingError(f"component {name}: {err}") from err
+
+
+def energy_margin(logits_z: Tensor, model: TideModel, g: Graph,
+                  config: TideConfig, exposure: ExposureInputs,
+                  eps: np.ndarray | None) -> Tensor:
+    """Margin between the propagated energies of the ID train rows and of
+    the exposure graph's train rows. ``eps`` is the exposure pass's
+    reparameterization noise; None runs it on the posterior mean."""
+    e_id = propagate_energy_tensor(energy_tensor(logits_z), exposure.prop_id,
+                                   config.prop_alpha, config.prop_k)
+    dist = encode_joint(exposure.X, exposure.A, model)
+    sample = dist.mu if eps is None else reparameterize(dist, eps)
+    logits = predict_logits(sample, exposure.A, model, "z")
+    e_ood = propagate_energy_tensor(energy_tensor(logits), exposure.prop,
+                                    config.prop_alpha, config.prop_k)
+    return energy_reg_loss(ad.gather_rows(e_id, g.mask("train")),
+                           ad.gather_rows(e_ood, exposure.train),
+                           config.t_id, config.t_ood, config.ereg_flip)
+
+
+def forward_components(model: TideModel, X: Tensor, A: SparseMatrix,
+                       g: Graph, config: TideConfig, eps: dict[str, np.ndarray],
+                       exposure: ExposureInputs | None = None
+                       ) -> tuple[dict[str, Tensor], dict[str, Tensor]]:
+    """One training forward: the loss terms of ``config.objective_mode``.
+
+    Only the branches in ``MODE_GROUPS`` for the mode are built. ``eps``
+    maps each noise stream the mode samples ("z", "v", "q", "z_exposure";
+    sl runs on posterior means) to its draw for this forward. Returns
+    the components ``tide_total`` fuses and each built branch's sample.
+    """
+    mode = config.objective_mode
+    groups = MODE_GROUPS[mode]
+    y, train = g.y, g.mask("train")
+    comps: dict[str, Tensor] = {}
+
+    dist_z = encode_joint(X, A, model)
+    samples = {"z": dist_z.mu if mode == "sl"
+               else reparameterize(dist_z, eps["z"])}
+    logits_z = predict_logits(samples["z"], A, model, "z")
+    with _component("vib_z"):
+        comps["vib_z"] = (cross_entropy(logits_z, y, train) if mode == "sl"
+                          else vib_loss(logits_z, y, train, dist_z, config.beta_z))
+    if "v" in groups:
+        dist_v = encode_feature(X, model)
+        samples["v"] = reparameterize(dist_v, eps["v"])
+        logits_v = predict_logits(samples["v"], None, model, "v")
+        with _component("vib_v"):
+            comps["vib_v"] = vib_loss(logits_v, y, train, dist_v, config.beta_v)
+    if "q" in groups:
+        dist_q = encode_structure(A, model)
+        samples["q"] = reparameterize(dist_q, eps["q"])
+        logits_q = predict_logits(samples["q"], A, model, "q")
+        with _component("vib_q"):
+            comps["vib_q"] = vib_loss(logits_q, y, train, dist_q, config.beta_q)
+    if "recon" in groups:
+        with _component("cind"):
+            comps["cind"] = recon_cind_loss(samples["z"], X, model)
+    if mode == "tide":
+        for pair in ("zv", "zq", "vq"):
+            with _component(f"pmi_{pair}"):
+                comps[f"pmi_{pair}"] = club_estimate(
+                    samples[pair[0]], samples[pair[1]],
+                    model[f"club_{pair}.p1"], model[f"club_{pair}.p2"])
+    if exposure is not None:
+        with _component("energy_reg"):
+            comps["energy_reg"] = energy_margin(logits_z, model, g, config,
+                                                exposure, eps.get("z_exposure"))
+    return comps, samples
+
+
 def train_tide(g: Graph, config: TideConfig,
                exposure_graph: Graph | None = None) -> TrainResult:
     """Run the full optimization loop and return the best-validation model.
@@ -193,26 +312,21 @@ def train_tide(g: Graph, config: TideConfig,
     val_mask = g.mask("val")
     model = build_model(g.d, config.hidden, g.C, config.seed)
     state = AdamState()
-    main_names = model.names_in("z", "v", "q", "recon")
+    names = model.names_in(*MODE_GROUPS[mode])
     club_names = model.names_in("club")
-    noise = {tag: component_rng(config.seed, NOISE_STREAM[tag])
-             for tag in ("z", "v", "q")}
-
+    exposure = None
     if config.exposure_enabled:
-        exp_train = exposure_graph.mask("train")
-        if exp_train.size == 0:
-            raise TrainingError("exposure graph has no train mask")
-        A_exp = sym_normalized_adjacency(exposure_graph)
-        X_exp = Tensor(exposure_graph.X)
-        prop_id = propagation_operator(g)
-        prop_exp = propagation_operator(exposure_graph)
-        exp_noise = component_rng(config.seed, NOISE_STREAM["z_exposure"])
-
-    def guarded(name: str, fn):
-        try:
-            return fn()
-        except (ad.NumericsError, ad.DomainError) as err:
-            raise TrainingError(f"component {name}: {err}") from err
+        exposure = ExposureInputs.build(g, exposure_graph)
+    # A noise stream per sampled branch plus the exposure pass; sl runs
+    # on posterior means and draws none.
+    streams = [] if mode == "sl" else [t for t in MODE_GROUPS[mode]
+                                       if t in NOISE_STREAM]
+    if streams and config.exposure_enabled:
+        streams.append("z_exposure")
+    noise = {tag: component_rng(config.seed, NOISE_STREAM[tag])
+             for tag in streams}
+    noise_shape = {tag: ((exposure_graph if tag == "z_exposure" else g).n,
+                         config.hidden) for tag in noise}
 
     log: list[dict] = []
     best_acc = -np.inf
@@ -223,93 +337,28 @@ def train_tide(g: Graph, config: TideConfig,
         tick = time.perf_counter()
         model.zero_grad()
         ad.clear_tape()
-        comps: dict[str, Tensor] = {}
-
+        eps = {tag: rng.standard_normal(noise_shape[tag])
+               for tag, rng in noise.items()}
         try:
-            dist_z = encode_joint(X, A, model)
-            if mode == "sl":
-                sample_z = dist_z.mu
-                logits_z = predict_logits(sample_z, A, model, "z")
-                comps["vib_z"] = guarded(
-                    "vib_z", lambda: cross_entropy(logits_z, g.y, train_mask))
-            else:
-                eps_z = noise["z"].standard_normal(dist_z.shape)
-                sample_z = reparameterize(dist_z, eps_z)
-                logits_z = predict_logits(sample_z, A, model, "z")
-                comps["vib_z"] = guarded(
-                    "vib_z", lambda: vib_loss(logits_z, g.y, train_mask,
-                                              dist_z, config.beta_z))
-                dist_v = encode_feature(X, model)
-                eps_v = noise["v"].standard_normal(dist_v.shape)
-                sample_v = reparameterize(dist_v, eps_v)
-                logits_v = predict_logits(sample_v, None, model, "v")
-                comps["vib_v"] = guarded(
-                    "vib_v", lambda: vib_loss(logits_v, g.y, train_mask,
-                                              dist_v, config.beta_v))
-                dist_q = encode_structure(A, model)
-                eps_q = noise["q"].standard_normal(dist_q.shape)
-                sample_q = reparameterize(dist_q, eps_q)
-                logits_q = predict_logits(sample_q, A, model, "q")
-                comps["vib_q"] = guarded(
-                    "vib_q", lambda: vib_loss(logits_q, g.y, train_mask,
-                                              dist_q, config.beta_q))
-                if mode in ("ib_cind", "tide"):
-                    comps["cind"] = guarded(
-                        "cind", lambda: recon_cind_loss(sample_z, X, model))
-                if mode == "tide":
-                    comps["pmi_zv"] = guarded(
-                        "pmi_zv", lambda: club_estimate(
-                            sample_z, sample_v,
-                            model["club_zv.p1"], model["club_zv.p2"]))
-                    comps["pmi_zq"] = guarded(
-                        "pmi_zq", lambda: club_estimate(
-                            sample_z, sample_q,
-                            model["club_zq.p1"], model["club_zq.p2"]))
-                    comps["pmi_vq"] = guarded(
-                        "pmi_vq", lambda: club_estimate(
-                            sample_v, sample_q,
-                            model["club_vq.p1"], model["club_vq.p2"]))
-
-            if config.exposure_enabled:
-                def ereg():
-                    e_id = propagate_energy_tensor(
-                        energy_tensor(logits_z), prop_id,
-                        config.prop_alpha, config.prop_k)
-                    dist_ze = encode_joint(X_exp, A_exp, model)
-                    if mode == "sl":
-                        sample_ze = dist_ze.mu
-                    else:
-                        sample_ze = reparameterize(
-                            dist_ze, exp_noise.standard_normal(dist_ze.shape))
-                    logits_ze = predict_logits(sample_ze, A_exp, model, "z")
-                    e_ood = propagate_energy_tensor(
-                        energy_tensor(logits_ze), prop_exp,
-                        config.prop_alpha, config.prop_k)
-                    return energy_reg_loss(
-                        ad.gather_rows(e_id, train_mask),
-                        ad.gather_rows(e_ood, exp_train),
-                        config.t_id, config.t_ood, config.ereg_flip)
-                comps["energy_reg"] = guarded("energy_reg", ereg)
-
+            comps, samples = forward_components(model, X, A, g, config, eps,
+                                                exposure)
             fused, breakdown = tide_total(comps, config)
             if not breakdown.finite():
-                raise TrainingError(f"epoch {epoch}: non-finite loss component")
-            guarded("backward", lambda: ad.backward(
-                fused, wrt=[model.params[n] for n in main_names]))
+                raise TrainingError("non-finite loss component")
+            with _component("backward"):
+                ad.backward(fused, wrt=[model.params[n] for n in names])
         except TrainingError as err:
             raise TrainingError(f"epoch {epoch}: {err}") from err
         except (ad.NumericsError, ad.DomainError) as err:
             # Overflow in an encoder/head forward, outside the per-loss guards.
             raise TrainingError(f"epoch {epoch}: forward pass: {err}") from err
 
-        adam_step({n: model.params[n] for n in main_names},
-                  {n: model.params[n].grad for n in main_names},
+        adam_step({n: model.params[n] for n in names},
+                  {n: model.params[n].grad for n in names},
                   state, config.lr)
 
         if mode == "tide":
-            _critic_step(model, state, config.lr,
-                         sample_z.values, sample_v.values, sample_q.values,
-                         club_names)
+            _critic_step(model, state, config.lr, samples, club_names)
 
         try:
             val_logits = joint_logits_at_mean(model, g, A)
@@ -336,13 +385,12 @@ def train_tide(g: Graph, config: TideConfig,
 
 
 def _critic_step(model: TideModel, state: AdamState, lr: float,
-                 z_vals: np.ndarray, v_vals: np.ndarray, q_vals: np.ndarray,
-                 club_names: list[str]) -> None:
+                 samples: dict[str, Tensor], club_names: list[str]) -> None:
     """Ascent on the pair projections against frozen samples."""
     for n in club_names:
         model.params[n].grad = None
     ad.clear_tape()
-    sz, sv, sq = Tensor(z_vals), Tensor(v_vals), Tensor(q_vals)
+    sz, sv, sq = (Tensor(samples[t].values) for t in ("z", "v", "q"))
     total = ad.add(
         ad.add(club_estimate(sz, sv, model["club_zv.p1"], model["club_zv.p2"]),
                club_estimate(sz, sq, model["club_zq.p1"], model["club_zq.p2"])),
@@ -351,21 +399,6 @@ def _critic_step(model: TideModel, state: AdamState, lr: float,
     adam_step({n: model.params[n] for n in club_names},
               {n: -model.params[n].grad for n in club_names},
               state, lr)
-
-
-def train_sl_baseline(g: Graph, config: TideConfig) -> TrainResult:
-    """Cross-entropy-only single-classifier run (beta = 0, mean path)."""
-    return train_tide(g, replace(config, objective_mode="sl"))
-
-
-def infer(model: TideModel, g: Graph, config: TideConfig
-          ) -> tuple[np.ndarray, EnergyScores]:
-    """Predictions and propagated energies from the joint classifier only."""
-    logits = joint_logits_at_mean(model, g)
-    preds = logits.argmax(axis=1)
-    energies = propagate_energy(energy_score(logits), g,
-                                config.prop_alpha, config.prop_k)
-    return preds, energies
 
 
 def write_train_log(path, records: list[dict]) -> None:

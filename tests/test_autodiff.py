@@ -36,13 +36,6 @@ def test_logsumexp_of_zero_row_is_log_n():
     assert out.values[0, 0] == pytest.approx(math.log(7), abs=1e-12)
 
 
-def test_softmax_row_normalizes():
-    out = ad.row_softmax(Tensor([[1.0, 2.0, 3.0]])).values
-    assert out.sum() == pytest.approx(1.0, abs=1e-12)
-    e = math.e
-    assert out[0, 1] == pytest.approx(e ** 2 / (e + e ** 2 + e ** 3), rel=1e-12)
-
-
 def test_softplus_positive_and_close_to_relu_for_large_inputs():
     x = Tensor([[-30.0, 0.0, 30.0]])
     out = ad.softplus(x).values[0]
@@ -163,18 +156,15 @@ PRIMITIVES = {
     "mul": lambda x: ad.tsum(ad.mul(x, x)),
     "matmul": lambda x: ad.tsum(ad.matmul(x, ad.transpose(x))),
     "spmm": lambda x: ad.tsum(ad.spmm(_spmat(x.shape[0]), x)),
-    "exp": lambda x: ad.tsum(ad.exp(x)),
     "log": lambda x: ad.tsum(ad.log(ad.add(ad.mul(x, x), 1.0))),
     "relu": lambda x: ad.tsum(ad.relu(x)),
     "softplus": lambda x: ad.tsum(ad.softplus(x)),
-    "softmax": lambda x: ad.tsum(ad.mul(ad.row_softmax(x), ad.row_softmax(x))),
     "logsumexp": lambda x: ad.tsum(ad.row_logsumexp(x)),
     "row_sum": lambda x: ad.tsum(ad.mul(ad.row_sum(x), ad.row_sum(x))),
     "mean": lambda x: ad.mul(ad.tmean(x), 3.0),
     "mse": lambda x: ad.mse(x, np.full(x.shape, 0.25)),
     "scale_shift": lambda x: ad.tsum(
         ad.scale_shift(x, ad.softplus(x), np.full(x.shape, 0.7))),
-    "concat": lambda x: ad.tsum(ad.mul(ad.concat(x, x, axis=1), 2.0)),
     "gather": lambda x: ad.tsum(ad.gather_rows(x, [0, x.shape[0] - 1])),
 }
 
@@ -213,7 +203,7 @@ def test_backward_is_linear(values, a, b):
 def test_forward_and_gradient_determinism():
     def run():
         x = Tensor(np.linspace(-1, 1, 12).reshape(3, 4), requires_grad=True)
-        loss = ad.tmean(ad.mul(ad.row_softmax(x), ad.exp(ad.mul(x, 0.5))))
+        loss = ad.tmean(ad.mul(ad.softplus(x), ad.softplus(ad.mul(x, 0.5))))
         backward(loss, wrt=[x])
         return loss.values.copy(), x.grad.copy()
 

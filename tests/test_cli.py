@@ -138,6 +138,17 @@ def test_train_exposure_flag_without_data_is_usage_error(bundles, tmp_path):
     assert code == 1
 
 
+def test_train_config_value_of_wrong_type_exits_one(bundles, tmp_path,
+                                                   capsys):
+    id_bundle, _ = bundles
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": "5"}))
+    code = run_cli("train", "--data", id_bundle, "--out", tmp_path / "r",
+                   "--config", cfg)
+    assert code == 1
+    assert "epochs" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -189,6 +200,30 @@ def test_eval_checkpoint_dim_mismatch_exits_one(bundles, tmp_path):
                    "--data", id_bundle, "--ood-data", ood_bundle,
                    "--out", tmp_path / "e3")
     assert code == 1
+
+
+def test_eval_checkpoint_class_count_mismatch_exits_one(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run_cli("generate", "--kind", "csbm", "--n", "60",
+                   "--classes", "4", "--dim", "5", "--p-in", "0.3",
+                   "--p-out", "0.05", "--mu-sep", "2.0", "--seed", "1",
+                   "--shift", "label:3", "--out-dir", data) == 0
+    id_bundle, label_bundle = data / "csbm_id.json", data / "csbm_label_3.json"
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--data", id_bundle, "--out", run_dir,
+                   "--epochs", "2", "--objective", "sl") == 0
+    capsys.readouterr()
+    # The 3-class label-leave-out bundle as the ID bundle: rejected.
+    code = run_cli("eval", "--checkpoint", run_dir / "model.ckpt",
+                   "--data", label_bundle, "--ood-data", label_bundle,
+                   "--out", tmp_path / "bad")
+    assert code == 1
+    assert "C=4" in capsys.readouterr().err
+    assert not (tmp_path / "bad" / "report.json").exists()
+    # As the OOD bundle it carries fewer classes legitimately.
+    assert run_cli("eval", "--checkpoint", run_dir / "model.ckpt",
+                   "--data", id_bundle, "--ood-data", label_bundle,
+                   "--out", tmp_path / "ok") == 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,9 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
 from tide.detection import (MetricError, aupr_score, auroc_score,
-                            classify_ood, energy_score, evaluate,
-                            fpr_at_95_tpr, histogram_data, msp_score,
-                            predictive_entropy, propagate_energy,
-                            write_scores_csv)
+                            energy_score, evaluate, fpr_at_95_tpr,
+                            histogram_data, predictive_entropy,
+                            propagate_energy, softmax_rows, write_scores_csv)
 from tide.graph import make_graph
 from conftest import random_graph
 import oracles
@@ -114,22 +113,28 @@ def test_propagation_stays_in_convex_hull(seed, alpha, k):
 
 
 # ---------------------------------------------------------------------------
-# msp / entropy / thresholding
+# max-softmax confidence (hist.json) / entropy
 # ---------------------------------------------------------------------------
 
+def msp(logits):
+    """Max-softmax score, negated so higher means more OOD."""
+    return -softmax_rows(np.asarray(logits, dtype=np.float64)).max(axis=1)
+
+
 def test_msp_uniform_four_classes():
-    np.testing.assert_allclose(msp_score(np.zeros((2, 4))), -0.25)
+    np.testing.assert_allclose(msp(np.zeros((2, 4))), -0.25)
 
 
 def test_msp_approaches_minus_one_when_dominant():
     logits = np.array([[100.0, 0.0, 0.0]])
-    assert msp_score(logits)[0] == pytest.approx(-1.0, abs=1e-12)
+    assert msp(logits)[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_msp_hand_three_class():
     row = np.array([[1.0, 2.0, 3.0]])
     soft = np.exp(row - logsumexp(row))
-    assert msp_score(row)[0] == pytest.approx(-soft.max(), abs=1e-12)
+    np.testing.assert_allclose(softmax_rows(row), soft, rtol=1e-12)
+    assert msp(row)[0] == pytest.approx(-soft.max(), abs=1e-12)
 
 
 def test_predictive_entropy_limits():
@@ -137,16 +142,6 @@ def test_predictive_entropy_limits():
     assert uniform == pytest.approx(math.log(4), abs=1e-12)
     peaked = predictive_entropy(np.array([[60.0, 0.0, 0.0, 0.0]]))[0]
     assert peaked < 1e-20
-
-
-def test_classify_ood_boundaries_and_ties():
-    scores = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(classify_ood(scores, -np.inf),
-                                  [True, True, True])
-    np.testing.assert_array_equal(classify_ood(scores, 4.0),
-                                  [False, False, False])
-    np.testing.assert_array_equal(classify_ood(scores, 2.0),
-                                  [False, True, True])
 
 
 # ---------------------------------------------------------------------------

@@ -5,50 +5,47 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tide.graph import (Graph, GraphError, GraphFormatError, canonical_edges,
-                        load_bundle, load_graph, make_graph,
-                        row_stochastic_adjacency, save_bundle, save_graph,
-                        sym_normalized_adjacency)
+                        load_bundle, make_graph, row_stochastic_adjacency,
+                        save_bundle, sym_normalized_adjacency)
 from conftest import random_graph
 
 
-def write_four_files(tmp_path, features, edges, labels, splits):
-    paths = [tmp_path / name for name in
-             ("features.txt", "edges.txt", "labels.txt", "splits.json")]
-    paths[0].write_text("".join(" ".join(map(str, row)) + "\n" for row in features))
-    paths[1].write_text("".join(f"{u} {v}\n" for u, v in edges))
-    paths[2].write_text("".join(f"{v}\n" for v in labels))
+def write_bundle(tmp_path, features, edges, labels, splits):
+    path = tmp_path / "g.json"
     full = {"train": [], "val": [], "test_id": [], "test_ood": []} | splits
-    paths[3].write_text(json.dumps(full))
-    return paths
+    path.write_text(json.dumps({
+        "n": len(features), "d": len(features[0]), "C": max(labels) + 1,
+        "features": features, "edges": edges, "labels": labels,
+        "splits": full}))
+    return path
 
 
 class TestLoadGraph:
     def test_two_node_example(self, tmp_path):
-        paths = write_four_files(tmp_path, [[1.0], [2.0]], [(0, 1)], [0, 1],
-                                 {"train": [0], "val": [], "test_id": [1],
-                                  "test_ood": []})
-        g = load_graph(*paths)
+        path = write_bundle(tmp_path, [[1.0], [2.0]], [[0, 1]], [0, 1],
+                            {"train": [0], "test_id": [1]})
+        g = load_bundle(path)
         assert (g.n, g.d, g.C) == (2, 1, 2)
         assert g.edges.tolist() == [[0, 1]]
 
     def test_out_of_range_edge_rejected(self, tmp_path):
-        paths = write_four_files(tmp_path, [[1.0], [2.0]], [(0, 5)], [0, 1],
-                                 {"train": [0]})
+        path = write_bundle(tmp_path, [[1.0], [2.0]], [[0, 5]], [0, 1],
+                            {"train": [0]})
         with pytest.raises(GraphError, match="5"):
-            load_graph(*paths)
+            load_bundle(path)
 
     def test_parse_error_names_line(self, tmp_path):
-        paths = write_four_files(tmp_path, [[1.0], [2.0]], [(0, 1)], [0, 1],
-                                 {"train": [0]})
-        paths[1].write_text("0 1\n0 x\n")
-        with pytest.raises(GraphFormatError, match=r"edges\.txt:2"):
-            load_graph(*paths)
+        path = write_bundle(tmp_path, [[1.0], [2.0]], [[0, 1]], [0, 1],
+                            {"train": [0]})
+        path.write_text('{"n": 2,\n "d": x}\n')
+        with pytest.raises(GraphFormatError, match=r"g\.json: .*line 2"):
+            load_bundle(path)
 
     def test_round_trip_identical(self, tmp_path, rng):
         g = random_graph(rng, n=9, d=3)
-        out = [tmp_path / n for n in ("f.txt", "e.txt", "l.txt", "s.json")]
-        save_graph(g, *out)
-        h = load_graph(*out)
+        path = tmp_path / "g.json"
+        save_bundle(g, path)
+        h = load_bundle(path)
         assert g.n == h.n and g.d == h.d and g.C == h.C
         np.testing.assert_array_equal(g.edges, h.edges)
         np.testing.assert_array_equal(g.y, h.y)

@@ -218,6 +218,22 @@ def test_energy_reg_flip_swaps_hinge_sides():
     assert flipped == 0.0
 
 
+def test_energy_reg_flip_gradients_match_central_differences():
+    """The flipped hinges, which ereg_flip trains, differentiate exactly."""
+    e_id = Tensor(np.array([[-5.0], [-3.5], [-2.2], [-4.5], [-3.9]]))
+    e_ood = Tensor(np.array([[-4.8], [-3.3], [-2.1], [-3.6]]))
+    # Both flipped hinges are active on some rows and idle on others.
+    assert energy_reg_loss(e_id, Tensor(np.zeros((1, 1))), -4.0, -3.0,
+                           flip=True).item() > 0.0
+    assert energy_reg_loss(Tensor(np.full((1, 1), -9.0)), e_ood, -4.0, -3.0,
+                           flip=True).item() > 0.0
+    err_id = ad.check_gradients(
+        lambda x: energy_reg_loss(x, e_ood, -4.0, -3.0, flip=True), e_id)
+    err_ood = ad.check_gradients(
+        lambda x: energy_reg_loss(e_id, x, -4.0, -3.0, flip=True), e_ood)
+    assert max(err_id, err_ood) < 1e-6
+
+
 def test_energy_reg_threshold_order_enforced():
     with pytest.raises(LossError):
         energy_reg_loss(Tensor(np.zeros((1, 1))), Tensor(np.zeros((1, 1))),

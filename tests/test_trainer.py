@@ -8,14 +8,16 @@ import pytest
 
 import tide.autodiff as ad
 from tide.autodiff import Tensor
+from tide.detection import score_splits
+from tide.experiment import as_ood_bundle
 from tide.graph import make_graph, sym_normalized_adjacency
 from tide.model import (NOISE_STREAM, build_model, component_rng,
-                        encode_feature, predict_logits, reparameterize)
+                        encode_feature, joint_logits_at_mean, predict_logits,
+                        reparameterize)
 from tide.objectives import vib_loss
 from tide.shift import CsbmParams, ShiftSpec, apply_feature_shift, gen_csbm
 from tide.trainer import (AdamState, ConfigError, TideConfig, TrainingError,
-                          adam_step, infer, train_sl_baseline, train_tide,
-                          write_train_log)
+                          adam_step, train_tide, write_train_log)
 
 FIXTURE = CsbmParams(n=120, C=3, d=8, p_in=0.15, p_out=0.02, mu_sep=2.0,
                      seed=0, train_frac=0.4, val_frac=0.2)
@@ -44,6 +46,13 @@ class TestConfig:
         {"epochs": -5},
         {"hidden": 0},
         {"exposure_enabled": True, "t_id": -2.0, "t_ood": -7.0},
+        {"epochs": "5"},
+        {"epochs": 5.0},
+        {"hidden": True},
+        {"lr": "0.01"},
+        {"lr": False},
+        {"exposure_enabled": 1},
+        {"objective_mode": 3},
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ConfigError):
@@ -53,6 +62,9 @@ class TestConfig:
         cfg = TideConfig(beta_v=0.01, seed=3, objective_mode="ib_cind")
         again = TideConfig.from_dict(cfg.to_dict())
         assert again == cfg
+
+    def test_int_accepted_for_float_field(self):
+        assert TideConfig.from_dict({"lr": 1, "t_id": -7}).lr == 1
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="momentum"):
@@ -128,14 +140,25 @@ def test_exposure_requires_companion_graph():
         train_tide(g, cfg)
 
 
-def test_sl_mode_logs_only_supervised_component():
+@pytest.mark.parametrize("mode", ["sl", "ib", "ib_cind"])
+def test_joint_only_modes_leave_v_and_q_untrained(mode):
+    """Only tide builds V and Q; the other modes keep them at init."""
     g = fixture_graph()
-    result = train_tide(g, TideConfig(objective_mode="sl", epochs=3))
+    cfg = TideConfig(objective_mode=mode, epochs=3)
+    result = train_tide(g, cfg)
+    zero = ["vib_v", "vib_q", "pmi_zv", "pmi_zq", "pmi_vq"]
+    if mode == "ib_cind":
+        assert all(rec["loss"]["cind"] > 0 for rec in result.log)
+    else:
+        zero.append("cind")
     for rec in result.log:
-        loss = rec["loss"]
-        assert loss["vib_z"] > 0
-        for key in ("vib_v", "vib_q", "cind", "pmi_zv", "pmi_zq", "pmi_vq"):
-            assert loss[key] == 0.0
+        assert rec["loss"]["vib_z"] > 0
+        for key in zero:
+            assert rec["loss"][key] == 0.0
+    init = build_model(g.d, cfg.hidden, g.C, cfg.seed)
+    for name in init.names_in("v", "q"):
+        np.testing.assert_array_equal(result.model[name].values,
+                                      init[name].values)
 
 
 def test_tide_mode_logs_every_component():
@@ -166,7 +189,7 @@ def test_decoupled_feature_network_matches_solo_vib_run():
                    np.arange(30) % 3,
                    masks={"train": list(range(30))})
     epochs, seed = 5, 9
-    cfg = TideConfig(objective_mode="ib", alpha1=0.0, alpha2=0.0,
+    cfg = TideConfig(objective_mode="tide", alpha1=0.0, alpha2=0.0,
                      alpha3=0.0, lambda_cind=0.0, epochs=epochs, seed=seed)
     joint = train_tide(g, cfg)
 
@@ -201,10 +224,8 @@ def test_full_run_is_bit_deterministic():
         np.testing.assert_array_equal(a.model[name].values,
                                       b.model[name].values)
     assert [r["loss"] for r in a.log] == [r["loss"] for r in b.log]
-    preds_a, en_a = infer(a.model, g, cfg)
-    preds_b, en_b = infer(b.model, g, cfg)
-    np.testing.assert_array_equal(preds_a, preds_b)
-    np.testing.assert_array_equal(en_a.e, en_b.e)
+    np.testing.assert_array_equal(joint_logits_at_mean(a.model, g),
+                                  joint_logits_at_mean(b.model, g))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -252,7 +273,7 @@ def test_exposure_run_produces_energy_margin_term():
 def test_sl_baseline_reaches_high_val_accuracy():
     g = gen_csbm(CsbmParams(n=500, C=4, d=16, p_in=0.05, p_out=0.005,
                             mu_sep=2.0, seed=0))
-    result = train_sl_baseline(g, TideConfig(epochs=100))
+    result = train_tide(g, TideConfig(objective_mode="sl", epochs=100))
     assert result.best_val_acc > 0.9
 
 
@@ -261,11 +282,10 @@ def test_infer_alpha_one_equals_raw_energy():
     cfg = TideConfig(objective_mode="sl", epochs=5,
                      prop_alpha=1.0, prop_k=3)
     result = train_tide(g, cfg)
-    from tide.detection import energy_score
-    from tide.model import joint_logits_at_mean
-    preds, energies = infer(result.model, g, cfg)
-    raw = energy_score(joint_logits_at_mean(result.model, g)).e
-    np.testing.assert_array_equal(energies.e, raw)
+    scores = score_splits(result.model, g, as_ood_bundle(g),
+                          cfg.prop_alpha, cfg.prop_k)
+    np.testing.assert_array_equal(scores.prop, scores.raw)
+    assert scores.report_prop == scores.report_raw
 
 
 def test_write_train_log_is_json_lines(tmp_path):
