@@ -75,31 +75,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; all routed through the recorded primitives below.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
@@ -400,17 +375,7 @@ def check_gradients(fn: Callable[[Tensor], Tensor], point: Tensor,
     |analytic - cd| / (|cd| + 1e-8), maximised over entries.
     """
     x = Tensor(point.values.copy(), requires_grad=True)
-    clear_tape()
-    loss = fn(x)
-    backward(loss, wrt=[x])
-    analytic = x.grad.copy()
-
-    flat = x.values.reshape(-1)
-    with no_grad():
-        cd = _central_difference(lambda: fn(x).item(), flat, h)
-    cd = cd.reshape(x.shape)
-    rel = np.abs(analytic - cd) / (np.abs(cd) + 1e-8)
-    return float(rel.max())
+    return check_gradients_params(lambda: fn(x), {"x": x}, h)["x"]
 
 
 def check_gradients_params(fn: Callable[[], Tensor],

@@ -57,7 +57,7 @@ def as_ood_bundle(g: Graph) -> Graph:
         "test_id": np.empty(0, dtype=np.int64),
         "test_ood": g.mask("test_id"),
     }
-    return g.replace(masks=masks)
+    return replace(g, masks=masks)
 
 
 def make_fixture(kind: str, seed: int) -> tuple[Graph, Graph]:

@@ -132,12 +132,6 @@ class Graph:
             np.add.at(deg, self.edges[:, 1], 1)
         return deg
 
-    def replace(self, **changes) -> "Graph":
-        fields = dict(n=self.n, d=self.d, X=self.X, edges=self.edges,
-                      y=self.y, C=self.C, masks=self.masks)
-        fields.update(changes)
-        return Graph(**fields)
-
 
 def canonical_edges(pairs: np.ndarray, n: int) -> np.ndarray:
     """Sort/dedupe an arbitrary pair list into canonical u < v form.

@@ -286,24 +286,30 @@ def save_checkpoint(model: TideModel, path, config_dict: dict | None = None) -> 
 
 
 def load_checkpoint(path) -> TideModel:
+    """Read a checkpoint whose manifest declares exactly the parameter
+    names and shapes ``build_model`` lays out for its dims."""
     path = Path(path)
     manifest_path = path.with_name(path.name + ".json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != CKPT_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != CKPT_FORMAT:
         raise ModelError(f"{manifest_path}: unknown checkpoint format")
+    dims = [manifest.get(k) for k in ("d", "hidden", "C", "seed")]
+    if not all(type(v) is int and v >= 0 for v in dims):
+        raise ModelError(f"{manifest_path}: d, hidden, C and seed must be "
+                         f"non-negative integers, got {dims}")
+    model = build_model(*dims)
+    layout = [{"name": n, "shape": list(p.shape)} for n, p in model.params.items()]
+    if manifest.get("params") != layout:
+        raise ModelError(f"{manifest_path}: parameter names and shapes do not "
+                         f"match a d={dims[0]}, hidden={dims[1]}, C={dims[2]} model")
     flat = np.fromfile(path, dtype="<f8").astype(np.float64)
-    expected = sum(int(np.prod(e["shape"])) for e in manifest["params"])
+    expected = sum(p.values.size for p in model.params.values())
     if flat.size != expected:
         raise ModelError(
             f"{path}: has {flat.size} values, manifest expects {expected}")
-    params: dict[str, Tensor] = {}
     offset = 0
-    for entry in manifest["params"]:
-        rows, cols = entry["shape"]
-        size = rows * cols
-        params[entry["name"]] = Tensor(
-            flat[offset:offset + size].reshape(rows, cols), requires_grad=True)
-        offset += size
-    return TideModel(manifest["d"], manifest["hidden"], manifest["C"],
-                     manifest["seed"], params)
+    for p in model.params.values():
+        p.values[...] = flat[offset:offset + p.values.size].reshape(p.shape)
+        offset += p.values.size
+    return model

@@ -1,7 +1,8 @@
 """Loss terms: the per-network variational objectives, the
-conditional-independence surrogate, similarity-based pairwise MI
-estimates, the energy margin regularizer, and their routing into
-per-network totals.
+conditional-independence surrogate, the pairwise contrastive dependence
+estimate (a bilinear critic, computed in closed form in linear time),
+the energy margin regularizer, and their routing into per-network
+totals.
 
 All functions build on the autodiff primitives and return 1x1 tensors,
 so they compose into one fused backward pass. ``tide_total`` is the
@@ -73,10 +74,13 @@ def vib_loss(logits: Tensor, labels: np.ndarray, mask: np.ndarray,
 def club_estimate(s1: Tensor, s2: Tensor, p1: Tensor, p2: Tensor) -> Tensor:
     """Contrastive dependence estimate between two sample sets.
 
-    Projects both sides, scores every pair by a sqrt(h)-scaled dot
-    product, and contrasts matched pairs against the all-pairs mean:
-    mean_i logsim(i, i) - mean_ij logsim(i, j). Zero when either
-    projection is zero or when one side is constant.
+    With projections a = s1 p1, b = s2 p2 and the bilinear critic
+    a_i . b_j / sqrt(h), this is the matched-pair mean minus the
+    all-pairs mean, mean_i a_i . b_i - mean_ij a_i . b_j. The all-pairs
+    mean factors through the mean row, so the estimate is computed in
+    linear time in its centred form, sum_i (a_i - a_mean) . b_i / (n sqrt(h)),
+    which keeps it exactly invariant to adding a constant row to either
+    set. Zero when either projection is zero or one side is constant.
     """
     if s1.shape[0] != s2.shape[0]:
         raise LossError(f"sample count mismatch: {s1.shape} vs {s2.shape}")
@@ -86,11 +90,8 @@ def club_estimate(s1: Tensor, s2: Tensor, p1: Tensor, p2: Tensor) -> Tensor:
     h = p1.shape[1]
     a = ad.matmul(s1, p1)
     b = ad.matmul(s2, p2)
-    logsim = ad.mul(ad.matmul(a, ad.transpose(b)), 1.0 / np.sqrt(h))
-    eye = Tensor(np.eye(n))
-    positive = ad.mul(ad.tsum(ad.mul(logsim, eye)), 1.0 / n)
-    negative = ad.tmean(logsim)
-    return ad.sub(positive, negative)
+    a_mean = ad.matmul(Tensor(np.full((1, n), 1.0 / n)), a)
+    return ad.mul(ad.tsum(ad.mul(ad.sub(a, a_mean), b)), 1.0 / (n * np.sqrt(h)))
 
 
 def recon_cind_loss(z_sample: Tensor, X: Tensor, model: TideModel) -> Tensor:
@@ -210,11 +211,11 @@ def train_club_head(s1: np.ndarray, s2: np.ndarray, seed: int = 0,
     """Fit the pair projections by ascent and return the final estimate.
 
     Standalone helper for measuring dependence between two fixed sample
-    sets (the trainer keeps its own critic updates). Adam maximizes the
-    contrastive estimate; the returned value is the estimate after the
-    last step.
+    sets: ``steps`` calls of the trainer's critic ascent step, then the
+    estimate at the fitted projections.
     """
-    from .trainer import AdamState, adam_step   # late import; trainer owns Adam
+    # Late import: trainer imports this module and owns the ascent step.
+    from .trainer import AdamState, critic_ascent_step
 
     s1 = np.asarray(s1, dtype=np.float64)
     s2 = np.asarray(s2, dtype=np.float64)
@@ -224,18 +225,8 @@ def train_club_head(s1: np.ndarray, s2: np.ndarray, seed: int = 0,
     rng = np.random.default_rng([seed, 5])
     p1 = Tensor(glorot(rng, d1, d1), requires_grad=True)
     p2 = Tensor(glorot(rng, d2, d1), requires_grad=True)
-    c1, c2 = Tensor(s1), Tensor(s2)
-    params = {"p1": p1, "p2": p2}
-    state = AdamState()
-    est = 0.0
+    params, state = {"p1": p1, "p2": p2}, AdamState()
     for _ in range(steps):
-        for p in params.values():
-            p.grad = None
-        value = club_estimate(c1, c2, p1, p2)
-        ad.backward(value, wrt=list(params.values()))
-        grads = {n: -p.grad for n, p in params.items()}   # ascent
-        adam_step(params, grads, state, lr)
-        est = value.item()
+        critic_ascent_step([(s1, s2, p1, p2)], params, state, lr)
     with ad.no_grad():
-        est = club_estimate(c1, c2, p1, p2).item()
-    return est
+        return club_estimate(Tensor(s1), Tensor(s2), p1, p2).item()

@@ -16,7 +16,7 @@ later cannot silently reshuffle existing outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -145,7 +145,7 @@ def apply_structure_shift(g: Graph, spec: ShiftSpec) -> Graph:
     m = g.num_edges
     k = int(round(spec.intensity * m))
     if k == 0:
-        return g.replace(edges=g.edges.copy())
+        return replace(g, edges=g.edges.copy())
     total_pairs = g.n * (g.n - 1) // 2
     if k > total_pairs - m:
         raise ShiftError(
@@ -177,7 +177,7 @@ def apply_structure_shift(g: Graph, spec: ShiftSpec) -> Graph:
     edges = canonical_edges(np.vstack([g.edges[keep_mask], added]), g.n)
     if edges.shape[0] != m:
         raise GraphError("edge count changed during rewiring")  # defensive
-    return g.replace(edges=edges)
+    return replace(g, edges=edges)
 
 
 def apply_feature_shift(g: Graph, spec: ShiftSpec) -> Graph:
@@ -195,13 +195,13 @@ def apply_feature_shift(g: Graph, spec: ShiftSpec) -> Graph:
         raise ShiftError("feature shift needs at least two nodes")
     lam = spec.mix_weight()
     if lam == 1.0:
-        return g.replace(X=g.X.copy())
+        return replace(g, X=g.X.copy())
     rng = np.random.default_rng(spec.seed)
     order = rng.permutation(g.n)
     partner = np.empty(g.n, dtype=np.int64)
     partner[order] = np.roll(order, -1)   # order[i] -> order[i+1], cyclic
     X = lam * g.X + (1.0 - lam) * g.X[partner]
-    return g.replace(X=X)
+    return replace(g, X=X)
 
 
 def label_leave_out_split(g: Graph, ood_classes, seed: int = 0) -> tuple[Graph, int]:

@@ -3,8 +3,9 @@
 One epoch is one full-graph forward of the branches the objective
 trains (``MODE_GROUPS``), one fused backward whose per-network gradient
 restriction implements the loss routing, an Adam step on those
-branches' parameters, and (in tide mode) an ascent step on the pair
-projections so they keep acting as dependence critics.
+branches' parameters, and (in tide mode) one ``critic_ascent_step`` on
+the pair projections so they keep acting as dependence critics;
+``objectives.train_club_head`` repeats that same step.
 ``forward_components`` is that forward; the gradient audit calls it
 too, so the audited objective is the trained one.
 
@@ -64,7 +65,7 @@ def _has_type(value, kind: str) -> bool:
         return isinstance(value, str)
     if isinstance(value, bool):
         return False
-    return isinstance(value, int if kind == "int" else (int, float))
+    return isinstance(value, int if kind == "int" else float)
 
 
 @dataclass(frozen=True)
@@ -91,12 +92,25 @@ class TideConfig:
     ereg_flip: bool = False
     objective_mode: str = "tide"
 
+    def __post_init__(self):
+        # An int given for a float field is stored as that float, so
+        # equal configs serialize, and hash, equal.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and type(value) is int:
+                try:
+                    object.__setattr__(self, f.name, float(value))
+                except OverflowError:
+                    raise ConfigError(f"{f.name} must be finite") from None
+
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if not _has_type(value, f.type):
                 raise ConfigError(
                     f"{f.name} must be of type {f.type}, got {value!r}")
+            if f.type == "float" and not np.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.objective_mode not in OBJECTIVE_MODES:
             raise ConfigError(
                 f"objective_mode must be one of {OBJECTIVE_MODES}, "
@@ -124,6 +138,9 @@ class TideConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TideConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(
+                f"config must be a JSON object, got {json.dumps(doc)[:40]}")
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
@@ -142,13 +159,13 @@ class TideConfig:
         return cls.from_dict(doc)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Per-parameter moments and step counts (beta1=0.9, beta2=0.999)."""
+    """Per-parameter moments and step counts."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: dict = field(default_factory=dict)
@@ -167,11 +184,30 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
             state.t[name] = 0
         state.t[name] += 1
         t = state.t[name]
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        m_hat = state.m[name] / (1 - state.beta1 ** t)
-        v_hat = state.v[name] / (1 - state.beta2 ** t)
-        p.values -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
+        m_hat = state.m[name] / (1 - ADAM_BETA1 ** t)
+        v_hat = state.v[name] / (1 - ADAM_BETA2 ** t)
+        p.values -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def critic_ascent_step(pairs, params: dict[str, Tensor], state: AdamState,
+                       lr: float) -> None:
+    """One Adam ascent step of the critic projections ``params``.
+
+    ``pairs`` holds (s1, s2, p1, p2) tuples with s1, s2 sample arrays,
+    which enter detached, so only the projections move. The step
+    maximizes the sum of the pairs' ``club_estimate``.
+    """
+    for p in params.values():
+        p.grad = None
+    ad.clear_tape()
+    total = None
+    for s1, s2, p1, p2 in pairs:
+        est = club_estimate(Tensor(s1), Tensor(s2), p1, p2)
+        total = est if total is None else ad.add(total, est)
+    ad.backward(total, wrt=list(params.values()))
+    adam_step(params, {n: -p.grad for n, p in params.items()}, state, lr)
 
 
 @dataclass
@@ -313,7 +349,7 @@ def train_tide(g: Graph, config: TideConfig,
     model = build_model(g.d, config.hidden, g.C, config.seed)
     state = AdamState()
     names = model.names_in(*MODE_GROUPS[mode])
-    club_names = model.names_in("club")
+    critics = {n: model.params[n] for n in model.names_in("club")}
     exposure = None
     if config.exposure_enabled:
         exposure = ExposureInputs.build(g, exposure_graph)
@@ -358,7 +394,11 @@ def train_tide(g: Graph, config: TideConfig,
                   state, config.lr)
 
         if mode == "tide":
-            _critic_step(model, state, config.lr, samples, club_names)
+            critic_ascent_step(
+                [(samples[a].values, samples[b].values,
+                  model[f"club_{a}{b}.p1"], model[f"club_{a}{b}.p2"])
+                 for a, b in ("zv", "zq", "vq")],
+                critics, state, config.lr)
 
         try:
             val_logits = joint_logits_at_mean(model, g, A)
@@ -382,23 +422,6 @@ def train_tide(g: Graph, config: TideConfig,
         model.restore(best_snapshot)
     return TrainResult(model=model, log=log, best_epoch=best_epoch,
                        best_val_acc=float(best_acc) if np.isfinite(best_acc) else float("nan"))
-
-
-def _critic_step(model: TideModel, state: AdamState, lr: float,
-                 samples: dict[str, Tensor], club_names: list[str]) -> None:
-    """Ascent on the pair projections against frozen samples."""
-    for n in club_names:
-        model.params[n].grad = None
-    ad.clear_tape()
-    sz, sv, sq = (Tensor(samples[t].values) for t in ("z", "v", "q"))
-    total = ad.add(
-        ad.add(club_estimate(sz, sv, model["club_zv.p1"], model["club_zv.p2"]),
-               club_estimate(sz, sq, model["club_zq.p1"], model["club_zq.p2"])),
-        club_estimate(sv, sq, model["club_vq.p1"], model["club_vq.p2"]))
-    ad.backward(total, wrt=[model.params[n] for n in club_names])
-    adam_step({n: model.params[n] for n in club_names},
-              {n: -model.params[n].grad for n in club_names},
-              state, lr)
 
 
 def write_train_log(path, records: list[dict]) -> None:

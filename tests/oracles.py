@@ -79,3 +79,23 @@ def kl_mc(mu, sigma, n_samples, rng):
     log_p = -0.5 * x ** 2 - 0.5 * np.log(2 * np.pi)
     ratios = log_q - log_p
     return ratios.mean(), ratios.std(ddof=1) / np.sqrt(n_samples)
+
+
+def club_all_pairs(s1, s2, p1, p2):
+    """Contrastive estimate from the full n x n critic score matrix.
+
+    Scores S = (s1 p1)(s2 p2)^T / sqrt(h); the estimate is the mean of
+    the diagonal (matched pairs) minus the mean of all entries. Returns
+    the value and its gradients with respect to s1, s2, p1 and p2: the
+    estimate is sum(M * S) with M = I/n - 1/n^2 in every entry.
+    """
+    s1, s2, p1, p2 = (np.asarray(x, dtype=np.float64) for x in (s1, s2, p1, p2))
+    n, h = s1.shape[0], p1.shape[1]
+    a, b = s1 @ p1, s2 @ p2
+    scores = a @ b.T / np.sqrt(h)
+    value = np.mean(np.diag(scores)) - np.mean(scores)
+    M = np.eye(n) / n - np.full((n, n), 1.0 / n ** 2)
+    grad_a = M @ b / np.sqrt(h)
+    grad_b = M.T @ a / np.sqrt(h)
+    return value, {"s1": grad_a @ p1.T, "s2": grad_b @ p2.T,
+                   "p1": s1.T @ grad_a, "p2": s2.T @ grad_b}

@@ -142,11 +142,15 @@ def test_train_config_value_of_wrong_type_exits_one(bundles, tmp_path,
                                                    capsys):
     id_bundle, _ = bundles
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"epochs": "5"}))
-    code = run_cli("train", "--data", id_bundle, "--out", tmp_path / "r",
-                   "--config", cfg)
-    assert code == 1
-    assert "epochs" in capsys.readouterr().err
+    # Also files that are not a JSON object, and non-finite numbers.
+    for text, named in (('{"epochs": "5"}', "epochs"), ("[]", "JSON object"),
+                        ("null", "JSON object"), ('{"lr": 1e999}', "lr"),
+                        ('{"lr": 1%s}' % ("0" * 400), "lr")):
+        cfg.write_text(text)
+        code = run_cli("train", "--data", id_bundle, "--out", tmp_path / "r",
+                       "--config", cfg)
+        assert code == 1, text
+        assert named in capsys.readouterr().err, text
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +204,32 @@ def test_eval_checkpoint_dim_mismatch_exits_one(bundles, tmp_path):
                    "--data", id_bundle, "--ood-data", ood_bundle,
                    "--out", tmp_path / "e3")
     assert code == 1
+
+
+def _with_shape(doc, i, shape):
+    doc["params"][i]["shape"] = shape
+    return doc
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: {k: v for k, v in doc.items() if k != "params"},
+    lambda doc: _with_shape(doc, 1, doc["params"][1]["shape"] + [1]),
+    lambda doc: [doc],
+    lambda doc: _with_shape(doc, 0, doc["params"][0]["shape"][::-1]),
+    lambda doc: dict(doc, hidden=doc["hidden"] // 2),
+], ids=["no_params", "3d_shape", "list", "transposed", "hidden_disagrees"])
+def test_eval_bad_manifest_exits_one(bundles, trained, tmp_path, capsys,
+                                     corrupt):
+    id_bundle, ood_bundle = bundles
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes((trained / "model.ckpt").read_bytes())
+    doc = corrupt(json.loads((trained / "model.ckpt.json").read_text()))
+    (tmp_path / "model.ckpt.json").write_text(json.dumps(doc))
+    code = run_cli("eval", "--checkpoint", ckpt, "--data", id_bundle,
+                   "--ood-data", ood_bundle, "--out", tmp_path / "e")
+    assert code == 1
+    assert "model.ckpt.json" in capsys.readouterr().err
+    assert not (tmp_path / "e" / "report.json").exists()
 
 
 def test_eval_checkpoint_class_count_mismatch_exits_one(tmp_path, capsys):

@@ -15,6 +15,7 @@ from tide.objectives import (LossError, club_estimate, cross_entropy,
                              vib_loss)
 from tide.trainer import TideConfig
 from conftest import random_graph
+from oracles import club_all_pairs
 
 
 def dist_of(mu, sigma):
@@ -151,6 +152,37 @@ def test_club_sample_count_mismatch():
     with pytest.raises(LossError):
         club_estimate(Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2))),
                       Tensor(np.eye(2)), Tensor(np.eye(2)))
+
+
+@pytest.mark.parametrize("n,d1,d2,h", [(1, 3, 2, 4), (2, 1, 1, 1),
+                                        (9, 4, 3, 5), (60, 6, 8, 3)])
+def test_club_matches_all_pairs_definition(n, d1, d2, h):
+    """The linear-time form equals the n x n definition, gradients too."""
+    rng = np.random.default_rng([n, d1, d2, h])
+    arrays = {"s1": rng.normal(size=(n, d1)), "s2": rng.normal(size=(n, d2)),
+              "p1": rng.normal(size=(d1, h)), "p2": rng.normal(size=(d2, h))}
+    want, want_grads = club_all_pairs(**arrays)
+    leaves = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+    ad.clear_tape()
+    got = club_estimate(leaves["s1"], leaves["s2"], leaves["p1"], leaves["p2"])
+    np.testing.assert_allclose(got.item(), want, rtol=1e-10)
+    ad.backward(got, wrt=list(leaves.values()))
+    for k, t in leaves.items():
+        # Entries that cancel to ~1e-6 of the largest carry only absolute
+        # rounding, so they get an absolute floor at that scale.
+        want_k = want_grads[k]
+        np.testing.assert_allclose(t.grad, want_k, rtol=1e-10, err_msg=k,
+                                   atol=1e-12 * np.abs(want_k).max())
+
+
+def test_club_invariant_to_constant_row_shift(rng):
+    s1, s2 = rng.normal(size=(30, 4)), rng.normal(size=(30, 3))
+    p1, p2 = Tensor(rng.normal(size=(4, 5))), Tensor(rng.normal(size=(3, 5)))
+    base = club_estimate(Tensor(s1), Tensor(s2), p1, p2).item()
+    shift1, shift2 = rng.normal(size=(1, 4)), rng.normal(size=(1, 3))
+    for a, b in ((s1 + shift1, s2), (s1, s2 + shift2)):
+        assert abs(club_estimate(Tensor(a), Tensor(b), p1, p2).item()
+                   - base) < 1e-12
 
 
 def test_trained_club_separates_dependent_from_independent():

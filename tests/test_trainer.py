@@ -12,8 +12,8 @@ from tide.detection import score_splits
 from tide.experiment import as_ood_bundle
 from tide.graph import make_graph, sym_normalized_adjacency
 from tide.model import (NOISE_STREAM, build_model, component_rng,
-                        encode_feature, joint_logits_at_mean, predict_logits,
-                        reparameterize)
+                        config_sha256, encode_feature, joint_logits_at_mean,
+                        predict_logits, reparameterize)
 from tide.objectives import vib_loss
 from tide.shift import CsbmParams, ShiftSpec, apply_feature_shift, gen_csbm
 from tide.trainer import (AdamState, ConfigError, TideConfig, TrainingError,
@@ -65,6 +65,11 @@ class TestConfig:
 
     def test_int_accepted_for_float_field(self):
         assert TideConfig.from_dict({"lr": 1, "t_id": -7}).lr == 1
+
+    def test_int_and_float_spellings_hash_equal(self):
+        as_int = TideConfig.from_dict({"lr": 1}).to_dict()
+        as_float = TideConfig.from_dict({"lr": 1.0}).to_dict()
+        assert config_sha256(as_int) == config_sha256(as_float)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="momentum"):
