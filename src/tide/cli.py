@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float)
     p.add_argument("--hidden", type=int)
     p.add_argument("--exposure-data",
-                   help="auxiliary OOD bundle; implies exposure training")
+                   help="auxiliary OOD bundle; turns on exposure training")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint against an OOD bundle")
@@ -152,9 +152,9 @@ def _parse_shift(token: str, C: int, base_seed: int, index: int):
 
 
 def cmd_generate(args) -> int:
-    from .experiment import as_ood_bundle
     from .graph import save_bundle
-    from .shift import CsbmParams, apply_shift, gen_csbm, label_leave_out_split
+    from .shift import (CsbmParams, apply_shift, as_ood_bundle, gen_csbm,
+                        label_leave_out_split)
 
     params = CsbmParams(n=args.n, C=args.classes, d=args.dim,
                         p_in=args.p_in, p_out=args.p_out, mu_sep=args.mu_sep,
@@ -174,7 +174,7 @@ def cmd_generate(args) -> int:
         spec = _parse_shift(token, g.C, args.seed, i)
         spec.validate(C=g.C)
         if spec.kind == "label":
-            shifted, _ = label_leave_out_split(g, spec.ood_classes, spec.seed)
+            shifted = label_leave_out_split(g, spec.ood_classes)
         else:
             shifted = as_ood_bundle(apply_shift(g, spec))
         tag = token.replace(":", "_").replace(",", "-")
@@ -210,8 +210,6 @@ def cmd_train(args) -> int:
         value = getattr(args, flag)
         if value is not None:
             overrides[field_name] = value
-    if args.exposure_data:
-        overrides["exposure_enabled"] = True
     if overrides:
         config = replace(config, **overrides)
     config.validate()
@@ -221,8 +219,6 @@ def cmd_train(args) -> int:
     if args.exposure_data:
         exposure = load_bundle(_require_file(args.exposure_data,
                                              "exposure bundle"))
-    elif config.exposure_enabled:
-        raise CliError("config enables exposure but --exposure-data is missing")
 
     result = train_tide(g, config, exposure_graph=exposure)
 

@@ -1,7 +1,11 @@
 """Energy scoring, propagation over the graph, and detection metrics.
 
 Scores are oriented "higher means more OOD" everywhere: the energy
--logsumexp(logits) is large for uncertain nodes. ``score_splits`` is
+-logsumexp(logits) is large for uncertain nodes. The energy
+(``energy_tensor``), its propagation (``propagate_energy_tensor``) and
+the propagation operator are defined here once: the trainer's energy
+margin runs them on the tape, and ``energy_score``/``propagate_energy``
+run them on constant tensors, so nothing is taped. ``score_splits`` is
 the one scoring path of ``tide eval`` and the comparison harness.
 Metrics follow fixed tie rules so that a brute-force reimplementation
 reproduces them to float precision:
@@ -18,7 +22,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.stats import rankdata
 
-from .graph import Graph, SparseMatrix, row_stochastic_adjacency
+from . import autodiff as ad
+from .autodiff import Tensor
+from .graph import Graph, SparseMatrix
 from .model import TideModel, joint_logits_at_mean
 
 
@@ -29,9 +35,6 @@ class MetricError(ValueError):
 @dataclass
 class EnergyScores:
     e: np.ndarray
-    propagated: bool = False
-    k: int = 0
-    alpha: float = 1.0
 
 
 @dataclass
@@ -53,43 +56,50 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def energy_score(logits: np.ndarray) -> EnergyScores:
-    """Per-node energy e_i = -log sum_c exp(logit_ic), stabilized."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[1] < 1:
-        raise MetricError(f"logits must be n x C, got {logits.shape}")
-    m = logits.max(axis=1)
-    e = -(m + np.log(np.exp(logits - m[:, None]).sum(axis=1)))
-    return EnergyScores(e=e)
+def energy_tensor(logits: Tensor) -> Tensor:
+    """Per-node energy e_i = -log sum_c exp(logit_ic), stabilized, n x 1."""
+    return ad.mul(ad.row_logsumexp(logits), -1.0)
 
 
 def propagation_operator(g: Graph) -> SparseMatrix:
-    """Row-stochastic adjacency with self-loops patched onto isolated nodes,
-    so propagation is total (isolated nodes keep their own energy)."""
-    base = row_stochastic_adjacency(g)
+    """Row-stochastic adjacency (each row averages the node's neighbours)
+    with a self-loop on every isolated node, so propagation is total and
+    an isolated node keeps its own energy."""
     deg = g.degrees()
     isolated = np.flatnonzero(deg == 0)
-    if isolated.size == 0:
-        return base
-    rows = np.concatenate([base.rows, isolated])
-    cols = np.concatenate([base.cols, isolated])
-    vals = np.concatenate([base.vals, np.ones(isolated.size)])
-    return SparseMatrix(g.n, rows, cols, vals)
+    rows = np.concatenate([g.edges[:, 0], g.edges[:, 1], isolated])
+    cols = np.concatenate([g.edges[:, 1], g.edges[:, 0], isolated])
+    return SparseMatrix(g.n, rows, cols, 1.0 / np.maximum(deg[rows], 1))
+
+
+def propagate_energy_tensor(e: Tensor, prop_op: SparseMatrix,
+                            alpha: float, k: int) -> Tensor:
+    """k rounds of e <- alpha*e + (1-alpha) * neighbor-mean(e)."""
+    for _ in range(int(k)):
+        e = ad.add(ad.mul(e, alpha), ad.mul(ad.spmm(prop_op, e), 1.0 - alpha))
+    return e
+
+
+def energy_score(logits: np.ndarray) -> EnergyScores:
+    """``energy_tensor`` of constant logits, one energy per row."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2 or logits.shape[1] < 1:
+        raise MetricError(f"logits must be n x C, got {logits.shape}")
+    return EnergyScores(e=energy_tensor(Tensor(logits)).values.ravel())
 
 
 def propagate_energy(scores: EnergyScores, g: Graph, alpha: float, k: int) -> EnergyScores:
-    """k rounds of e <- alpha*e + (1-alpha) * neighbor-mean(e)."""
+    """``propagate_energy_tensor`` of constant energies over ``g``."""
     if not (0.0 <= alpha <= 1.0):
         raise MetricError(f"alpha must be in [0, 1], got {alpha}")
     if k < 0:
         raise MetricError(f"k must be >= 0, got {k}")
-    e = scores.e.astype(np.float64).copy()
+    e = np.array(scores.e, dtype=np.float64)
     if e.shape != (g.n,):
         raise MetricError(f"scores length {e.shape} != n={g.n}")
-    op = propagation_operator(g)
-    for _ in range(int(k)):
-        e = alpha * e + (1.0 - alpha) * (op.csr @ e)
-    return EnergyScores(e=e, propagated=k > 0, k=int(k), alpha=float(alpha))
+    out = propagate_energy_tensor(Tensor(e[:, None]), propagation_operator(g),
+                                  alpha, k)
+    return EnergyScores(e=out.values.ravel())
 
 
 def predictive_entropy(logits: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .detection import predictive_entropy, score_splits
 from .graph import Graph
-from .shift import CsbmParams, ShiftSpec, apply_shift, gen_csbm
+from .shift import CsbmParams, ShiftSpec, apply_shift, as_ood_bundle, gen_csbm
 from .trainer import TideConfig, TrainResult, train_tide
 
 # Sampling parameters for the benchmark graphs. Separation and noise
@@ -47,17 +47,6 @@ BENCH_EPOCHS = 200
 COMPARE_COLUMNS = ("mode", "seed", "auroc_raw", "aupr_raw", "fpr95_raw",
                    "auroc_prop", "aupr_prop", "fpr95_prop", "id_acc",
                    "ent_id", "ent_ood")
-
-
-def as_ood_bundle(g: Graph) -> Graph:
-    """Reinterpret a shifted graph: its test split becomes the OOD pool."""
-    masks = {
-        "train": g.mask("train"),
-        "val": g.mask("val"),
-        "test_id": np.empty(0, dtype=np.int64),
-        "test_ood": g.mask("test_id"),
-    }
-    return replace(g, masks=masks)
 
 
 def make_fixture(kind: str, seed: int) -> tuple[Graph, Graph]:

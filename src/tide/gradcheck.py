@@ -53,8 +53,7 @@ def _build_probe(seed: int, n: int, d: int, hidden: int, C: int) -> _Probe:
     # Thresholds straddle the initial energies (about -log C) so both
     # hinge sides carry nonzero terms at the probe point.
     config = TideConfig(hidden=hidden, seed=seed, objective_mode="tide",
-                        exposure_enabled=True, t_id=-1.15, t_ood=-1.05,
-                        epochs=0)
+                        t_id=-1.15, t_ood=-1.05, epochs=0)
     eps = {tag: component_rng(seed, NOISE_STREAM[tag]).standard_normal((n, hidden))
            for tag in ("z", "v", "q", "z_exposure")}
     return _Probe(g=g, model=model, config=config, X=Tensor(g.X),

@@ -177,12 +177,6 @@ def make_graph(X, edges, y, masks=None, C: int | None = None) -> Graph:
 # Adjacency operators
 # ---------------------------------------------------------------------------
 
-def _both_directions(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u = np.concatenate([edges[:, 0], edges[:, 1]])
-    v = np.concatenate([edges[:, 1], edges[:, 0]])
-    return u, v
-
-
 def sym_normalized_adjacency(g: Graph) -> SparseMatrix:
     """Self-looped symmetric normalization: entries 1/sqrt(deg~ u * deg~ v).
 
@@ -191,24 +185,10 @@ def sym_normalized_adjacency(g: Graph) -> SparseMatrix:
     """
     deg = g.degrees() + 1
     diag = np.arange(g.n, dtype=np.int64)
-    if g.edges.size:
-        u, v = _both_directions(g.edges)
-        rows = np.concatenate([u, diag])
-        cols = np.concatenate([v, diag])
-    else:
-        rows, cols = diag, diag.copy()
+    rows = np.concatenate([g.edges[:, 0], g.edges[:, 1], diag])
+    cols = np.concatenate([g.edges[:, 1], g.edges[:, 0], diag])
     vals = 1.0 / np.sqrt(deg[rows] * deg[cols])
     return SparseMatrix(g.n, rows, cols, vals)
-
-
-def row_stochastic_adjacency(g: Graph) -> SparseMatrix:
-    """Plain-adjacency random-walk operator; zero-degree rows stay zero."""
-    if not g.edges.size:
-        return SparseMatrix(g.n, [], [], [])
-    deg = g.degrees()
-    u, v = _both_directions(g.edges)
-    vals = 1.0 / deg[u]
-    return SparseMatrix(g.n, u, v, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +213,48 @@ def save_bundle(g: Graph, path) -> None:
         fh.write("\n")
 
 
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
 def load_bundle(path) -> Graph:
+    """Parse a bundle, rejecting any field of the wrong JSON type with a
+    ``GraphFormatError`` that names the file."""
     path = Path(path)
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as err:
         raise GraphFormatError(f"{path}: {err}") from err
+    if not isinstance(doc, dict):
+        raise GraphFormatError(f"{path}: a bundle must be a JSON object")
     required = {"n", "d", "C", "features", "edges", "labels", "splits"}
     missing = required - set(doc)
     if missing:
         raise GraphFormatError(f"{path}: missing keys {sorted(missing)}")
-    X = np.array(doc["features"], dtype=np.float64, ndmin=2)
-    if X.shape != (doc["n"], doc["d"]):
+    dims = [doc[k] for k in ("n", "d", "C")]
+    if not all(type(v) is int and v >= 0 for v in dims):
         raise GraphFormatError(
-            f"{path}: features shape {X.shape} != ({doc['n']}, {doc['d']})")
-    g = make_graph(X, np.array(doc["edges"]), doc["labels"],
-                   masks=doc["splits"], C=doc["C"])
-    return g
+            f"{path}: n, d and C must be non-negative integers, got {dims}")
+    n, d = dims[:2]
+    features, edges, splits = doc["features"], doc["edges"], doc["splits"]
+    if not (isinstance(features, list) and len(features) == n
+            and all(isinstance(row, list) and len(row) == d for row in features)
+            and {type(v) for row in features for v in row} <= {int, float}):
+        raise GraphFormatError(f"{path}: features must be {n} rows of {d} numbers")
+    if not (isinstance(edges, list)
+            and all(_int_list(e) and len(e) == 2 for e in edges)):
+        raise GraphFormatError(f"{path}: edges must be [u, v] integer pairs")
+    if not _int_list(doc["labels"]):
+        raise GraphFormatError(f"{path}: labels must be a list of integers")
+    if not (isinstance(splits, dict) and all(map(_int_list, splits.values()))):
+        raise GraphFormatError(
+            f"{path}: splits must map names to lists of node indices")
+    try:
+        X = np.array(features, dtype=np.float64).reshape(n, d)
+        if not np.isfinite(X).all():
+            raise GraphFormatError(f"{path}: features must be finite")
+        return make_graph(X, np.array(edges), doc["labels"], masks=splits,
+                          C=doc["C"])
+    except OverflowError as err:
+        raise GraphFormatError(f"{path}: number out of range: {err}") from err

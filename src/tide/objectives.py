@@ -2,7 +2,9 @@
 conditional-independence surrogate, the pairwise contrastive dependence
 estimate (a bilinear critic, computed in closed form in linear time),
 the energy margin regularizer, and their routing into per-network
-totals.
+totals. The energies the margin compares, their propagation and its
+operator live in ``detection``, the same code that scores nodes at
+evaluation.
 
 All functions build on the autodiff primitives and return 1x1 tensors,
 so they compose into one fused backward pass. ``tide_total`` is the
@@ -17,7 +19,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import SparseMatrix
 from .model import TideModel, LatentDistribution, glorot, reconstruct
 
 
@@ -120,19 +121,6 @@ def energy_reg_loss(e_id: Tensor, e_ood: Tensor, t_id: float, t_ood: float,
         ood_hinge = ad.relu(ad.sub(e_ood, t_ood))
     return ad.add(ad.tmean(ad.mul(id_hinge, id_hinge)),
                   ad.tmean(ad.mul(ood_hinge, ood_hinge)))
-
-
-def energy_tensor(logits: Tensor) -> Tensor:
-    """Differentiable per-node energy: minus log-sum-exp of the logits."""
-    return ad.mul(ad.row_logsumexp(logits), -1.0)
-
-
-def propagate_energy_tensor(e: Tensor, prop_op: SparseMatrix,
-                            alpha: float, k: int) -> Tensor:
-    """Differentiable twin of the inference-side energy propagation."""
-    for _ in range(int(k)):
-        e = ad.add(ad.mul(e, alpha), ad.mul(ad.spmm(prop_op, e), 1.0 - alpha))
-    return e
 
 
 @dataclass

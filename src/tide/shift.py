@@ -6,7 +6,8 @@ give a feature signal (mu_sep), and the two dials are independent.
 Shifts mirror the three factorizations under test: structure shift
 rewires edges and leaves (X, y) alone, feature shift interpolates
 features and leaves (A, y) alone, label leave-out carves classes out
-of the supervised masks.
+of the supervised masks. ``as_ood_bundle`` turns a structure- or
+feature-shifted graph into an OOD bundle.
 
 Everything here is a pure function of (inputs, seed): byte-identical
 graphs on every call. Random draws happen in a fixed, documented order
@@ -70,7 +71,6 @@ class ShiftSpec:
     kind: str                     # structure | feature | label
     intensity: float = 0.0
     seed: int = 0
-    lambda_mix: float | None = None      # feature kind; default 1 - intensity
     ood_classes: tuple[int, ...] | None = None   # label kind
 
     def validate(self, C: int | None = None) -> None:
@@ -78,10 +78,6 @@ class ShiftSpec:
             raise ShiftError(f"unknown shift kind {self.kind!r}")
         if not (0.0 <= self.intensity <= 1.0):
             raise ShiftError(f"intensity must be in [0, 1], got {self.intensity}")
-        if self.kind == "feature":
-            lam = self.mix_weight()
-            if not (0.0 <= lam <= 1.0):
-                raise ShiftError(f"lambda_mix must be in [0, 1], got {lam}")
         if self.kind == "label":
             if not self.ood_classes:
                 raise ShiftError("label shift needs a nonempty held-out class set")
@@ -91,9 +87,6 @@ class ShiftSpec:
                     raise ShiftError(f"held-out classes {sorted(held)} not all in [0, {C})")
                 if len(held) >= C:
                     raise ShiftError("cannot hold out every class")
-
-    def mix_weight(self) -> float:
-        return self.lambda_mix if self.lambda_mix is not None else 1.0 - self.intensity
 
 
 def gen_csbm(params: CsbmParams) -> Graph:
@@ -183,9 +176,10 @@ def apply_structure_shift(g: Graph, spec: ShiftSpec) -> Graph:
 def apply_feature_shift(g: Graph, spec: ShiftSpec) -> Graph:
     """Interpolate every node's features with a random partner's.
 
-    x_i <- lam * x_i + (1 - lam) * x_pi(i), where pi is a seed-derived
-    fixed-point-free permutation (one long cycle over a shuffled node
-    order), so every node mixes with a genuinely different node.
+    x_i <- lam * x_i + (1 - lam) * x_pi(i) with lam = 1 - intensity,
+    where pi is a seed-derived fixed-point-free permutation (one long
+    cycle over a shuffled node order), so every node mixes with a
+    genuinely different node.
     Adjacency, labels, and masks are untouched.
     """
     spec.validate()
@@ -193,7 +187,7 @@ def apply_feature_shift(g: Graph, spec: ShiftSpec) -> Graph:
         raise ShiftError(f"expected feature spec, got {spec.kind!r}")
     if g.n < 2:
         raise ShiftError("feature shift needs at least two nodes")
-    lam = spec.mix_weight()
+    lam = 1.0 - spec.intensity
     if lam == 1.0:
         return replace(g, X=g.X.copy())
     rng = np.random.default_rng(spec.seed)
@@ -204,16 +198,15 @@ def apply_feature_shift(g: Graph, spec: ShiftSpec) -> Graph:
     return replace(g, X=X)
 
 
-def label_leave_out_split(g: Graph, ood_classes, seed: int = 0) -> tuple[Graph, int]:
+def label_leave_out_split(g: Graph, ood_classes) -> Graph:
     """Hold out whole classes as the OOD test set.
 
     Held-out nodes leave train/val/test_id and form test_ood; their
     labels become -1. Remaining classes are relabeled onto a contiguous
-    range. The seed is accepted for interface symmetry with the other
-    shifts but the construction is deterministic without it.
+    range, and the result's C counts them.
     """
     held = sorted(set(int(c) for c in ood_classes))
-    spec = ShiftSpec(kind="label", seed=seed, ood_classes=tuple(held))
+    spec = ShiftSpec(kind="label", ood_classes=tuple(held))
     spec.validate(C=g.C)
 
     is_ood = np.isin(g.y, held)
@@ -230,18 +223,25 @@ def label_leave_out_split(g: Graph, ood_classes, seed: int = 0) -> tuple[Graph, 
         old = g.mask(name)
         masks[name] = old[~is_ood[old]] if old.size else old
     masks["test_ood"] = ood_nodes
-    new_c = len(kept_classes)
-    out = make_graph(g.X, g.edges, y, masks=masks, C=new_c)
-    return out, new_c
+    return make_graph(g.X, g.edges, y, masks=masks, C=len(kept_classes))
 
 
 def apply_shift(g: Graph, spec: ShiftSpec) -> Graph:
-    """Dispatch a ShiftSpec to its generator (label shift returns the graph)."""
+    """Dispatch a structure or feature ShiftSpec to its generator; label
+    shifts go through ``label_leave_out_split``."""
     if spec.kind == "structure":
         return apply_structure_shift(g, spec)
     if spec.kind == "feature":
         return apply_feature_shift(g, spec)
-    if spec.kind == "label":
-        shifted, _ = label_leave_out_split(g, spec.ood_classes or (), spec.seed)
-        return shifted
-    raise ShiftError(f"unknown shift kind {spec.kind!r}")
+    raise ShiftError(f"unknown shift kind {spec.kind!r} for apply_shift")
+
+
+def as_ood_bundle(g: Graph) -> Graph:
+    """Reinterpret a shifted graph: its test split becomes the OOD pool."""
+    masks = {
+        "train": g.mask("train"),
+        "val": g.mask("val"),
+        "test_id": np.empty(0, dtype=np.int64),
+        "test_ood": g.mask("test_id"),
+    }
+    return replace(g, masks=masks)

@@ -26,13 +26,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .detection import propagation_operator
+from .detection import (energy_tensor, propagate_energy_tensor,
+                        propagation_operator)
 from .graph import Graph, SparseMatrix, sym_normalized_adjacency
 from .model import (NOISE_STREAM, TideModel, build_model, component_rng,
                     encode_feature, encode_joint, encode_structure,
                     joint_logits_at_mean, predict_logits, reparameterize)
 from .objectives import (club_estimate, cross_entropy, energy_reg_loss,
-                         energy_tensor, propagate_energy_tensor,
                          recon_cind_loss, tide_total, vib_loss)
 
 # Parameter groups each objective trains: the training forward builds
@@ -88,7 +88,6 @@ class TideConfig:
     epochs: int = 200
     hidden: int = 64
     seed: int = 0
-    exposure_enabled: bool = False
     ereg_flip: bool = False
     objective_mode: str = "tide"
 
@@ -129,9 +128,9 @@ class TideConfig:
             raise ConfigError("epochs must be >= 0")
         if self.hidden < 1:
             raise ConfigError("hidden must be >= 1")
-        if self.exposure_enabled and not (self.t_id < self.t_ood):
+        if not (self.t_id < self.t_ood):
             raise ConfigError(
-                f"exposure needs t_id < t_ood, got {self.t_id} >= {self.t_ood}")
+                f"need t_id < t_ood, got {self.t_id} >= {self.t_ood}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -329,7 +328,8 @@ def train_tide(g: Graph, config: TideConfig,
     """Run the full optimization loop and return the best-validation model.
 
     ``exposure_graph`` supplies auxiliary OOD nodes (its train mask) for
-    the energy margin term and is required iff exposure is enabled.
+    the energy margin term; exposure training is on exactly when it is
+    given.
     Model selection: highest validation accuracy, latest epoch wins
     ties; with no val mask the final parameters are kept.
     """
@@ -340,8 +340,6 @@ def train_tide(g: Graph, config: TideConfig,
         raise TrainingError("graph has no train mask")
     if np.any(g.y[train_mask] < 0):
         raise TrainingError("unlabeled node in train mask")
-    if config.exposure_enabled and exposure_graph is None:
-        raise TrainingError("exposure_enabled requires an exposure graph")
 
     A = sym_normalized_adjacency(g)
     X = Tensor(g.X)
@@ -350,14 +348,13 @@ def train_tide(g: Graph, config: TideConfig,
     state = AdamState()
     names = model.names_in(*MODE_GROUPS[mode])
     critics = {n: model.params[n] for n in model.names_in("club")}
-    exposure = None
-    if config.exposure_enabled:
-        exposure = ExposureInputs.build(g, exposure_graph)
+    exposure = (None if exposure_graph is None
+                else ExposureInputs.build(g, exposure_graph))
     # A noise stream per sampled branch plus the exposure pass; sl runs
     # on posterior means and draws none.
     streams = [] if mode == "sl" else [t for t in MODE_GROUPS[mode]
                                        if t in NOISE_STREAM]
-    if streams and config.exposure_enabled:
+    if streams and exposure is not None:
         streams.append("z_exposure")
     noise = {tag: component_rng(config.seed, NOISE_STREAM[tag])
              for tag in streams}

@@ -129,13 +129,61 @@ def test_sl_and_tide_logs_differ_in_expected_components(bundles, tmp_path):
     assert logs["sl"]["vib_z"] > 0 and logs["tide"]["vib_z"] > 0
 
 
-def test_train_exposure_flag_without_data_is_usage_error(bundles, tmp_path):
+def test_train_exposure_flag_without_data_is_usage_error(bundles, tmp_path,
+                                                         capsys):
+    """Exposure is switched on by --exposure-data alone: a config that
+    still names the old flag is rejected as an unknown key."""
     id_bundle, _ = bundles
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"exposure_enabled": True, "epochs": 2}))
     code = run_cli("train", "--data", id_bundle, "--out", tmp_path / "r",
                    "--config", cfg)
     assert code == 1
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err and "exposure_enabled" in err
+
+
+def test_train_exposure_data_turns_on_energy_margin(bundles, tmp_path):
+    id_bundle, ood_bundle = bundles
+    margins = {}
+    for tag, extra in (("with", ("--exposure-data", ood_bundle)), ("without", ())):
+        out = tmp_path / tag
+        code = run_cli("train", "--data", id_bundle, "--out", out,
+                       "--objective", "tide", "--epochs", "3", *extra)
+        assert code == 0
+        margins[tag] = [json.loads(line)["loss"]["energy_reg"] for line in
+                        (out / "train_log.jsonl").read_text().splitlines()]
+    assert any(m > 0 for m in margins["with"])
+    assert margins["without"] == [0.0] * 3
+
+
+def _bundle_with(**changes):
+    doc = {"n": 2, "d": 1, "C": 2, "features": [[0.0], [1.0]],
+           "edges": [[0, 1]], "labels": [0, 1],
+           "splits": {"train": [0, 1], "val": [], "test_id": [],
+                      "test_ood": []}}
+    return doc | changes
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param(5, id="number"),
+    pytest.param([{}], id="list"),
+    pytest.param(_bundle_with(features=[["a"], [1.0]]), id="string_feature"),
+    pytest.param(_bundle_with(edges=[[0]]), id="short_edge"),
+    pytest.param(_bundle_with(labels=[0, 1.5]), id="float_label"),
+    pytest.param(_bundle_with(splits={"train": [0.5]}), id="float_split"),
+    pytest.param(_bundle_with(C="2"), id="string_C"),
+    pytest.param(_bundle_with(splits=[]), id="splits_list"),
+    pytest.param(_bundle_with(features=[[float("nan")], [1.0]]),
+                 id="nan_feature"),
+])
+def test_train_malformed_bundle_exits_one(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = run_cli("train", "--data", path, "--out", tmp_path / "r",
+                   "--epochs", "1")
+    assert code == 1
+    assert str(path) in capsys.readouterr().err
 
 
 def test_train_config_value_of_wrong_type_exits_one(bundles, tmp_path,

@@ -93,11 +93,6 @@ def test_propagation_isolated_node_keeps_energy():
     assert out.e[2] == 7.0
 
 
-def test_propagation_records_settings(two_clique):
-    out = propagate_energy(scores_of([0.0, 1.0]), two_clique, alpha=0.25, k=2)
-    assert out.propagated and out.k == 2 and out.alpha == 0.25
-
-
 @given(st.integers(0, 2 ** 32 - 1), st.floats(0, 1), st.integers(1, 4))
 @settings(max_examples=50, deadline=None)
 def test_propagation_stays_in_convex_hull(seed, alpha, k):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tide.detection import propagation_operator
 from tide.graph import (Graph, GraphError, GraphFormatError, canonical_edges,
-                        load_bundle, make_graph, row_stochastic_adjacency,
-                        save_bundle, sym_normalized_adjacency)
+                        load_bundle, make_graph, save_bundle,
+                        sym_normalized_adjacency)
 from conftest import random_graph
 
 
@@ -110,17 +111,17 @@ class TestAdjacency:
         assert dense[0, 1] == pytest.approx(1 / np.sqrt(6), abs=1e-15)
 
     def test_row_stochastic_two_neighbors(self, path3):
-        dense = row_stochastic_adjacency(path3).to_dense()
+        dense = propagation_operator(path3).to_dense()
         assert dense[1].tolist() == [0.5, 0.0, 0.5]
 
-    def test_row_stochastic_isolated_row_is_zero(self):
+    def test_row_stochastic_isolated_row_is_self_loop(self):
         g = make_graph([[0.0], [1.0], [2.0]], [[0, 1]], [0, 1, 0])
-        dense = row_stochastic_adjacency(g).to_dense()
-        assert dense[2].tolist() == [0.0, 0.0, 0.0]
+        dense = propagation_operator(g).to_dense()
+        assert dense[2].tolist() == [0.0, 0.0, 1.0]
 
     def test_star_center_row(self):
         g = make_graph(np.zeros((4, 1)), [[0, 1], [0, 2], [0, 3]], [0] * 4)
-        dense = row_stochastic_adjacency(g).to_dense()
+        dense = propagation_operator(g).to_dense()
         np.testing.assert_allclose(dense[0, 1:], 1 / 3)
 
     @given(st.integers(0, 2 ** 32 - 1))
@@ -134,7 +135,6 @@ class TestAdjacency:
     @settings(max_examples=30, deadline=None)
     def test_row_stochastic_rows_in_simplex(self, seed):
         g = random_graph(np.random.default_rng(seed))
-        dense = row_stochastic_adjacency(g).to_dense()
+        dense = propagation_operator(g).to_dense()
         assert (dense >= 0).all()
-        sums = dense.sum(axis=1)
-        assert all(abs(s - 1) < 1e-12 or s == 0.0 for s in sums)
+        np.testing.assert_allclose(dense.sum(axis=1), 1.0, rtol=0, atol=1e-12)

@@ -127,7 +127,7 @@ def test_structure_on_complete_graph_errors():
 
 def test_feature_lambda_one_is_identity():
     g = small_csbm()
-    h = apply_feature_shift(g, ShiftSpec("feature", lambda_mix=1.0, seed=4))
+    h = apply_feature_shift(g, ShiftSpec("feature", intensity=0.0, seed=4))
     np.testing.assert_array_equal(g.X, h.X)
 
 
@@ -135,7 +135,7 @@ def test_feature_midpoint_on_two_nodes():
     g = gen_csbm(CsbmParams(n=2, C=2, d=2, p_in=0.5, p_out=0.5,
                             mu_sep=1.0, seed=0, train_frac=0.5,
                             val_frac=0.0))
-    h = apply_feature_shift(g, ShiftSpec("feature", lambda_mix=0.5, seed=1))
+    h = apply_feature_shift(g, ShiftSpec("feature", intensity=0.5, seed=1))
     mid = 0.5 * (g.X[0] + g.X[1])
     np.testing.assert_allclose(h.X[0], mid)
     np.testing.assert_allclose(h.X[1], mid)
@@ -143,7 +143,7 @@ def test_feature_midpoint_on_two_nodes():
 
 def test_feature_preserves_edges_labels_and_global_mean():
     g = small_csbm()
-    h = apply_feature_shift(g, ShiftSpec("feature", lambda_mix=0.5, seed=9))
+    h = apply_feature_shift(g, ShiftSpec("feature", intensity=0.5, seed=9))
     np.testing.assert_array_equal(g.edges, h.edges)
     np.testing.assert_array_equal(g.y, h.y)
     # Partner pairing is a permutation, so convex mixing keeps the
@@ -157,7 +157,7 @@ def test_feature_shift_on_single_node_errors():
                             mu_sep=1.0, seed=0, train_frac=0.9,
                             val_frac=0.0))
     with pytest.raises(ShiftError):
-        apply_feature_shift(g, ShiftSpec("feature", lambda_mix=0.5))
+        apply_feature_shift(g, ShiftSpec("feature", intensity=0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +166,8 @@ def test_feature_shift_on_single_node_errors():
 
 def test_label_split_remaps_and_quarantines():
     g = small_csbm(seed=2)
-    h, new_C = label_leave_out_split(g, (2,), seed=0)
-    assert new_C == 2
+    h = label_leave_out_split(g, (2,))
+    assert h.C == 2
     held = np.flatnonzero(g.y == 2)
     assert set(h.mask("test_ood")) == set(held)
     for name in ("train", "val", "test_id"):
@@ -179,15 +179,15 @@ def test_label_split_remaps_and_quarantines():
 def test_label_split_seven_classes_hold_three():
     g = gen_csbm(CsbmParams(n=140, C=7, d=8, p_in=0.3, p_out=0.02,
                             mu_sep=2.0, seed=1))
-    h, new_C = label_leave_out_split(g, (4, 5, 6), seed=0)
-    assert new_C == 4
+    h = label_leave_out_split(g, (4, 5, 6))
+    assert h.C == 4
 
 
 @pytest.mark.parametrize("held", [(), (0, 1, 2)])
 def test_label_split_degenerate_sets_rejected(held):
     g = small_csbm()
     with pytest.raises(ShiftError):
-        label_leave_out_split(g, held, seed=0)
+        label_leave_out_split(g, held)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +197,7 @@ def test_label_split_degenerate_sets_rejected(held):
 def test_apply_shift_dispatches_by_kind():
     g = small_csbm()
     s = apply_shift(g, ShiftSpec("structure", 0.4, seed=1))
-    f = apply_shift(g, ShiftSpec("feature", lambda_mix=0.5, seed=1))
+    f = apply_shift(g, ShiftSpec("feature", intensity=0.5, seed=1))
     assert not np.array_equal(s.edges, g.edges)
     assert not np.array_equal(f.X, g.X)
     with pytest.raises(ShiftError, match="unknown"):

@@ -9,13 +9,13 @@ import pytest
 import tide.autodiff as ad
 from tide.autodiff import Tensor
 from tide.detection import score_splits
-from tide.experiment import as_ood_bundle
 from tide.graph import make_graph, sym_normalized_adjacency
 from tide.model import (NOISE_STREAM, build_model, component_rng,
                         config_sha256, encode_feature, joint_logits_at_mean,
                         predict_logits, reparameterize)
 from tide.objectives import vib_loss
-from tide.shift import CsbmParams, ShiftSpec, apply_feature_shift, gen_csbm
+from tide.shift import (CsbmParams, ShiftSpec, apply_feature_shift,
+                        as_ood_bundle, gen_csbm)
 from tide.trainer import (AdamState, ConfigError, TideConfig, TrainingError,
                           adam_step, train_tide, write_train_log)
 
@@ -45,13 +45,13 @@ class TestConfig:
         {"lr": 0.0},
         {"epochs": -5},
         {"hidden": 0},
-        {"exposure_enabled": True, "t_id": -2.0, "t_ood": -7.0},
+        {"t_id": -2.0, "t_ood": -7.0},
         {"epochs": "5"},
         {"epochs": 5.0},
         {"hidden": True},
         {"lr": "0.01"},
         {"lr": False},
-        {"exposure_enabled": 1},
+        {"ereg_flip": 1},
         {"objective_mode": 3},
     ])
     def test_invalid_rejected(self, kw):
@@ -136,13 +136,6 @@ def test_train_requires_labeled_train_mask():
     g = make_graph([[0.0], [1.0]], [[0, 1]], [0, 1], masks={"val": [0]})
     with pytest.raises(TrainingError, match="train"):
         train_tide(g, TideConfig(epochs=1))
-
-
-def test_exposure_requires_companion_graph():
-    g = fixture_graph()
-    cfg = TideConfig(objective_mode="tide", epochs=1, exposure_enabled=True)
-    with pytest.raises(TrainingError, match="exposure"):
-        train_tide(g, cfg)
 
 
 @pytest.mark.parametrize("mode", ["sl", "ib", "ib_cind"])
@@ -266,10 +259,9 @@ def test_no_val_mask_keeps_final_epoch():
 
 def test_exposure_run_produces_energy_margin_term():
     g = fixture_graph(seed=3)
-    exposure = apply_feature_shift(g, ShiftSpec("feature", lambda_mix=0.2,
+    exposure = apply_feature_shift(g, ShiftSpec("feature", intensity=0.8,
                                                 seed=8))
-    cfg = TideConfig(objective_mode="tide", epochs=3, exposure_enabled=True,
-                     t_id=-1.2, t_ood=-1.0)
+    cfg = TideConfig(objective_mode="tide", epochs=3, t_id=-1.2, t_ood=-1.0)
     result = train_tide(g, cfg, exposure_graph=exposure)
     assert all(np.isfinite(rec["loss"]["energy_reg"]) for rec in result.log)
     assert any(rec["loss"]["energy_reg"] > 0 for rec in result.log)
