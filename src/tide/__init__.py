@@ -4,7 +4,7 @@ Submodules (import them directly; this file stays import-light so the
 CLI can pin BLAS thread counts before numpy loads):
 
 - ``autodiff``: minimal reverse-mode tape over 2-D float64 arrays
-- ``graph``: graph container, adjacency normalizations, bundle I/O
+- ``graph``: graph container, its two operators, bundle I/O
 - ``shift``: contextual-SBM sampling and the three shift generators
 - ``model``: the three variational encoders, heads, checkpoints
 - ``objectives``: VIB / reconstruction / pairwise-MI / margin losses

@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float)
     p.add_argument("--hidden", type=int)
     p.add_argument("--exposure-data",
-                   help="auxiliary OOD bundle; turns on exposure training")
+                   help="auxiliary OOD bundle (empty test_id split); "
+                        "turns on exposure training")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint against an OOD bundle")
@@ -217,8 +218,12 @@ def cmd_train(args) -> int:
     g = load_bundle(_require_file(args.data, "data bundle"))
     exposure = None
     if args.exposure_data:
-        exposure = load_bundle(_require_file(args.exposure_data,
-                                             "exposure bundle"))
+        path = _require_file(args.exposure_data, "exposure bundle")
+        exposure = load_bundle(path)
+        # Only an OOD bundle's train rows are not in-distribution nodes.
+        if exposure.mask("test_id").size:
+            raise CliError(f"{path}: --exposure-data must be an OOD bundle "
+                           "(its test_id split must be empty)")
 
     result = train_tide(g, config, exposure_graph=exposure)
 

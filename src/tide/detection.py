@@ -2,16 +2,16 @@
 
 Scores are oriented "higher means more OOD" everywhere: the energy
 -logsumexp(logits) is large for uncertain nodes. The energy
-(``energy_tensor``), its propagation (``propagate_energy_tensor``) and
-the propagation operator are defined here once: the trainer's energy
-margin runs them on the tape, and ``energy_score``/``propagate_energy``
-run them on constant tensors, so nothing is taped. ``score_splits`` is
-the one scoring path of ``tide eval`` and the comparison harness.
-Metrics follow fixed tie rules so that a brute-force reimplementation
-reproduces them to float precision:
-AUROC counts ties as half via average ranks, AUPR sweeps distinct
-scores in descending order with step interpolation, FPR95 thresholds
-at the k-th largest OOD score with k = ceil(0.95 * n_ood).
+(``energy_tensor``) and its propagation over ``g.propagation``
+(``propagate_energy_tensor``) are defined here once: the trainer's
+energy margin runs them on the tape, and ``energy_score``/
+``propagate_energy`` run them on constant tensors, so nothing is taped.
+``score_splits`` is the one scoring path of eval and compare.
+Each metric reads the ID and OOD counts of every distinct score, highest
+first (``_tie_blocks``), with fixed tie rules that a brute-force
+reimplementation reproduces to float precision: AUROC counts ties as
+half, AUPR steps over the distinct scores, FPR95 thresholds at the k-th
+largest OOD score with k = ceil(0.95 * n_ood).
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ import csv
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import Graph, SparseMatrix
+# Re-exported: tidebench's layer map and the tests find it here.
+from .graph import Graph, SparseMatrix, propagation_operator  # noqa: F401
 from .model import TideModel, joint_logits_at_mean
 
 
@@ -61,17 +61,6 @@ def energy_tensor(logits: Tensor) -> Tensor:
     return ad.mul(ad.row_logsumexp(logits), -1.0)
 
 
-def propagation_operator(g: Graph) -> SparseMatrix:
-    """Row-stochastic adjacency (each row averages the node's neighbours)
-    with a self-loop on every isolated node, so propagation is total and
-    an isolated node keeps its own energy."""
-    deg = g.degrees()
-    isolated = np.flatnonzero(deg == 0)
-    rows = np.concatenate([g.edges[:, 0], g.edges[:, 1], isolated])
-    cols = np.concatenate([g.edges[:, 1], g.edges[:, 0], isolated])
-    return SparseMatrix(g.n, rows, cols, 1.0 / np.maximum(deg[rows], 1))
-
-
 def propagate_energy_tensor(e: Tensor, prop_op: SparseMatrix,
                             alpha: float, k: int) -> Tensor:
     """k rounds of e <- alpha*e + (1-alpha) * neighbor-mean(e)."""
@@ -97,8 +86,7 @@ def propagate_energy(scores: EnergyScores, g: Graph, alpha: float, k: int) -> En
     e = np.array(scores.e, dtype=np.float64)
     if e.shape != (g.n,):
         raise MetricError(f"scores length {e.shape} != n={g.n}")
-    out = propagate_energy_tensor(Tensor(e[:, None]), propagation_operator(g),
-                                  alpha, k)
+    out = propagate_energy_tensor(Tensor(e[:, None]), g.propagation, alpha, k)
     return EnergyScores(e=out.values.ravel())
 
 
@@ -109,14 +97,24 @@ def predictive_entropy(logits: np.ndarray) -> np.ndarray:
     return -(p * np.log(safe)).sum(axis=1)
 
 
+def _tie_blocks(id_scores: np.ndarray, ood_scores: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """ID and OOD counts of each distinct score, highest score first."""
+    _, block = np.unique(-np.concatenate([id_scores, ood_scores]),
+                         return_inverse=True)
+    n_blocks = int(block.max()) + 1
+    return (np.bincount(block[:id_scores.size], minlength=n_blocks),
+            np.bincount(block[id_scores.size:], minlength=n_blocks))
+
+
 def auroc_score(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
     """P(random OOD outscores random ID), ties counting one half."""
     n_i, n_o = id_scores.size, ood_scores.size
     if n_i == 0 or n_o == 0:
         raise MetricError("auroc needs at least one ID and one OOD score")
-    ranks = rankdata(np.concatenate([id_scores, ood_scores]), method="average")
-    rank_sum = ranks[n_i:].sum()
-    return float((rank_sum - n_o * (n_o + 1) / 2.0) / (n_i * n_o))
+    id_b, ood_b = _tie_blocks(id_scores, ood_scores)
+    id_below = n_i - np.cumsum(id_b)
+    return float(np.sum(ood_b * (id_below + id_b / 2.0)) / (n_i * n_o))
 
 
 def aupr_score(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
@@ -125,18 +123,10 @@ def aupr_score(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
     n_o = ood_scores.size
     if id_scores.size == 0 or n_o == 0:
         raise MetricError("aupr needs at least one ID and one OOD score")
-    scores = np.concatenate([id_scores, ood_scores])
-    is_ood = np.concatenate([np.zeros(id_scores.size, bool), np.ones(n_o, bool)])
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_ood = is_ood[order]
-    tp = np.cumsum(sorted_ood)
-    fp = np.cumsum(~sorted_ood)
-    # Evaluate only at the last index of each tied block (= all nodes with
-    # score >= that distinct threshold are counted).
-    last_of_block = np.append(sorted_scores[1:] != sorted_scores[:-1], True)
-    tp_b = tp[last_of_block].astype(np.float64)
-    fp_b = fp[last_of_block].astype(np.float64)
+    id_b, ood_b = _tie_blocks(id_scores, ood_scores)
+    # Counts at or above each distinct threshold.
+    tp_b = np.cumsum(ood_b).astype(np.float64)
+    fp_b = np.cumsum(id_b).astype(np.float64)
     recall = tp_b / n_o
     precision = tp_b / (tp_b + fp_b)
     prev_recall = np.concatenate([[0.0], recall[:-1]])
@@ -151,9 +141,10 @@ def fpr_at_95_tpr(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
         raise MetricError("fpr95 undefined without OOD scores")
     if id_scores.size == 0:
         raise MetricError("fpr95 undefined without ID scores")
+    id_b, ood_b = _tie_blocks(id_scores, ood_scores)
     k = int(np.ceil(0.95 * n_o))
-    thresh = np.sort(ood_scores)[n_o - k]
-    return float(np.mean(id_scores >= thresh))
+    at_threshold = np.searchsorted(np.cumsum(ood_b), k)
+    return float(np.cumsum(id_b)[at_threshold] / id_scores.size)
 
 
 def evaluate(scores: np.ndarray, is_ood: np.ndarray,

@@ -20,27 +20,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .autodiff import Tensor, check_gradients_params
-from .graph import sym_normalized_adjacency
+from .graph import Graph
 from .model import (NOISE_STREAM, build_model, component_rng, encode_feature,
                     encode_joint, encode_structure, predict_logits,
                     reparameterize)
 from .objectives import (club_estimate, cross_entropy, kl_standard_normal,
                          recon_cind_loss, tide_total)
 from .shift import CsbmParams, ShiftSpec, apply_feature_shift, gen_csbm
-from .trainer import (ExposureInputs, TideConfig, energy_margin,
-                      forward_components)
+from .trainer import TideConfig, energy_margin, forward_components
 
 
 @dataclass
 class _Probe:
-    """Frozen inputs for all checks: graph, operators, model, noise."""
+    """Frozen inputs for all checks: graph, model, config, the exposure
+    graph and the noise. Each graph builds its own operators once."""
 
-    g: object
+    g: Graph
     model: object
     config: TideConfig
-    X: Tensor
-    A: object
-    exposure: ExposureInputs
+    exposure: Graph
     eps: dict
 
 
@@ -56,9 +54,7 @@ def _build_probe(seed: int, n: int, d: int, hidden: int, C: int) -> _Probe:
                         t_id=-1.15, t_ood=-1.05, epochs=0)
     eps = {tag: component_rng(seed, NOISE_STREAM[tag]).standard_normal((n, hidden))
            for tag in ("z", "v", "q", "z_exposure")}
-    return _Probe(g=g, model=model, config=config, X=Tensor(g.X),
-                  A=sym_normalized_adjacency(g),
-                  exposure=ExposureInputs.build(g, exposure), eps=eps)
+    return _Probe(g=g, model=model, config=config, exposure=exposure, eps=eps)
 
 
 def _params(probe: _Probe, *groups: str) -> dict[str, Tensor]:
@@ -67,18 +63,19 @@ def _params(probe: _Probe, *groups: str) -> dict[str, Tensor]:
 
 
 def _sample(probe: _Probe, tag: str):
+    g = probe.g
     if tag == "z":
-        dist = encode_joint(probe.X, probe.A, probe.model)
+        dist = encode_joint(Tensor(g.X), g.adjacency, probe.model)
     elif tag == "v":
-        dist = encode_feature(probe.X, probe.model)
+        dist = encode_feature(Tensor(g.X), probe.model)
     else:
-        dist = encode_structure(probe.A, probe.model)
+        dist = encode_structure(g.adjacency, probe.model)
     return reparameterize(dist, probe.eps[tag])
 
 
 def _training_objective(probe: _Probe) -> Tensor:
-    comps, _ = forward_components(probe.model, probe.X, probe.A, probe.g,
-                                  probe.config, probe.eps, probe.exposure)
+    comps, _ = forward_components(probe.model, probe.g, probe.config,
+                                  probe.eps, probe.exposure)
     return tide_total(comps, probe.config)[0]
 
 
@@ -93,12 +90,12 @@ def gradient_check_report(seed: int = 0, h: float = 1e-5, n: int = 10,
     checks = {
         "cross_entropy": (
             lambda: cross_entropy(
-                predict_logits(_sample(probe, "z"), probe.A, model, "z"),
+                predict_logits(_sample(probe, "z"), g.adjacency, model, "z"),
                 g.y, train),
             _params(probe, "z")),
         "kl": (
             lambda: kl_standard_normal(
-                encode_joint(probe.X, probe.A, model).rows(train)),
+                encode_joint(Tensor(g.X), g.adjacency, model).rows(train)),
             {nm: p for nm, p in _params(probe, "z").items()
              if nm.startswith("z_enc.")}),
         "club": (
@@ -108,13 +105,13 @@ def gradient_check_report(seed: int = 0, h: float = 1e-5, n: int = 10,
              "club_zv.p1": model["club_zv.p1"],
              "club_zv.p2": model["club_zv.p2"]}),
         "recon": (
-            lambda: recon_cind_loss(_sample(probe, "z"), probe.X, model),
+            lambda: recon_cind_loss(_sample(probe, "z"), Tensor(g.X), model),
             {**{nm: p for nm, p in _params(probe, "z").items()
                 if nm.startswith("z_enc.")},
              **_params(probe, "recon")}),
         "energy_reg": (
             lambda: energy_margin(
-                predict_logits(_sample(probe, "z"), probe.A, model, "z"),
+                predict_logits(_sample(probe, "z"), g.adjacency, model, "z"),
                 model, g, probe.config, probe.exposure, probe.eps["z_exposure"]),
             _params(probe, "z")),
         "tide_total": (

@@ -1,10 +1,15 @@
-"""Graph container, adjacency normalizations, and the bundle format.
+"""Graph container, its two operators, and the bundle format.
 
 A Graph is an immutable bag of (X, edges, y, masks). Edges are stored
 canonically: each undirected edge once as (u, v) with u < v, sorted,
 deduplicated, self-loops dropped. Builders that need both directions
 expand on the fly, so adjacency operators are symmetric by
 construction.
+
+A graph builds each of its two operators at most once: ``g.adjacency``
+(``sym_normalized_adjacency``), the GCN operator of the encoders and
+heads, and ``g.propagation`` (``propagation_operator``), that of energy
+propagation. Training, the audit and scoring all read them there.
 
 On disk a graph is a single-JSON "bundle" (see ``bundle_dict``); it
 round-trips exactly, since floats are written with shortest-repr
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +138,14 @@ class Graph:
             np.add.at(deg, self.edges[:, 1], 1)
         return deg
 
+    @cached_property
+    def adjacency(self) -> SparseMatrix:
+        return sym_normalized_adjacency(self)
+
+    @cached_property
+    def propagation(self) -> SparseMatrix:
+        return propagation_operator(self)
+
 
 def canonical_edges(pairs: np.ndarray, n: int) -> np.ndarray:
     """Sort/dedupe an arbitrary pair list into canonical u < v form.
@@ -189,6 +203,17 @@ def sym_normalized_adjacency(g: Graph) -> SparseMatrix:
     cols = np.concatenate([g.edges[:, 1], g.edges[:, 0], diag])
     vals = 1.0 / np.sqrt(deg[rows] * deg[cols])
     return SparseMatrix(g.n, rows, cols, vals)
+
+
+def propagation_operator(g: Graph) -> SparseMatrix:
+    """Row-stochastic adjacency (each row averages the node's neighbours)
+    with a self-loop on every isolated node, so propagation is total and
+    an isolated node keeps its own energy."""
+    deg = g.degrees()
+    isolated = np.flatnonzero(deg == 0)
+    rows = np.concatenate([g.edges[:, 0], g.edges[:, 1], isolated])
+    cols = np.concatenate([g.edges[:, 1], g.edges[:, 0], isolated])
+    return SparseMatrix(g.n, rows, cols, 1.0 / np.maximum(deg[rows], 1))
 
 
 # ---------------------------------------------------------------------------

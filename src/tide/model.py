@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import Graph, SparseMatrix, sym_normalized_adjacency
+from .graph import Graph, SparseMatrix
 
 SIGMA_FLOOR = 1e-6
 
@@ -242,14 +242,11 @@ def reconstruct(sample: Tensor, model: TideModel) -> Tensor:
     return ad.add(ad.matmul(h1, model["recon.out.W"]), model["recon.out.b"])
 
 
-def joint_logits_at_mean(model: TideModel, g: Graph,
-                         A_norm: SparseMatrix | None = None) -> np.ndarray:
+def joint_logits_at_mean(model: TideModel, g: Graph) -> np.ndarray:
     """Deterministic inference logits: mu through the joint classifier."""
-    if A_norm is None:
-        A_norm = sym_normalized_adjacency(g)
     with ad.no_grad():
-        dist = encode_joint(Tensor(g.X), A_norm, model)
-        logits = predict_logits(dist.mu, A_norm, model, "z")
+        dist = encode_joint(Tensor(g.X), g.adjacency, model)
+        logits = predict_logits(dist.mu, g.adjacency, model, "z")
     return logits.values
 
 

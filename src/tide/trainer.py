@@ -7,7 +7,8 @@ branches' parameters, and (in tide mode) one ``critic_ascent_step`` on
 the pair projections so they keep acting as dependence critics;
 ``objectives.train_club_head`` repeats that same step.
 ``forward_components`` is that forward; the gradient audit calls it
-too, so the audited objective is the trained one.
+too, so the audited objective is the trained one. It and validation
+read each graph's own operators (``g.adjacency``, ``g.propagation``).
 
 Runs are bit-deterministic under a fixed seed: initialization and
 per-epoch noise come from per-component seed streams, and training
@@ -26,9 +27,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .detection import (energy_tensor, propagate_energy_tensor,
-                        propagation_operator)
-from .graph import Graph, SparseMatrix, sym_normalized_adjacency
+from .detection import energy_tensor, propagate_energy_tensor
+from .graph import Graph, GraphError
 from .model import (NOISE_STREAM, TideModel, build_model, component_rng,
                     encode_feature, encode_joint, encode_structure,
                     joint_logits_at_mean, predict_logits, reparameterize)
@@ -224,27 +224,6 @@ def _accuracy(logits: np.ndarray, y: np.ndarray, mask: np.ndarray) -> float:
     return float(np.mean(preds == y[mask]))
 
 
-@dataclass(frozen=True)
-class ExposureInputs:
-    """Fixed inputs of the energy margin: the ID propagation operator and
-    the auxiliary OOD graph whose train rows are pushed away."""
-
-    prop_id: SparseMatrix
-    X: Tensor
-    A: SparseMatrix
-    prop: SparseMatrix
-    train: np.ndarray
-
-    @classmethod
-    def build(cls, g: Graph, exposure_graph: Graph) -> "ExposureInputs":
-        train = exposure_graph.mask("train")
-        if train.size == 0:
-            raise TrainingError("exposure graph has no train mask")
-        return cls(prop_id=propagation_operator(g), X=Tensor(exposure_graph.X),
-                   A=sym_normalized_adjacency(exposure_graph),
-                   prop=propagation_operator(exposure_graph), train=train)
-
-
 @contextlib.contextmanager
 def _component(name: str):
     """Report a numerics failure inside one loss term by the term's name."""
@@ -255,37 +234,37 @@ def _component(name: str):
 
 
 def energy_margin(logits_z: Tensor, model: TideModel, g: Graph,
-                  config: TideConfig, exposure: ExposureInputs,
+                  config: TideConfig, exposure: Graph,
                   eps: np.ndarray | None) -> Tensor:
     """Margin between the propagated energies of the ID train rows and of
     the exposure graph's train rows. ``eps`` is the exposure pass's
     reparameterization noise; None runs it on the posterior mean."""
-    e_id = propagate_energy_tensor(energy_tensor(logits_z), exposure.prop_id,
+    e_id = propagate_energy_tensor(energy_tensor(logits_z), g.propagation,
                                    config.prop_alpha, config.prop_k)
-    dist = encode_joint(exposure.X, exposure.A, model)
+    dist = encode_joint(Tensor(exposure.X), exposure.adjacency, model)
     sample = dist.mu if eps is None else reparameterize(dist, eps)
-    logits = predict_logits(sample, exposure.A, model, "z")
-    e_ood = propagate_energy_tensor(energy_tensor(logits), exposure.prop,
+    logits = predict_logits(sample, exposure.adjacency, model, "z")
+    e_ood = propagate_energy_tensor(energy_tensor(logits), exposure.propagation,
                                     config.prop_alpha, config.prop_k)
     return energy_reg_loss(ad.gather_rows(e_id, g.mask("train")),
-                           ad.gather_rows(e_ood, exposure.train),
+                           ad.gather_rows(e_ood, exposure.mask("train")),
                            config.t_id, config.t_ood, config.ereg_flip)
 
 
-def forward_components(model: TideModel, X: Tensor, A: SparseMatrix,
-                       g: Graph, config: TideConfig, eps: dict[str, np.ndarray],
-                       exposure: ExposureInputs | None = None
+def forward_components(model: TideModel, g: Graph, config: TideConfig,
+                       eps: dict[str, np.ndarray], exposure: Graph | None = None
                        ) -> tuple[dict[str, Tensor], dict[str, Tensor]]:
     """One training forward: the loss terms of ``config.objective_mode``.
 
     Only the branches in ``MODE_GROUPS`` for the mode are built. ``eps``
     maps each noise stream the mode samples ("z", "v", "q", "z_exposure";
-    sl runs on posterior means) to its draw for this forward. Returns
-    the components ``tide_total`` fuses and each built branch's sample.
+    sl runs on posterior means) to its draw for this forward; ``exposure``
+    is the energy margin's OOD graph. Returns the components
+    ``tide_total`` fuses and each built branch's sample.
     """
     mode = config.objective_mode
     groups = MODE_GROUPS[mode]
-    y, train = g.y, g.mask("train")
+    X, A, y, train = Tensor(g.X), g.adjacency, g.y, g.mask("train")
     comps: dict[str, Tensor] = {}
 
     dist_z = encode_joint(X, A, model)
@@ -329,7 +308,8 @@ def train_tide(g: Graph, config: TideConfig,
 
     ``exposure_graph`` supplies auxiliary OOD nodes (its train mask) for
     the energy margin term; exposure training is on exactly when it is
-    given.
+    given. A graph that cannot train (an empty train split, or an
+    unlabeled train node) raises ``GraphError`` naming that graph.
     Model selection: highest validation accuracy, latest epoch wins
     ties; with no val mask the final parameters are kept.
     """
@@ -337,24 +317,22 @@ def train_tide(g: Graph, config: TideConfig,
     mode = config.objective_mode
     train_mask = g.mask("train")
     if train_mask.size == 0:
-        raise TrainingError("graph has no train mask")
+        raise GraphError("ID graph has an empty train split")
     if np.any(g.y[train_mask] < 0):
-        raise TrainingError("unlabeled node in train mask")
+        raise GraphError("ID graph has an unlabeled node in its train split")
+    if exposure_graph is not None and exposure_graph.mask("train").size == 0:
+        raise GraphError("exposure graph has an empty train split")
 
-    A = sym_normalized_adjacency(g)
-    X = Tensor(g.X)
     val_mask = g.mask("val")
     model = build_model(g.d, config.hidden, g.C, config.seed)
     state = AdamState()
     names = model.names_in(*MODE_GROUPS[mode])
     critics = {n: model.params[n] for n in model.names_in("club")}
-    exposure = (None if exposure_graph is None
-                else ExposureInputs.build(g, exposure_graph))
     # A noise stream per sampled branch plus the exposure pass; sl runs
     # on posterior means and draws none.
     streams = [] if mode == "sl" else [t for t in MODE_GROUPS[mode]
                                        if t in NOISE_STREAM]
-    if streams and exposure is not None:
+    if streams and exposure_graph is not None:
         streams.append("z_exposure")
     noise = {tag: component_rng(config.seed, NOISE_STREAM[tag])
              for tag in streams}
@@ -373,8 +351,8 @@ def train_tide(g: Graph, config: TideConfig,
         eps = {tag: rng.standard_normal(noise_shape[tag])
                for tag, rng in noise.items()}
         try:
-            comps, samples = forward_components(model, X, A, g, config, eps,
-                                                exposure)
+            comps, samples = forward_components(model, g, config, eps,
+                                                exposure_graph)
             fused, breakdown = tide_total(comps, config)
             if not breakdown.finite():
                 raise TrainingError("non-finite loss component")
@@ -398,7 +376,7 @@ def train_tide(g: Graph, config: TideConfig,
                 critics, state, config.lr)
 
         try:
-            val_logits = joint_logits_at_mean(model, g, A)
+            val_logits = joint_logits_at_mean(model, g)
         except (ad.NumericsError, ad.DomainError) as err:
             raise TrainingError(f"epoch {epoch}: validation pass: {err}") from err
         val_acc = _accuracy(val_logits, g.y, val_mask)

@@ -157,6 +157,59 @@ def test_train_exposure_data_turns_on_energy_margin(bundles, tmp_path):
     assert margins["without"] == [0.0] * 3
 
 
+def _edited_bundle(src, dest, edit):
+    doc = json.loads(src.read_text())
+    edit(doc)
+    dest.write_text(json.dumps(doc))
+    return dest
+
+
+def _label_bundle(out):
+    """The bundles fixture's graph with class 0 held out by label:0."""
+    assert run_cli("generate", "--kind", "csbm", "--n", "80",
+                   "--classes", "3", "--dim", "6", "--p-in", "0.2",
+                   "--p-out", "0.03", "--mu-sep", "2.0", "--seed", "7",
+                   "--shift", "label:0", "--out-dir", out) == 0
+    return out / "csbm_label_0.json"
+
+
+@pytest.mark.parametrize("case, message", [
+    pytest.param(case, message, id=case) for case, message in (
+        ("empty_train", "ID graph has an empty train split"),
+        ("exposure_empty_train", "exposure graph has an empty train split"),
+        ("unlabeled_train", "ID graph has an unlabeled node"),
+        ("exposure_label_bundle", "must be an OOD bundle"),
+        ("exposure_id_bundle", "must be an OOD bundle"))])
+def test_train_unusable_graph_exits_one(case, message, bundles, tmp_path,
+                                        capsys):
+    """A graph that cannot train, or an exposure bundle whose train rows
+    are in-distribution nodes, is a usage error naming its cause."""
+    id_bundle, ood_bundle = bundles
+    data, exposure = id_bundle, None
+    if case == "empty_train":
+        data = _edited_bundle(id_bundle, tmp_path / "b.json",
+                              lambda doc: doc["splits"].update(train=[]))
+    elif case == "exposure_empty_train":
+        exposure = _edited_bundle(ood_bundle, tmp_path / "b.json",
+                                  lambda doc: doc["splits"].update(train=[]))
+    elif case == "unlabeled_train":
+        def unlabel(doc):
+            doc["labels"][doc["splits"]["train"][0]] = -1
+        data = _edited_bundle(id_bundle, tmp_path / "b.json", unlabel)
+    elif case == "exposure_label_bundle":
+        exposure = _label_bundle(tmp_path)
+    else:
+        exposure = id_bundle
+    extra = () if exposure is None else ("--exposure-data", exposure)
+    code = run_cli("train", "--data", data, "--out", tmp_path / "r",
+                   "--epochs", "1", *extra)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err
+    if message == "must be an OOD bundle":
+        assert str(exposure) in err
+
+
 def _bundle_with(**changes):
     doc = {"n": 2, "d": 1, "C": 2, "features": [[0.0], [1.0]],
            "edges": [[0, 1]], "labels": [0, 1],

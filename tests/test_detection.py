@@ -6,6 +6,10 @@ that the fast implementations must reproduce to float precision.
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,3 +249,16 @@ def test_histogram_degenerate_range():
     hist = histogram_data(np.zeros(3), np.zeros(2), bins=8)
     assert sum(hist["id_counts"]) == 3
     assert sum(hist["ood_counts"]) == 2
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    """The metrics need numpy only, so no tide process pays for
+    importing scipy.stats."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, tide.cli, tide.experiment, tide.gradcheck; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

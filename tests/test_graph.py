@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -138,3 +139,32 @@ class TestAdjacency:
         dense = propagation_operator(g).to_dense()
         assert (dense >= 0).all()
         np.testing.assert_allclose(dense.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_run_single_builds_each_operator_once_per_graph(monkeypatch):
+    """Training, validation and scoring share each graph's operators.
+
+    Every tide binding of the two builders is replaced by a counting
+    wrapper, so a build through any module is seen.
+    """
+    from tide import detection, experiment, graph
+    g_id, g_ood = experiment.make_fixture("joint", 0)
+    builds = []
+    for home, name in ((graph, "sym_normalized_adjacency"),
+                       (detection, "propagation_operator")):
+        orig = getattr(home, name)
+
+        def counted(g, orig=orig, name=name):
+            builds.append((name, id(g)))
+            return orig(g)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "tide" or mod_name.startswith("tide."):
+                for attr, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, attr, counted)
+    experiment.run_single("tide", 0, g_id, g_ood, epochs=3)
+    assert sorted(builds) == sorted(
+        (name, id(g)) for name in ("sym_normalized_adjacency",
+                                   "propagation_operator")
+        for g in (g_id, g_ood))

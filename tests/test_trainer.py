@@ -9,7 +9,7 @@ import pytest
 import tide.autodiff as ad
 from tide.autodiff import Tensor
 from tide.detection import score_splits
-from tide.graph import make_graph, sym_normalized_adjacency
+from tide.graph import GraphError, make_graph, sym_normalized_adjacency
 from tide.model import (NOISE_STREAM, build_model, component_rng,
                         config_sha256, encode_feature, joint_logits_at_mean,
                         predict_logits, reparameterize)
@@ -134,7 +134,7 @@ def test_zero_epochs_returns_initialization():
 
 def test_train_requires_labeled_train_mask():
     g = make_graph([[0.0], [1.0]], [[0, 1]], [0, 1], masks={"val": [0]})
-    with pytest.raises(TrainingError, match="train"):
+    with pytest.raises(GraphError, match="ID graph .*train"):
         train_tide(g, TideConfig(epochs=1))
 
 
