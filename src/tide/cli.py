@@ -320,6 +320,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check_grad(args) -> int:
+    for flag in ("step", "threshold"):
+        value = getattr(args, flag)
+        if not 0 < value < float("inf"):
+            raise CliError(f"--{flag} must be finite and > 0, got {value}")
     from .gradcheck import gradient_check_report
 
     report = gradient_check_report(seed=args.seed, h=args.step)

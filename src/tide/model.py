@@ -92,9 +92,6 @@ class TideModel:
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None

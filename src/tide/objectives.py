@@ -7,13 +7,12 @@ operator live in ``detection``, the same code that scores nodes at
 evaluation.
 
 All functions build on the autodiff primitives and return 1x1 tensors,
-so they compose into one fused backward pass. ``tide_total`` is the
-single place that knows which term feeds which network.
+so they compose into one fused backward pass. ``TERMS`` is the single
+place that knows each term's weight and which networks it feeds;
+``tide_total`` fuses and routes by it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -123,75 +122,52 @@ def energy_reg_loss(e_id: Tensor, e_ood: Tensor, t_id: float, t_ood: float,
                   ad.tmean(ad.mul(ood_hinge, ood_hinge)))
 
 
-@dataclass
-class LossBreakdown:
-    """Scalar components plus the per-network routed totals (all to minimize)."""
-
-    vib_z: float = 0.0
-    vib_v: float = 0.0
-    vib_q: float = 0.0
-    cind: float = 0.0
-    pmi_zv: float = 0.0
-    pmi_zq: float = 0.0
-    pmi_vq: float = 0.0
-    energy_reg: float = 0.0
-    total_z: float = 0.0
-    total_v: float = 0.0
-    total_q: float = 0.0
-
-    def to_dict(self) -> dict[str, float]:
-        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
-
-    def finite(self) -> bool:
-        return all(np.isfinite(getattr(self, f.name)) for f in fields(self))
+# Each loss term's weight (a config field; None weighs 1) and the
+# networks it feeds. The fused scalar carries each term once;
+# restricting its gradient to one network's parameters reproduces that
+# network's routed total:
+#
+#     Z <- vib_z + lambda_cind*cind + a1*pmi_zv + a2*pmi_zq [+ lambda_oe*ereg]
+#     V <- vib_v + a1*pmi_zv + a3*pmi_vq
+#     Q <- vib_q + a2*pmi_zq + a3*pmi_vq
+TERMS = {
+    "vib_z": (None, "z"),
+    "vib_v": (None, "v"),
+    "vib_q": (None, "q"),
+    "cind": ("lambda_cind", "z"),
+    "pmi_zv": ("alpha1", "zv"),
+    "pmi_zq": ("alpha2", "zq"),
+    "pmi_vq": ("alpha3", "vq"),
+    "energy_reg": ("lambda_oe", "z"),
+}
 
 
-def tide_total(components: dict[str, Tensor | None], config) -> tuple[Tensor, LossBreakdown]:
-    """Fuse components into one backward target and route the totals.
+def tide_total(components: dict[str, Tensor | None], config
+               ) -> tuple[Tensor, dict[str, float]]:
+    """Fuse the components into one backward target and route the totals.
 
-    components may hold: vib_z, vib_v, vib_q, cind, pmi_zv, pmi_zq,
-    pmi_vq, energy_reg (missing/None entries count as zero). The fused
-    scalar carries each term once; restricting its gradient to one
-    network's parameters reproduces that network's routed update:
-
-        Z <- vib_z + lambda_cind*cind + a1*pmi_zv + a2*pmi_zq [+ lambda_oe*ereg]
-        V <- vib_v + a1*pmi_zv + a3*pmi_vq
-        Q <- vib_q + a2*pmi_zq + a3*pmi_vq
+    ``components`` may hold any ``TERMS`` key; missing or None entries
+    count as zero. Returns the fused scalar and the breakdown: each
+    term's value, then ``total_z``/``total_v``/``total_q``, the routed
+    per-network totals (all to minimize).
     """
-    def val(name: str) -> float:
-        t = components.get(name)
-        return float(t.item()) if t is not None else 0.0
-
-    weights = {
-        "vib_z": 1.0,
-        "vib_v": 1.0,
-        "vib_q": 1.0,
-        "cind": config.lambda_cind,
-        "pmi_zv": config.alpha1,
-        "pmi_zq": config.alpha2,
-        "pmi_vq": config.alpha3,
-        "energy_reg": config.lambda_oe,
-    }
     fused: Tensor | None = None
-    for name, w in weights.items():
+    breakdown: dict[str, float] = {}
+    totals = dict.fromkeys("zvq", 0.0)
+    for name, (field, nets) in TERMS.items():
         t = components.get(name)
+        w = 1.0 if field is None else getattr(config, field)
+        breakdown[name] = float(t.item()) if t is not None else 0.0
+        for net in nets:
+            totals[net] += w * breakdown[name]
         if t is None or w == 0.0:
             continue
         term = ad.mul(t, w) if w != 1.0 else t
         fused = term if fused is None else ad.add(fused, term)
     if fused is None:
         raise LossError("tide_total: no loss components")
-
-    br = LossBreakdown(
-        vib_z=val("vib_z"), vib_v=val("vib_v"), vib_q=val("vib_q"),
-        cind=val("cind"), pmi_zv=val("pmi_zv"), pmi_zq=val("pmi_zq"),
-        pmi_vq=val("pmi_vq"), energy_reg=val("energy_reg"))
-    br.total_z = (br.vib_z + config.lambda_cind * br.cind
-                  + config.alpha1 * br.pmi_zv + config.alpha2 * br.pmi_zq
-                  + config.lambda_oe * br.energy_reg)
-    br.total_v = br.vib_v + config.alpha1 * br.pmi_zv + config.alpha3 * br.pmi_vq
-    br.total_q = br.vib_q + config.alpha2 * br.pmi_zq + config.alpha3 * br.pmi_vq
-    return fused, br
+    breakdown.update({f"total_{net}": total for net, total in totals.items()})
+    return fused, breakdown
 
 
 def train_club_head(s1: np.ndarray, s2: np.ndarray, seed: int = 0,

@@ -56,6 +56,9 @@ class CsbmParams:
         if self.d < self.C:
             raise ShiftError(
                 f"d={self.d} < C={self.C}: orthogonal class means need d >= C")
+        if not np.isfinite([self.mu_sep, self.noise]).all():
+            raise ShiftError(f"mu_sep and noise must be finite, got "
+                             f"mu_sep={self.mu_sep}, noise={self.noise}")
         if self.noise < 0:
             raise ShiftError("noise must be non-negative")
         if not (0 < self.train_frac and 0 <= self.val_frac

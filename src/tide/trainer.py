@@ -1,14 +1,16 @@
 """Joint training of the three networks.
 
-One epoch is one full-graph forward of the branches the objective
-trains (``MODE_GROUPS``), one fused backward whose per-network gradient
-restriction implements the loss routing, an Adam step on those
-branches' parameters, and (in tide mode) one ``critic_ascent_step`` on
-the pair projections so they keep acting as dependence critics;
-``objectives.train_club_head`` repeats that same step.
-``forward_components`` is that forward; the gradient audit calls it
-too, so the audited objective is the trained one. It and validation
-read each graph's own operators (``g.adjacency``, ``g.propagation``).
+``branch`` is a network's one forward (posterior, sample, head logits).
+``forward_components``, the training forward, runs it for each network
+the objective trains (``MODE_GROUPS``) and adds that network's
+bottleneck term (sl: beta = 0 on the posterior mean), then the
+couplings ``objectives.TERMS`` routes. ``energy_margin`` runs it on the
+exposure graph; the gradient audit calls all three, so the audited
+objective is the trained one. One epoch is that forward, one fused
+backward whose per-network gradient restriction implements the
+routing, an Adam step on those branches' parameters, and (in tide mode)
+one ``critic_ascent_step`` on the pair projections, the step
+``objectives.train_club_head`` repeats.
 
 Runs are bit-deterministic under a fixed seed: initialization and
 per-epoch noise come from per-component seed streams, and training
@@ -29,11 +31,12 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .detection import energy_tensor, propagate_energy_tensor
 from .graph import Graph, GraphError
-from .model import (NOISE_STREAM, TideModel, build_model, component_rng,
-                    encode_feature, encode_joint, encode_structure,
-                    joint_logits_at_mean, predict_logits, reparameterize)
-from .objectives import (club_estimate, cross_entropy, energy_reg_loss,
-                         recon_cind_loss, tide_total, vib_loss)
+from .model import (NOISE_STREAM, LatentDistribution, TideModel, build_model,
+                    component_rng, encode_feature, encode_joint,
+                    encode_structure, joint_logits_at_mean, predict_logits,
+                    reparameterize)
+from .objectives import (club_estimate, energy_reg_loss, recon_cind_loss,
+                         tide_total, vib_loss)
 
 # Parameter groups each objective trains: the training forward builds
 # only these branches and Adam steps only these groups. In sl/ib/ib_cind
@@ -47,6 +50,8 @@ MODE_GROUPS = {
     "tide": ("z", "v", "q", "recon"),
 }
 OBJECTIVE_MODES = tuple(MODE_GROUPS)
+# The three variational networks: joint, feature-only, structure-only.
+NETWORKS = ("z", "v", "q")
 
 
 class ConfigError(ValueError):
@@ -233,6 +238,21 @@ def _component(name: str):
         raise TrainingError(f"component {name}: {err}") from err
 
 
+def branch(model: TideModel, g: Graph, tag: str, eps: np.ndarray | None = None
+           ) -> tuple[LatentDistribution, Tensor, Tensor]:
+    """Network ``tag``'s ("z", "v" or "q") forward on ``g``: its
+    posterior, a sample (the posterior mean when ``eps`` is None, else
+    reparameterized with noise ``eps``) and its head's logits."""
+    if tag == "z":
+        dist = encode_joint(Tensor(g.X), g.adjacency, model)
+    elif tag == "v":
+        dist = encode_feature(Tensor(g.X), model)
+    else:
+        dist = encode_structure(g.adjacency, model)
+    sample = dist.mu if eps is None else reparameterize(dist, eps)
+    return dist, sample, predict_logits(sample, g.adjacency, model, tag)
+
+
 def energy_margin(logits_z: Tensor, model: TideModel, g: Graph,
                   config: TideConfig, exposure: Graph,
                   eps: np.ndarray | None) -> Tensor:
@@ -241,9 +261,7 @@ def energy_margin(logits_z: Tensor, model: TideModel, g: Graph,
     reparameterization noise; None runs it on the posterior mean."""
     e_id = propagate_energy_tensor(energy_tensor(logits_z), g.propagation,
                                    config.prop_alpha, config.prop_k)
-    dist = encode_joint(Tensor(exposure.X), exposure.adjacency, model)
-    sample = dist.mu if eps is None else reparameterize(dist, eps)
-    logits = predict_logits(sample, exposure.adjacency, model, "z")
+    logits = branch(model, exposure, "z", eps)[2]
     e_ood = propagate_energy_tensor(energy_tensor(logits), exposure.propagation,
                                     config.prop_alpha, config.prop_k)
     return energy_reg_loss(ad.gather_rows(e_id, g.mask("train")),
@@ -256,39 +274,26 @@ def forward_components(model: TideModel, g: Graph, config: TideConfig,
                        ) -> tuple[dict[str, Tensor], dict[str, Tensor]]:
     """One training forward: the loss terms of ``config.objective_mode``.
 
-    Only the branches in ``MODE_GROUPS`` for the mode are built. ``eps``
-    maps each noise stream the mode samples ("z", "v", "q", "z_exposure";
-    sl runs on posterior means) to its draw for this forward; ``exposure``
-    is the energy margin's OOD graph. Returns the components
-    ``tide_total`` fuses and each built branch's sample.
+    Each network in ``MODE_GROUPS`` for the mode runs through ``branch``
+    and contributes its variational bottleneck term; sl is that term
+    with beta = 0 on the posterior mean. ``eps`` maps each noise stream
+    the mode samples ("z", "v", "q", "z_exposure"; sl draws none) to its
+    draw for this forward; ``exposure`` is the energy margin's OOD
+    graph. Returns the components ``tide_total`` fuses and each built
+    network's sample.
     """
     mode = config.objective_mode
     groups = MODE_GROUPS[mode]
-    X, A, y, train = Tensor(g.X), g.adjacency, g.y, g.mask("train")
-    comps: dict[str, Tensor] = {}
-
-    dist_z = encode_joint(X, A, model)
-    samples = {"z": dist_z.mu if mode == "sl"
-               else reparameterize(dist_z, eps["z"])}
-    logits_z = predict_logits(samples["z"], A, model, "z")
-    with _component("vib_z"):
-        comps["vib_z"] = (cross_entropy(logits_z, y, train) if mode == "sl"
-                          else vib_loss(logits_z, y, train, dist_z, config.beta_z))
-    if "v" in groups:
-        dist_v = encode_feature(X, model)
-        samples["v"] = reparameterize(dist_v, eps["v"])
-        logits_v = predict_logits(samples["v"], None, model, "v")
-        with _component("vib_v"):
-            comps["vib_v"] = vib_loss(logits_v, y, train, dist_v, config.beta_v)
-    if "q" in groups:
-        dist_q = encode_structure(A, model)
-        samples["q"] = reparameterize(dist_q, eps["q"])
-        logits_q = predict_logits(samples["q"], A, model, "q")
-        with _component("vib_q"):
-            comps["vib_q"] = vib_loss(logits_q, y, train, dist_q, config.beta_q)
+    train = g.mask("train")
+    comps, samples, logits = {}, {}, {}
+    for tag in [t for t in NETWORKS if t in groups]:
+        dist, samples[tag], logits[tag] = branch(model, g, tag, eps.get(tag))
+        beta = 0.0 if mode == "sl" else getattr(config, f"beta_{tag}")
+        with _component(f"vib_{tag}"):
+            comps[f"vib_{tag}"] = vib_loss(logits[tag], g.y, train, dist, beta)
     if "recon" in groups:
         with _component("cind"):
-            comps["cind"] = recon_cind_loss(samples["z"], X, model)
+            comps["cind"] = recon_cind_loss(samples["z"], Tensor(g.X), model)
     if mode == "tide":
         for pair in ("zv", "zq", "vq"):
             with _component(f"pmi_{pair}"):
@@ -297,7 +302,7 @@ def forward_components(model: TideModel, g: Graph, config: TideConfig,
                     model[f"club_{pair}.p1"], model[f"club_{pair}.p2"])
     if exposure is not None:
         with _component("energy_reg"):
-            comps["energy_reg"] = energy_margin(logits_z, model, g, config,
+            comps["energy_reg"] = energy_margin(logits["z"], model, g, config,
                                                 exposure, eps.get("z_exposure"))
     return comps, samples
 
@@ -330,8 +335,8 @@ def train_tide(g: Graph, config: TideConfig,
     critics = {n: model.params[n] for n in model.names_in("club")}
     # A noise stream per sampled branch plus the exposure pass; sl runs
     # on posterior means and draws none.
-    streams = [] if mode == "sl" else [t for t in MODE_GROUPS[mode]
-                                       if t in NOISE_STREAM]
+    streams = [] if mode == "sl" else [t for t in NETWORKS
+                                       if t in MODE_GROUPS[mode]]
     if streams and exposure_graph is not None:
         streams.append("z_exposure")
     noise = {tag: component_rng(config.seed, NOISE_STREAM[tag])
@@ -354,7 +359,7 @@ def train_tide(g: Graph, config: TideConfig,
             comps, samples = forward_components(model, g, config, eps,
                                                 exposure_graph)
             fused, breakdown = tide_total(comps, config)
-            if not breakdown.finite():
+            if not np.isfinite(list(breakdown.values())).all():
                 raise TrainingError("non-finite loss component")
             with _component("backward"):
                 ad.backward(fused, wrt=[model.params[n] for n in names])
@@ -388,7 +393,7 @@ def train_tide(g: Graph, config: TideConfig,
             best_epoch = epoch
         log.append({
             "epoch": epoch,
-            "loss": breakdown.to_dict(),
+            "loss": breakdown,
             "val_acc": val_acc,
             "wall_time_s": time.perf_counter() - tick,
         })

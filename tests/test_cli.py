@@ -405,6 +405,16 @@ def test_check_grad_reports_failure_exit_two(capsys):
     assert run_cli("check-grad", "--seed", "0", "--threshold", "1e-12") == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--step", "0"), ("--step", "-1e-5"), ("--step", "nan"), ("--step", "inf"),
+    ("--threshold", "0"), ("--threshold", "-1"), ("--threshold", "nan"),
+    ("--threshold", "inf"),
+])
+def test_check_grad_rejects_bad_step_or_threshold(flag, value, capsys):
+    assert run_cli("check-grad", f"{flag}={value}") == 1
+    assert flag in capsys.readouterr().err
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run_cli("transmogrify") == 1
 

@@ -288,9 +288,9 @@ def test_tide_total_routes_per_network():
              "pmi_zq": scalar(6.0), "pmi_vq": scalar(7.0),
              "energy_reg": scalar(8.0)}
     fused, br = tide_total(comps, cfg)
-    assert br.total_z == pytest.approx(1 + 0.5 * 4 + 0.1 * 5 + 0.2 * 6 + 2.0 * 8)
-    assert br.total_v == pytest.approx(2 + 0.1 * 5 + 0.3 * 7)
-    assert br.total_q == pytest.approx(3 + 0.2 * 6 + 0.3 * 7)
+    assert br["total_z"] == pytest.approx(1 + 0.5 * 4 + 0.1 * 5 + 0.2 * 6 + 2.0 * 8)
+    assert br["total_v"] == pytest.approx(2 + 0.1 * 5 + 0.3 * 7)
+    assert br["total_q"] == pytest.approx(3 + 0.2 * 6 + 0.3 * 7)
     expected_fused = (1 + 2 + 3 + 0.5 * 4 + 0.1 * 5 + 0.2 * 6 + 0.3 * 7
                       + 2.0 * 8)
     assert fused.item() == pytest.approx(expected_fused, rel=1e-12)
@@ -300,7 +300,7 @@ def test_tide_total_zero_couplings_reduce_to_vibs():
     cfg = TideConfig(alpha1=0.0, alpha2=0.0, alpha3=0.0, lambda_cind=0.0)
     comps = {"vib_z": scalar(1.5), "vib_v": scalar(0.5), "vib_q": scalar(2.0)}
     fused, br = tide_total(comps, cfg)
-    assert (br.total_z, br.total_v, br.total_q) == (1.5, 0.5, 2.0)
+    assert (br["total_z"], br["total_v"], br["total_q"]) == (1.5, 0.5, 2.0)
     assert fused.item() == pytest.approx(4.0)
 
 

@@ -59,7 +59,8 @@ def test_unidentifiable_params_rejected():
 
 @pytest.mark.parametrize("field,value", [
     ("p_in", -0.1), ("p_out", 0.9), ("n", 2), ("d", 1),
-    ("noise", -1.0), ("train_frac", 0.9),
+    ("noise", -1.0), ("train_frac", 0.9), ("mu_sep", float("nan")),
+    ("noise", float("inf")),
 ])
 def test_invalid_params_rejected(field, value):
     params = dataclasses.replace(CsbmParams(n=10, C=3, d=4, p_in=0.3,

@@ -13,11 +13,12 @@ from tide.graph import GraphError, make_graph, sym_normalized_adjacency
 from tide.model import (NOISE_STREAM, build_model, component_rng,
                         config_sha256, encode_feature, joint_logits_at_mean,
                         predict_logits, reparameterize)
-from tide.objectives import vib_loss
+from tide.objectives import cross_entropy, vib_loss
 from tide.shift import (CsbmParams, ShiftSpec, apply_feature_shift,
                         as_ood_bundle, gen_csbm)
 from tide.trainer import (AdamState, ConfigError, TideConfig, TrainingError,
-                          adam_step, train_tide, write_train_log)
+                          adam_step, branch, forward_components, train_tide,
+                          write_train_log)
 
 FIXTURE = CsbmParams(n=120, C=3, d=8, p_in=0.15, p_out=0.02, mu_sep=2.0,
                      seed=0, train_frac=0.4, val_frac=0.2)
@@ -165,6 +166,19 @@ def test_tide_mode_logs_every_component():
     last = result.log[-1]["loss"]
     assert last["vib_v"] > 0 and last["vib_q"] > 0 and last["cind"] > 0
     assert any(last[k] != 0.0 for k in ("pmi_zv", "pmi_zq", "pmi_vq"))
+
+
+def test_mean_branch_is_eval_path_and_sl_is_plain_cross_entropy():
+    """The trainer's posterior-mean forward and eval's logits cannot drift,
+    and sl's bottleneck term is the bare cross-entropy of those logits."""
+    g = fixture_graph()
+    model = build_model(g.d, 16, g.C, seed=2)
+    logits = branch(model, g, "z")[2]
+    np.testing.assert_array_equal(logits.values, joint_logits_at_mean(model, g))
+    comps, _ = forward_components(model, g, TideConfig(objective_mode="sl"), {})
+    assert set(comps) == {"vib_z"}
+    assert comps["vib_z"].item() == cross_entropy(logits, g.y, g.mask("train")).item()
+    ad.clear_tape()
 
 
 def test_train_ce_halves_from_first_epoch():
