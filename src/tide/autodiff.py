@@ -1,7 +1,10 @@
 """Reverse-mode automatic differentiation over dense 64-bit matrices.
 
 Eager tape-based execution: every primitive records itself on a global
-tape as it runs, and ``backward`` replays the tape once in reverse.
+tape as it runs, with one gradient function per input, and ``backward``
+replays the tape once in reverse. It calls only the functions whose
+input requires a gradient, so a constant operand (the features, a
+detached sample) costs nothing in the backward pass.
 Everything is a 2-D float64 matrix; there is no broadcasting beyond
 numpy's (size-1 axes), no GPU, and no higher-order gradients. The
 primitive set is exactly what the encoders and losses in this package
@@ -14,7 +17,7 @@ Every op validates its output for NaN/Inf: overflow surfaces as a
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -83,14 +86,14 @@ def _as_tensor(x) -> Tensor:
 
 
 class _TapeEntry:
-    __slots__ = ("op", "out", "inputs", "backward_fn")
+    __slots__ = ("op", "out", "inputs", "grad_fns")
 
     def __init__(self, op: str, out: Tensor, inputs: Sequence[Tensor],
-                 backward_fn: Callable[[np.ndarray], Iterable[np.ndarray | None]]):
+                 grad_fns: Sequence[Callable[[np.ndarray], np.ndarray]]):
         self.op = op
         self.out = out
         self.inputs = inputs
-        self.backward_fn = backward_fn
+        self.grad_fns = grad_fns  # one per input: upstream g -> d/d(input)
 
 
 _TAPE: list[_TapeEntry] = []
@@ -118,17 +121,17 @@ def no_grad():
 
 
 def _finite_or_raise(op: str, out: np.ndarray) -> None:
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericsError(f"{op} produced non-finite values")
 
 
 def _record(op: str, out_values: np.ndarray, inputs: Sequence[Tensor],
-            backward_fn) -> Tensor:
+            grad_fns) -> Tensor:
     _finite_or_raise(op, out_values)
     needs = _RECORDING and any(t.requires_grad for t in inputs)
     out = Tensor(out_values, requires_grad=needs)
     if needs:
-        _TAPE.append(_TapeEntry(op, out, inputs, backward_fn))
+        _TAPE.append(_TapeEntry(op, out, inputs, grad_fns))
     return out
 
 
@@ -158,7 +161,8 @@ def add(a, b) -> Tensor:
         raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
     out = a.values + b.values
     return _record("add", out, (a, b),
-                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+                   (lambda g: _unbroadcast(g, a.shape),
+                    lambda g: _unbroadcast(g, b.shape)))
 
 
 def sub(a, b) -> Tensor:
@@ -167,7 +171,8 @@ def sub(a, b) -> Tensor:
         raise ShapeError(f"sub shape mismatch: {a.shape} vs {b.shape}")
     out = a.values - b.values
     return _record("sub", out, (a, b),
-                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+                   (lambda g: _unbroadcast(g, a.shape),
+                    lambda g: _unbroadcast(-g, b.shape)))
 
 
 def mul(a, b) -> Tensor:
@@ -176,8 +181,8 @@ def mul(a, b) -> Tensor:
         raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
     out = a.values * b.values
     return _record("mul", out, (a, b),
-                   lambda g: (_unbroadcast(g * b.values, a.shape),
-                              _unbroadcast(g * a.values, b.shape)))
+                   (lambda g: _unbroadcast(g * b.values, a.shape),
+                    lambda g: _unbroadcast(g * a.values, b.shape)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -186,13 +191,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     out = a.values @ b.values
     return _record("matmul", out, (a, b),
-                   lambda g: (g @ b.values.T, a.values.T @ g))
+                   (lambda g: g @ b.values.T, lambda g: a.values.T @ g))
 
 
 def transpose(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out = a.values.T.copy()
-    return _record("transpose", out, (a,), lambda g: (g.T,))
+    return _record("transpose", out, (a,), (lambda g: g.T,))
 
 
 def spmm(sp, x: Tensor) -> Tensor:
@@ -201,7 +206,7 @@ def spmm(sp, x: Tensor) -> Tensor:
     if sp.shape[1] != x.shape[0]:
         raise ShapeError(f"spmm shape mismatch: {sp.shape} @ {x.shape}")
     out = sp.csr @ x.values
-    return _record("spmm", out, (x,), lambda g: (sp.csr_t @ g,))
+    return _record("spmm", out, (x,), (lambda g: sp.csr_t @ g,))
 
 
 def log(a: Tensor) -> Tensor:
@@ -209,21 +214,21 @@ def log(a: Tensor) -> Tensor:
     if np.any(a.values <= 0.0):
         raise DomainError("log of non-positive value")
     out = np.log(a.values)
-    return _record("log", out, (a,), lambda g: (g / a.values,))
+    return _record("log", out, (a,), (lambda g: g / a.values,))
 
 
 def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out = np.maximum(a.values, 0.0)
     mask = (a.values > 0.0).astype(np.float64)
-    return _record("relu", out, (a,), lambda g: (g * mask,))
+    return _record("relu", out, (a,), (lambda g: g * mask,))
 
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x), computed stably; gradient is the logistic sigmoid."""
     a = _as_tensor(a)
     out = np.logaddexp(0.0, a.values)
-    return _record("softplus", out, (a,), lambda g: (g * expit(a.values),))
+    return _record("softplus", out, (a,), (lambda g: g * expit(a.values),))
 
 
 def row_logsumexp(a: Tensor) -> Tensor:
@@ -232,25 +237,23 @@ def row_logsumexp(a: Tensor) -> Tensor:
     m = a.values.max(axis=1, keepdims=True)
     out = m + np.log(np.exp(a.values - m).sum(axis=1, keepdims=True))
 
-    def bwd(g):
-        soft = np.exp(a.values - out)  # softmax rows, reusing the forward
-        return (g * soft,)
-
-    return _record("row_logsumexp", out, (a,), bwd)
+    # The gradient is the row softmax, reusing the forward.
+    return _record("row_logsumexp", out, (a,),
+                   (lambda g: g * np.exp(a.values - out),))
 
 
 def row_sum(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out = a.values.sum(axis=1, keepdims=True)
     return _record("row_sum", out, (a,),
-                   lambda g: (np.broadcast_to(g, a.shape).copy(),))
+                   (lambda g: np.broadcast_to(g, a.shape).copy(),))
 
 
 def tsum(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out = np.array([[a.values.sum()]])
     return _record("sum", out, (a,),
-                   lambda g: (np.full(a.shape, g[0, 0]),))
+                   (lambda g: np.full(a.shape, g[0, 0]),))
 
 
 def tmean(a: Tensor) -> Tensor:
@@ -258,7 +261,7 @@ def tmean(a: Tensor) -> Tensor:
     out = np.array([[a.values.mean()]])
     n = a.values.size
     return _record("mean", out, (a,),
-                   lambda g: (np.full(a.shape, g[0, 0] / n),))
+                   (lambda g: np.full(a.shape, g[0, 0] / n),))
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
@@ -269,12 +272,9 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     diff = a.values - b.values
     out = np.array([[np.mean(diff * diff)]])
     n = diff.size
-
-    def bwd(g):
-        scale = 2.0 * g[0, 0] / n
-        return (scale * diff, -scale * diff)
-
-    return _record("mse", out, (a, b), bwd)
+    return _record("mse", out, (a, b),
+                   (lambda g: (2.0 * g[0, 0] / n) * diff,
+                    lambda g: -(2.0 * g[0, 0] / n) * diff))
 
 
 def scale_shift(mu: Tensor, sigma: Tensor, eps: np.ndarray) -> Tensor:
@@ -284,7 +284,8 @@ def scale_shift(mu: Tensor, sigma: Tensor, eps: np.ndarray) -> Tensor:
         raise ShapeError(
             f"scale_shift shape mismatch: {mu.shape} vs {sigma.shape} vs {eps.shape}")
     out = mu.values + sigma.values * eps
-    return _record("scale_shift", out, (mu, sigma), lambda g: (g, g * eps))
+    return _record("scale_shift", out, (mu, sigma),
+                   (lambda g: g, lambda g: g * eps))
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
@@ -300,10 +301,13 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 
     def bwd(g):
         full = np.zeros(a.shape)
-        np.add.at(full, idx, g)
-        return (full,)
+        if (idx[1:] > idx[:-1]).all():  # distinct rows: 0 + g is g
+            full[idx] = g
+        else:
+            np.add.at(full, idx, g)
+        return full
 
-    return _record("gather_rows", out, (a,), bwd)
+    return _record("gather_rows", out, (a,), (bwd,))
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +317,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 def backward(loss: Tensor, wrt: Sequence[Tensor] | None = None) -> None:
     """Accumulate d(loss)/d(leaf) into .grad for every reachable leaf.
 
+    Only the gradient functions of inputs that require a gradient run.
     The tape is consumed. Leaves listed in ``wrt`` that the loss never
     touched get an explicit zero gradient instead of None.
     """
@@ -323,22 +328,35 @@ def backward(loss: Tensor, wrt: Sequence[Tensor] | None = None) -> None:
 
     loss.grad = np.ones((1, 1))
     produced = []
+    reached = []
     for entry in reversed(_TAPE):
         g = entry.out.grad
         if g is None:
             continue  # this output never fed the loss
         produced.append(entry.out)
-        grads = entry.backward_fn(g)
-        for t, contrib in zip(entry.inputs, grads):
-            if contrib is None or not t.requires_grad:
+        for t, grad_fn in zip(entry.inputs, entry.grad_fns):
+            if not t.requires_grad:
                 continue
+            contrib = grad_fn(g)
             if t.grad is None:
-                t.grad = np.zeros(t.shape)
-            t.grad += contrib
+                t.grad = contrib
+                reached.append(t)
+            else:
+                # Out of place: a contribution may be another tensor's
+                # gradient array (add hands one g to both inputs).
+                t.grad = t.grad + contrib
     clear_tape()
     # Intermediates are one-shot; only leaves keep their gradients.
     for t in produced:
         t.grad = None
+    # Each leaf owns its gradient array, so changing one in place
+    # cannot change another.
+    owned = set()
+    for t in reached:
+        if t.grad is not None:
+            if t.grad.base is not None or id(t.grad) in owned:
+                t.grad = t.grad.copy()
+            owned.add(id(t.grad))
     if wrt is not None:
         for t in wrt:
             if t.grad is None:

@@ -107,8 +107,12 @@ def gen_csbm(params: CsbmParams) -> Graph:
 
     # Orthonormal class directions from a QR factorization.
     basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    means = (params.mu_sep / np.sqrt(2.0)) * basis[:, :C].T   # C x d
-    X = means[y] + params.noise * rng.standard_normal((n, d))
+    with np.errstate(over="ignore"):
+        means = (params.mu_sep / np.sqrt(2.0)) * basis[:, :C].T   # C x d
+        X = means[y] + params.noise * rng.standard_normal((n, d))
+    if not np.isfinite(X).all():
+        raise ShiftError(f"sampled features overflow: lower noise={params.noise} "
+                         f"or mu_sep={params.mu_sep}")
 
     iu, ju = np.triu_indices(n, k=1)
     same = y[iu] == y[ju]

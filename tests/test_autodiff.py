@@ -218,3 +218,93 @@ def test_no_grad_suppresses_taping():
         x = Tensor([[2.0]], requires_grad=True)
         ad.mul(x, x)
         assert ad.tape_size() == 0
+
+
+# ---------------------------------------------------------------------------
+# lean backward: only needed gradients, no aliasing between leaves
+# ---------------------------------------------------------------------------
+
+def test_constant_operand_gradient_is_never_computed():
+    X = Tensor(np.arange(6.0).reshape(3, 2))
+    W = Tensor(np.linspace(-1, 1, 8).reshape(2, 4), requires_grad=True)
+    ad.clear_tape()
+    loss = ad.tsum(ad.matmul(X, W))
+    entry = next(e for e in ad._TAPE if e.op == "matmul")
+
+    def constant_side(g):
+        raise AssertionError("gradient of a constant operand computed")
+
+    entry.grad_fns = (constant_side, entry.grad_fns[1])
+    backward(loss, wrt=[W])
+    assert X.grad is None
+    np.testing.assert_array_equal(W.grad, X.values.T @ np.ones((3, 4)))
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_same_tensor_as_both_operands(op):
+    fn = lambda x: ad.tsum(ad.softplus(getattr(ad, op)(x, x)))  # noqa: E731
+    point = Tensor(np.linspace(-1.5, 2.0, 6).reshape(2, 3))
+    assert check_gradients(fn, point) < 1e-6
+
+
+@pytest.mark.parametrize("a_used_before", [False, True])
+def test_leaves_fed_one_upstream_gradient_stay_independent(a_used_before):
+    """add(a, b) hands one array to both leaves; each must own its grad."""
+    rng = np.random.default_rng(5)
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+
+    def loss():
+        # Taped first, so its contribution reaches a after the add's.
+        first = ad.tsum(ad.mul(a, 3.0)) if a_used_before else None
+        s = ad.add(a, b)
+        rest = ad.tsum(ad.mul(s, s))
+        return rest if first is None else ad.add(first, rest)
+
+    errors = ad.check_gradients_params(loss, {"a": a, "b": b})
+    assert max(errors.values()) < 1e-6
+    a.grad = b.grad = None
+    ad.clear_tape()
+    backward(loss(), wrt=[a, b])
+    b_before = b.grad.copy()
+    a.grad += 1.0
+    np.testing.assert_array_equal(b.grad, b_before)
+    b.grad *= 2.0
+    np.testing.assert_array_equal(a.grad - 1.0, 2.0 * (a.values + b.values)
+                                  + (3.0 if a_used_before else 0.0))
+
+
+def test_softplus_matches_logaddexp_and_sigmoid():
+    edges = np.array([[0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0,
+                       700.0, -700.0]])
+    block = np.random.default_rng(0).standard_normal((500, 64))
+    for x in (edges, block):
+        t = Tensor(x, requires_grad=True)
+        ad.clear_tape()
+        out = ad.softplus(t)
+        backward(ad.tsum(out), wrt=[t])
+        assert np.abs(out.values - np.logaddexp(0.0, x)).max() <= 4.5e-16
+        assert np.abs(t.grad - 1.0 / (1.0 + np.exp(-x))).max() <= 4e-15
+
+
+def test_gather_rows_backward_accumulates_repeated_rows():
+    x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    weights = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    for idx, expected in (([0, 0, 2], [[4.0, 6.0], [0.0, 0.0], [5.0, 6.0]]),
+                          ([2, 0, 1], [[3.0, 4.0], [5.0, 6.0], [1.0, 2.0]])):
+        ad.clear_tape()
+        x.grad = None
+        backward(ad.tsum(ad.mul(ad.gather_rows(x, idx), weights)), wrt=[x])
+        assert x.grad.tolist() == expected
+
+
+def test_gather_rows_increasing_index_matches_add_at_bits():
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=(50, 7)), requires_grad=True)
+    idx = np.sort(rng.choice(50, size=20, replace=False))
+    weights = rng.normal(size=(20, 7))
+    ad.clear_tape()
+    backward(ad.tsum(ad.mul(ad.gather_rows(x, idx), weights)), wrt=[x])
+    expected = np.zeros((50, 7))
+    np.add.at(expected, idx, weights)
+    assert np.array_equal(x.grad, expected)

@@ -1,6 +1,7 @@
 """End-to-end command-line contract: files in, files out, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,18 @@ def test_generate_rejects_holding_out_every_class(tmp_path, capsys):
                    "--p-out", "0.05", "--mu-sep", "1.5",
                    "--shift", "label:all", "--out-dir", tmp_path)
     assert code == 1
+
+
+def test_generate_overflowing_features_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        code = run_cli("generate", "--n", "40", "--classes", "2", "--dim", "4",
+                       "--noise", "1e308", "--out-dir", out)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "noise" in err and "mu_sep" in err
+    assert not out.exists()
 
 
 def test_generate_prints_summary_and_paths(tmp_path, capsys):
