@@ -20,7 +20,6 @@ import contextlib
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 
 class ShapeError(ValueError):
@@ -225,10 +224,14 @@ def relu(a: Tensor) -> Tensor:
 
 
 def softplus(a: Tensor) -> Tensor:
-    """log(1 + e^x), computed stably; gradient is the logistic sigmoid."""
+    """log(1 + e^x) as max(x, 0) + log1p(e^-|x|), which never overflows.
+
+    The gradient is the logistic sigmoid, exp(x - softplus(x)).
+    """
     a = _as_tensor(a)
-    out = np.logaddexp(0.0, a.values)
-    return _record("softplus", out, (a,), (lambda g: g * expit(a.values),))
+    x = a.values
+    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    return _record("softplus", out, (a,), (lambda g: g * np.exp(x - out),))
 
 
 def row_logsumexp(a: Tensor) -> Tensor:
