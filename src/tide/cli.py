@@ -58,6 +58,8 @@ def _keep_heap_mapped() -> None:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
         return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
     mallopt(-3, 32 << 20)
     mallopt(-1, 256 << 20)
 
