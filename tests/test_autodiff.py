@@ -266,12 +266,11 @@ def test_leaves_fed_one_upstream_gradient_stay_independent(a_used_before):
     a.grad = b.grad = None
     ad.clear_tape()
     backward(loss(), wrt=[a, b])
-    b_before = b.grad.copy()
+    a_before, b_before = a.grad.copy(), b.grad.copy()
     a.grad += 1.0
     np.testing.assert_array_equal(b.grad, b_before)
     b.grad *= 2.0
-    np.testing.assert_array_equal(a.grad - 1.0, 2.0 * (a.values + b.values)
-                                  + (3.0 if a_used_before else 0.0))
+    np.testing.assert_array_equal(a.grad, a_before + 1.0)
 
 
 def test_softplus_matches_logaddexp_and_sigmoid():
