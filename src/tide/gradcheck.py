@@ -10,10 +10,11 @@ the 30 s budget. Every check builds its networks through the trainer's
 own ``energy_margin`` and ``forward_components``, so the audited
 objective is the one that trains.
 
-The margin thresholds are placed just inside the initial energy range
-so both sides of the squared hinge have active terms; the hinge is C1,
-so finite differences stay accurate as long as no probed energy sits
-within the step size of a threshold (true for the frozen seeds).
+The margin thresholds sit inside the initial energy range, so both
+hinges have active rows at the probe point: ID energies above t_id and
+exposure energies below t_ood. The squared hinge is C1, so finite
+differences stay accurate as long as no probed energy sits within the
+step size of a threshold (checked at seed 0 by the test suite).
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ def gradient_check_report(seed: int = 0, h: float = 1e-5, n: int = 10,
     exposure = apply_feature_shift(
         g, ShiftSpec(kind="feature", intensity=0.8, seed=seed + 1))
     model = build_model(d, hidden, C, seed)
-    # Thresholds straddle the initial energies (about -log C) so both
-    # hinge sides carry nonzero terms at the probe point.
+    # Thresholds straddle the initial energies (about -log C) so some ID
+    # rows sit above t_id and some exposure rows below t_ood.
     config = TideConfig(hidden=hidden, seed=seed, objective_mode="tide",
                         t_id=-1.15, t_ood=-1.05, epochs=0)
     eps = {tag: component_rng(seed, NOISE_STREAM[tag]).standard_normal((n, hidden))

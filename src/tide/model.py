@@ -113,62 +113,44 @@ class TideModel:
             self.params[n].values[...] = arr
 
 
-def build_model(d: int, hidden: int, C: int, seed: int) -> TideModel:
-    """Glorot-initialized model; biases start at zero.
+def param_layout(d: int, h: int, C: int
+                 ) -> dict[str, list[tuple[str, tuple[int, int]]]]:
+    """Each init stream's parameter names and shapes, in draw order.
 
-    Draw order within each stream is the declaration order below and is
-    part of the checkpoint contract.
+    The order is part of the checkpoint contract. Names ending in ".b"
+    are biases, which start at zero and draw nothing.
     """
+    def posterior(net: str) -> list[tuple[str, tuple[int, int]]]:
+        return [(f"{net}_enc.mu.W", (h, h)), (f"{net}_enc.mu.b", (1, h)),
+                (f"{net}_enc.sigma.W", (h, h)), (f"{net}_enc.sigma.b", (1, h))]
+
+    return {
+        "z": [("z_enc.gcn1.W", (d, h)), ("z_enc.gcn2.W", (h, h)),
+              *posterior("z"), ("z_head.W", (h, C))],
+        "v": [("v_enc.fc1.W", (d, h)), ("v_enc.fc1.b", (1, h)),
+              ("v_enc.fc2.W", (h, h)), ("v_enc.fc2.b", (1, h)),
+              *posterior("v"), ("v_head.W", (h, C)), ("v_head.b", (1, C))],
+        "q": [("q_enc.gcn1.W", (1, h)), ("q_enc.gcn2.W", (h, h)),
+              *posterior("q"), ("q_head.W", (h, C))],
+        "recon": [("recon.fc1.W", (h, h)), ("recon.fc1.b", (1, h)),
+                  ("recon.out.W", (h, d)), ("recon.out.b", (1, d))],
+        "club": [(f"club_{pair}.{side}", (h, h))
+                 for pair in ("zv", "zq", "vq") for side in ("p1", "p2")],
+    }
+
+
+def build_model(d: int, hidden: int, C: int, seed: int) -> TideModel:
+    """Glorot-initialized model laid out by ``param_layout``; biases
+    start at zero."""
     if min(d, hidden, C) < 1:
         raise ModelError(f"bad dims d={d}, hidden={hidden}, C={C}")
-    h = hidden
     params: dict[str, Tensor] = {}
-
-    def put(name: str, arr: np.ndarray) -> None:
-        params[name] = Tensor(arr, requires_grad=True)
-
-    rng = component_rng(seed, INIT_STREAM["z"])
-    put("z_enc.gcn1.W", glorot(rng, d, h))
-    put("z_enc.gcn2.W", glorot(rng, h, h))
-    put("z_enc.mu.W", glorot(rng, h, h))
-    put("z_enc.mu.b", np.zeros((1, h)))
-    put("z_enc.sigma.W", glorot(rng, h, h))
-    put("z_enc.sigma.b", np.zeros((1, h)))
-    put("z_head.W", glorot(rng, h, C))
-
-    rng = component_rng(seed, INIT_STREAM["v"])
-    put("v_enc.fc1.W", glorot(rng, d, h))
-    put("v_enc.fc1.b", np.zeros((1, h)))
-    put("v_enc.fc2.W", glorot(rng, h, h))
-    put("v_enc.fc2.b", np.zeros((1, h)))
-    put("v_enc.mu.W", glorot(rng, h, h))
-    put("v_enc.mu.b", np.zeros((1, h)))
-    put("v_enc.sigma.W", glorot(rng, h, h))
-    put("v_enc.sigma.b", np.zeros((1, h)))
-    put("v_head.W", glorot(rng, h, C))
-    put("v_head.b", np.zeros((1, C)))
-
-    rng = component_rng(seed, INIT_STREAM["q"])
-    put("q_enc.gcn1.W", glorot(rng, 1, h))
-    put("q_enc.gcn2.W", glorot(rng, h, h))
-    put("q_enc.mu.W", glorot(rng, h, h))
-    put("q_enc.mu.b", np.zeros((1, h)))
-    put("q_enc.sigma.W", glorot(rng, h, h))
-    put("q_enc.sigma.b", np.zeros((1, h)))
-    put("q_head.W", glorot(rng, h, C))
-
-    rng = component_rng(seed, INIT_STREAM["recon"])
-    put("recon.fc1.W", glorot(rng, h, h))
-    put("recon.fc1.b", np.zeros((1, h)))
-    put("recon.out.W", glorot(rng, h, d))
-    put("recon.out.b", np.zeros((1, d)))
-
-    rng = component_rng(seed, INIT_STREAM["club"])
-    for pair in ("club_zv", "club_zq", "club_vq"):
-        put(f"{pair}.p1", glorot(rng, h, h))
-        put(f"{pair}.p2", glorot(rng, h, h))
-
-    return TideModel(d, h, C, seed, params)
+    for group, layout in param_layout(d, hidden, C).items():
+        rng = component_rng(seed, INIT_STREAM[group])
+        for name, shape in layout:
+            arr = np.zeros(shape) if name.endswith(".b") else glorot(rng, *shape)
+            params[name] = Tensor(arr, requires_grad=True)
+    return TideModel(d, hidden, C, seed, params)
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +274,20 @@ def load_checkpoint(path) -> TideModel:
     if not all(type(v) is int and v >= 0 for v in dims):
         raise ModelError(f"{manifest_path}: d, hidden, C and seed must be "
                          f"non-negative integers, got {dims}")
-    model = build_model(*dims)
-    layout = [{"name": n, "shape": list(p.shape)} for n, p in model.params.items()]
-    if manifest.get("params") != layout:
+    # Names, shapes and blob size are checked against the manifest's dims
+    # before anything of that size is allocated.
+    layout = [item for group in param_layout(*dims[:3]).values()
+              for item in group]
+    if manifest.get("params") != [{"name": n, "shape": list(shape)}
+                                  for n, shape in layout]:
         raise ModelError(f"{manifest_path}: parameter names and shapes do not "
                          f"match a d={dims[0]}, hidden={dims[1]}, C={dims[2]} model")
     flat = np.fromfile(path, dtype="<f8").astype(np.float64)
-    expected = sum(p.values.size for p in model.params.values())
+    expected = sum(rows * cols for _, (rows, cols) in layout)
     if flat.size != expected:
         raise ModelError(
             f"{path}: has {flat.size} values, manifest expects {expected}")
+    model = build_model(*dims)
     offset = 0
     for p in model.params.values():
         p.values[...] = flat[offset:offset + p.values.size].reshape(p.shape)

@@ -99,25 +99,20 @@ def recon_cind_loss(z_sample: Tensor, X: Tensor, model: TideModel) -> Tensor:
     return ad.mse(reconstruct(z_sample, model), X)
 
 
-def energy_reg_loss(e_id: Tensor, e_ood: Tensor, t_id: float, t_ood: float,
-                    flip: bool = False) -> Tensor:
+def energy_reg_loss(e_id: Tensor, e_ood: Tensor, t_id: float, t_ood: float
+                    ) -> Tensor:
     """Squared-hinge margin penalty on ID and exposure-OOD energies.
 
-    Default orientation penalizes ID energies below t_id and OOD
-    energies above t_ood. ``flip`` reverses both hinges (ID pushed
-    below t_id, OOD above t_ood), the orientation that separates the
-    two populations the way the detector scores them.
+    Penalizes ID energies above t_id and exposure energies below t_ood,
+    so training pushes each population to its side of the detector,
+    which scores high energy as OOD (Liu et al., NeurIPS 2020).
     """
     if t_id > t_ood:
         raise LossError(f"t_id={t_id} must not exceed t_ood={t_ood}")
     if e_id.shape[0] == 0 or e_ood.shape[0] == 0:
         raise LossError("energy_reg_loss: empty score set")
-    if flip:
-        id_hinge = ad.relu(ad.sub(e_id, t_id))
-        ood_hinge = ad.relu(ad.sub(t_ood, e_ood))
-    else:
-        id_hinge = ad.relu(ad.sub(t_id, e_id))
-        ood_hinge = ad.relu(ad.sub(e_ood, t_ood))
+    id_hinge = ad.relu(ad.sub(e_id, t_id))
+    ood_hinge = ad.relu(ad.sub(t_ood, e_ood))
     return ad.add(ad.tmean(ad.mul(id_hinge, id_hinge)),
                   ad.tmean(ad.mul(ood_hinge, ood_hinge)))
 

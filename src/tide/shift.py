@@ -61,6 +61,8 @@ class CsbmParams:
                              f"mu_sep={self.mu_sep}, noise={self.noise}")
         if self.noise < 0:
             raise ShiftError("noise must be non-negative")
+        if self.seed < 0:
+            raise ShiftError(f"seed must be non-negative, got {self.seed}")
         if not (0 < self.train_frac and 0 <= self.val_frac
                 and self.train_frac + self.val_frac < 1):
             raise ShiftError("split fractions must leave room for a test set")

@@ -64,8 +64,6 @@ class TrainingError(RuntimeError):
 
 def _has_type(value, kind: str) -> bool:
     """JSON-level type check for one config field (bool is not a number)."""
-    if kind == "bool":
-        return isinstance(value, bool)
     if kind == "str":
         return isinstance(value, str)
     if isinstance(value, bool):
@@ -93,7 +91,6 @@ class TideConfig:
     epochs: int = 200
     hidden: int = 64
     seed: int = 0
-    ereg_flip: bool = False
     objective_mode: str = "tide"
 
     def __post_init__(self):
@@ -120,17 +117,14 @@ class TideConfig:
                 f"objective_mode must be one of {OBJECTIVE_MODES}, "
                 f"got {self.objective_mode!r}")
         for name in ("beta_z", "beta_v", "beta_q", "alpha1", "alpha2",
-                     "alpha3", "lambda_cind", "lambda_oe"):
+                     "alpha3", "lambda_cind", "lambda_oe", "prop_k",
+                     "epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if not (0.0 <= self.prop_alpha <= 1.0):
             raise ConfigError(f"prop_alpha must be in [0, 1], got {self.prop_alpha}")
-        if self.prop_k < 0:
-            raise ConfigError("prop_k must be >= 0")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
         if self.hidden < 1:
             raise ConfigError("hidden must be >= 1")
         if not (self.t_id < self.t_ood):
@@ -266,7 +260,7 @@ def energy_margin(logits_z: Tensor, model: TideModel, g: Graph,
                                     config.prop_alpha, config.prop_k)
     return energy_reg_loss(ad.gather_rows(e_id, g.mask("train")),
                            ad.gather_rows(e_ood, exposure.mask("train")),
-                           config.t_id, config.t_ood, config.ereg_flip)
+                           config.t_id, config.t_ood)
 
 
 def forward_components(model: TideModel, g: Graph, config: TideConfig,

@@ -14,7 +14,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from tide.cli import _keep_heap_mapped  # noqa: E402
 from tide.graph import make_graph  # noqa: E402
+
+# The suite owns this process and trains in it, so it keeps the training
+# heap mapped the way the training commands do.
+_keep_heap_mapped()
 
 
 @pytest.fixture

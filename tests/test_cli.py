@@ -144,16 +144,18 @@ def test_sl_and_tide_logs_differ_in_expected_components(bundles, tmp_path):
 
 def test_train_exposure_flag_without_data_is_usage_error(bundles, tmp_path,
                                                          capsys):
-    """Exposure is switched on by --exposure-data alone: a config that
-    still names the old flag is rejected as an unknown key."""
+    """Exposure is switched on by --exposure-data alone, with one margin
+    orientation: a config that still names an old flag is rejected as an
+    unknown key."""
     id_bundle, _ = bundles
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"exposure_enabled": True, "epochs": 2}))
-    code = run_cli("train", "--data", id_bundle, "--out", tmp_path / "r",
-                   "--config", cfg)
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "unknown config keys" in err and "exposure_enabled" in err
+    for key in ("exposure_enabled", "ereg_flip"):
+        cfg.write_text(json.dumps({key: True, "epochs": 2}))
+        code = run_cli("train", "--data", id_bundle, "--out", tmp_path / "r",
+                       "--config", cfg)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unknown config keys" in err and key in err
 
 
 def test_train_exposure_data_turns_on_energy_margin(bundles, tmp_path):
@@ -331,7 +333,9 @@ def _with_shape(doc, i, shape):
     lambda doc: [doc],
     lambda doc: _with_shape(doc, 0, doc["params"][0]["shape"][::-1]),
     lambda doc: dict(doc, hidden=doc["hidden"] // 2),
-], ids=["no_params", "3d_shape", "list", "transposed", "hidden_disagrees"])
+    lambda doc: dict(doc, d=10**15),
+], ids=["no_params", "3d_shape", "list", "transposed", "hidden_disagrees",
+        "huge_d"])
 def test_eval_bad_manifest_exits_one(bundles, trained, tmp_path, capsys,
                                      corrupt):
     id_bundle, ood_bundle = bundles
@@ -426,6 +430,23 @@ def test_check_grad_reports_failure_exit_two(capsys):
 def test_check_grad_rejects_bad_step_or_threshold(flag, value, capsys):
     assert run_cli("check-grad", f"{flag}={value}") == 1
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--seed", "-1"),
+    ("generate", "--seed", "-1"),
+    ("check-grad", "--seed", "-1"),
+    ("compare", "--seeds", "-1"),
+], ids=lambda argv: argv[0])
+def test_negative_seed_exits_one(argv, bundles, tmp_path, capsys):
+    id_bundle, _ = bundles
+    extra = {"train": ("--data", id_bundle, "--out", tmp_path / "r"),
+             "generate": ("--out-dir", tmp_path / "g"),
+             "check-grad": (),
+             "compare": ("--out", tmp_path / "c")}[argv[0]]
+    assert run_cli(*argv, *extra) == 1
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

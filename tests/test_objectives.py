@@ -216,53 +216,53 @@ def test_mse_unit_residual_is_one(rng):
     assert ad.mse(Tensor(X + 1.0), Tensor(X)).item() == pytest.approx(1.0)
 
 
+def col(*values):
+    return Tensor(np.array(values, dtype=float).reshape(-1, 1))
+
+
 def test_energy_reg_zero_inside_margins():
-    e_id = Tensor(np.array([[-3.0], [-2.5]]))
-    e_ood = Tensor(np.array([[-6.0], [-7.0]]))
-    loss = energy_reg_loss(e_id, e_ood, t_id=-5.0, t_ood=-4.0)
+    """ID energies below t_id and exposure energies above t_ood, the
+    detector's own ordering, cost nothing."""
+    loss = energy_reg_loss(col(-6.0, -7.5), col(-3.0, -2.0),
+                           t_id=-5.0, t_ood=-4.0)
     assert loss.item() == 0.0
 
 
 def test_energy_reg_squared_hinge_contribution():
-    # Single ID node violating t_id by exactly 2 -> mean contribution 4.
-    e_id = Tensor(np.array([[-6.0]]))
-    e_ood = Tensor(np.array([[-9.0]]))
-    loss = energy_reg_loss(e_id, e_ood, t_id=-4.0, t_ood=-3.0)
-    assert loss.item() == pytest.approx(4.0, abs=1e-12)
+    # ID node 2 above t_id -> 4; exposure node 3 below t_ood -> 9.
+    assert energy_reg_loss(col(-2.0), col(0.0), t_id=-4.0, t_ood=-3.0
+                           ).item() == pytest.approx(4.0, abs=1e-12)
+    assert energy_reg_loss(col(-9.0), col(-6.0), t_id=-4.0, t_ood=-3.0
+                           ).item() == pytest.approx(9.0, abs=1e-12)
+
+
+def test_energy_reg_penalizes_swapped_populations():
+    """Swapping the two populations activates both hinges, each a mean
+    over its own rows."""
+    loss = energy_reg_loss(col(-2.0, -5.0), col(-6.0), t_id=-4.0, t_ood=-3.0)
+    assert loss.item() == pytest.approx(4.0 / 2 + 9.0, abs=1e-12)
 
 
 def test_energy_reg_monotone_in_violation():
-    e_ood = Tensor(np.array([[-9.0]]))
-    values = [energy_reg_loss(Tensor(np.array([[v]])), e_ood,
-                              t_id=-4.0, t_ood=-3.0).item()
-              for v in (-4.0, -5.0, -6.0, -8.0)]
-    assert values == sorted(values)
-    assert values[0] == 0.0
+    id_side = [energy_reg_loss(col(v), col(0.0), t_id=-4.0, t_ood=-3.0).item()
+               for v in (-4.0, -3.0, -2.0, 0.0)]
+    ood_side = [energy_reg_loss(col(-9.0), col(v), t_id=-4.0, t_ood=-3.0).item()
+                for v in (-3.0, -4.0, -5.0, -7.0)]
+    for values in (id_side, ood_side):
+        assert values == sorted(values)
+        assert values[0] == 0.0 < values[1]
 
 
-def test_energy_reg_flip_swaps_hinge_sides():
-    e_id = Tensor(np.array([[-6.0]]))
-    e_ood = Tensor(np.array([[-2.0]]))
-    plain = energy_reg_loss(e_id, e_ood, t_id=-4.0, t_ood=-3.0).item()
-    flipped = energy_reg_loss(e_id, e_ood, t_id=-4.0, t_ood=-3.0,
-                              flip=True).item()
-    assert plain > 0.0
-    assert flipped == 0.0
-
-
-def test_energy_reg_flip_gradients_match_central_differences():
-    """The flipped hinges, which ereg_flip trains, differentiate exactly."""
-    e_id = Tensor(np.array([[-5.0], [-3.5], [-2.2], [-4.5], [-3.9]]))
-    e_ood = Tensor(np.array([[-4.8], [-3.3], [-2.1], [-3.6]]))
-    # Both flipped hinges are active on some rows and idle on others.
-    assert energy_reg_loss(e_id, Tensor(np.zeros((1, 1))), -4.0, -3.0,
-                           flip=True).item() > 0.0
-    assert energy_reg_loss(Tensor(np.full((1, 1), -9.0)), e_ood, -4.0, -3.0,
-                           flip=True).item() > 0.0
+def test_energy_reg_gradients_match_central_differences():
+    e_id = col(-5.0, -3.5, -2.2, -4.5, -3.9)
+    e_ood = col(-4.8, -3.3, -2.1, -3.6)
+    # Both hinges are active on some rows and idle on others.
+    assert energy_reg_loss(e_id, col(0.0), -4.0, -3.0).item() > 0.0
+    assert energy_reg_loss(col(-9.0), e_ood, -4.0, -3.0).item() > 0.0
     err_id = ad.check_gradients(
-        lambda x: energy_reg_loss(x, e_ood, -4.0, -3.0, flip=True), e_id)
+        lambda x: energy_reg_loss(x, e_ood, -4.0, -3.0), e_id)
     err_ood = ad.check_gradients(
-        lambda x: energy_reg_loss(e_id, x, -4.0, -3.0, flip=True), e_ood)
+        lambda x: energy_reg_loss(e_id, x, -4.0, -3.0), e_ood)
     assert max(err_id, err_ood) < 1e-6
 
 

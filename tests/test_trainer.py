@@ -8,14 +8,16 @@ import pytest
 
 import tide.autodiff as ad
 from tide.autodiff import Tensor
-from tide.detection import score_splits
+from tide.detection import energy_score, propagate_energy, score_splits
+from tide.experiment import FIXTURE_SHIFTS, bench_config, make_fixture
+from tide.gradcheck import gradient_check_report
 from tide.graph import GraphError, make_graph, sym_normalized_adjacency
 from tide.model import (NOISE_STREAM, build_model, component_rng,
                         config_sha256, encode_feature, joint_logits_at_mean,
                         predict_logits, reparameterize)
-from tide.objectives import cross_entropy, vib_loss
+from tide.objectives import cross_entropy, energy_reg_loss, vib_loss
 from tide.shift import (CsbmParams, ShiftSpec, apply_feature_shift,
-                        as_ood_bundle, gen_csbm)
+                        apply_shift, as_ood_bundle, gen_csbm)
 from tide.trainer import (AdamState, ConfigError, TideConfig, TrainingError,
                           adam_step, branch, forward_components, train_tide,
                           write_train_log)
@@ -52,7 +54,7 @@ class TestConfig:
         {"hidden": True},
         {"lr": "0.01"},
         {"lr": False},
-        {"ereg_flip": 1},
+        {"seed": -1},
         {"objective_mode": 3},
     ])
     def test_invalid_rejected(self, kw):
@@ -279,6 +281,52 @@ def test_exposure_run_produces_energy_margin_term():
     result = train_tide(g, cfg, exposure_graph=exposure)
     assert all(np.isfinite(rec["loss"]["energy_reg"]) for rec in result.log)
     assert any(rec["loss"]["energy_reg"] > 0 for rec in result.log)
+
+
+def _train_energy_gap(model, g, exposure, config):
+    """Mean propagated energy of the exposure train rows minus that of
+    the ID train rows, at the posterior mean."""
+    def mean_train_energy(graph):
+        raw = energy_score(joint_logits_at_mean(model, graph))
+        e = propagate_energy(raw, graph, config.prop_alpha, config.prop_k).e
+        return float(np.mean(e[graph.mask("train")]))
+    return mean_train_energy(exposure) - mean_train_energy(g)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_exposure_margin_widens_energy_gap(seed):
+    """The margin pushes ID energies down and exposure energies up, the
+    detector's orientation, so training with exposure widens the gap."""
+    g, _ = make_fixture("structure", seed)
+    exposure = as_ood_bundle(apply_shift(g, dataclasses.replace(
+        FIXTURE_SHIFTS["structure"], seed=seed + 90001)))
+    config = bench_config("ib", seed)
+    without, with_exposure = (
+        _train_energy_gap(train_tide(g, config, exposure_graph=x).model,
+                          g, exposure, config)
+        for x in (None, exposure))
+    assert with_exposure > without
+
+
+def test_gradient_audit_probes_both_margin_hinges(monkeypatch):
+    """At the audit's thresholds some ID rows sit above t_id and some
+    exposure rows below t_ood, and no probed energy is within the step
+    of a threshold, where a central difference would straddle the point
+    at which a hinge switches on."""
+    h = 1e-5
+    calls = []
+
+    def spy(e_id, e_ood, t_id, t_ood):
+        calls.append((e_id.values.copy(), e_ood.values.copy(), t_id, t_ood))
+        return energy_reg_loss(e_id, e_ood, t_id, t_ood)
+
+    monkeypatch.setattr("tide.trainer.energy_reg_loss", spy)
+    gradient_check_report(seed=0, h=h)
+    e_id, e_ood, t_id, t_ood = calls[0]
+    assert (e_id > t_id).any() and (e_ood < t_ood).any()
+    nearest = min(min(np.abs(e_id - t_id).min(), np.abs(e_ood - t_ood).min())
+                  for e_id, e_ood, t_id, t_ood in calls)
+    assert nearest > h
 
 
 def test_sl_baseline_reaches_high_val_accuracy():
