@@ -113,7 +113,14 @@ def run_single(mode: str, seed: int, g_id: Graph, g_ood: Graph,
 
 def run_comparison(fixture: str, modes: list[str], seeds: list[int],
                    **config_overrides) -> list[dict]:
-    """All (mode, seed) rows for one fixture, modes outer, seeds inner."""
+    """All (mode, seed) rows for one fixture, modes outer, seeds inner.
+
+    Every run's config is built and validated before the first one
+    trains, so a bad mode, seed or override fails at once.
+    """
+    for mode in modes:
+        for seed in seeds:
+            bench_config(mode, seed, **config_overrides)
     rows = []
     for mode in modes:
         for seed in seeds:
@@ -179,10 +186,14 @@ def write_summary_json(path, rows: list[dict], modes: list[str],
 
 def run_benchmark_suite(fixture: str, modes: list[str], seeds: list[int],
                         outdir, **config_overrides) -> list[dict]:
-    """Run the comparison and drop compare.csv / compare.md / summary.json."""
+    """Run the comparison and drop compare.csv / compare.md / summary.json.
+
+    ``outdir`` is created only once the rows exist, so a run that fails
+    leaves nothing behind.
+    """
+    rows = run_comparison(fixture, modes, seeds, **config_overrides)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = run_comparison(fixture, modes, seeds, **config_overrides)
     write_compare_csv(outdir / "compare.csv", rows)
     write_compare_markdown(outdir / "compare.md", rows, modes)
     write_summary_json(outdir / "summary.json", rows, modes, fixture)

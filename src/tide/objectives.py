@@ -1,10 +1,10 @@
 """Loss terms: the per-network variational objectives, the
 conditional-independence surrogate, the pairwise contrastive dependence
-estimate (a bilinear critic, computed in closed form in linear time),
-the energy margin regularizer, and their routing into per-network
-totals. The energies the margin compares, their propagation and its
-operator live in ``detection``, the same code that scores nodes at
-evaluation.
+estimate (a bilinear critic, computed in closed form from the samples'
+cross-covariance), the energy margin regularizer, and their routing
+into per-network totals. The energies the margin compares, their
+propagation and its operator live in ``detection``, the same code that
+scores nodes at evaluation.
 
 All functions build on the autodiff primitives and return 1x1 tensors,
 so they compose into one fused backward pass. ``TERMS`` is the single
@@ -76,11 +76,14 @@ def club_estimate(s1: Tensor, s2: Tensor, p1: Tensor, p2: Tensor) -> Tensor:
 
     With projections a = s1 p1, b = s2 p2 and the bilinear critic
     a_i . b_j / sqrt(h), this is the matched-pair mean minus the
-    all-pairs mean, mean_i a_i . b_i - mean_ij a_i . b_j. The all-pairs
-    mean factors through the mean row, so the estimate is computed in
-    linear time in its centred form, sum_i (a_i - a_mean) . b_i / (n sqrt(h)),
-    which keeps it exactly invariant to adding a constant row to either
-    set. Zero when either projection is zero or one side is constant.
+    all-pairs mean, mean_i a_i . b_i - mean_ij a_i . b_j, which equals
+    sum_i (a_i - a_mean) . b_i / (n sqrt(h)). It is computed in
+    cross-covariance form, sum(p1 * (M p2)) / (n sqrt(h)) with
+    M = (s1 - s1_mean)^T s2: one n-row product in the forward and two in
+    the backward (for s1 and s2); everything else works on the small M,
+    and when the samples are constants nothing n-sized is taped.
+    Centring keeps it invariant to adding a constant row to either set.
+    Zero when either projection is zero or one side is constant.
     """
     if s1.shape[0] != s2.shape[0]:
         raise LossError(f"sample count mismatch: {s1.shape} vs {s2.shape}")
@@ -88,10 +91,9 @@ def club_estimate(s1: Tensor, s2: Tensor, p1: Tensor, p2: Tensor) -> Tensor:
     if n == 0:
         raise LossError("club_estimate: no samples")
     h = p1.shape[1]
-    a = ad.matmul(s1, p1)
-    b = ad.matmul(s2, p2)
-    a_mean = ad.matmul(Tensor(np.full((1, n), 1.0 / n)), a)
-    return ad.mul(ad.tsum(ad.mul(ad.sub(a, a_mean), b)), 1.0 / (n * np.sqrt(h)))
+    s1_mean = ad.matmul(Tensor(np.full((1, n), 1.0 / n)), s1)
+    M = ad.matmul(ad.transpose(ad.sub(s1, s1_mean)), s2)
+    return ad.mul(ad.tsum(ad.mul(ad.matmul(M, p2), p1)), 1.0 / (n * np.sqrt(h)))
 
 
 def recon_cind_loss(z_sample: Tensor, X: Tensor, model: TideModel) -> Tensor:

@@ -12,6 +12,14 @@ routing, an Adam step on those branches' parameters, and (in tide mode)
 one ``critic_ascent_step`` on the pair projections, the step
 ``objectives.train_club_head`` repeats.
 
+Validation reads the next forward: epoch t+1's forward runs on the
+parameters epoch t's steps produced, so its joint branch already holds
+epoch t's validation logits (sl: its own logits on the posterior mean;
+the other modes: the joint head applied to that forward's posterior
+mean, outside the tape). Epoch t is selected and logged there, before
+the next step, and only the last epoch needs a separate
+``joint_logits_at_mean`` pass.
+
 Runs are bit-deterministic under a fixed seed: initialization and
 per-epoch noise come from per-component seed streams, and training
 consumes them in a fixed order.
@@ -274,31 +282,42 @@ def forward_components(model: TideModel, g: Graph, config: TideConfig,
     the mode samples ("z", "v", "q", "z_exposure"; sl draws none) to its
     draw for this forward; ``exposure`` is the energy margin's OOD
     graph. Returns the components ``tide_total`` fuses and each built
-    network's sample.
+    network's ``branch`` outputs (posterior, sample, logits).
     """
     mode = config.objective_mode
     groups = MODE_GROUPS[mode]
     train = g.mask("train")
-    comps, samples, logits = {}, {}, {}
+    comps, outs = {}, {}
     for tag in [t for t in NETWORKS if t in groups]:
-        dist, samples[tag], logits[tag] = branch(model, g, tag, eps.get(tag))
+        dist, _, logits = outs[tag] = branch(model, g, tag, eps.get(tag))
         beta = 0.0 if mode == "sl" else getattr(config, f"beta_{tag}")
         with _component(f"vib_{tag}"):
-            comps[f"vib_{tag}"] = vib_loss(logits[tag], g.y, train, dist, beta)
+            comps[f"vib_{tag}"] = vib_loss(logits, g.y, train, dist, beta)
     if "recon" in groups:
         with _component("cind"):
-            comps["cind"] = recon_cind_loss(samples["z"], Tensor(g.X), model)
+            comps["cind"] = recon_cind_loss(outs["z"][1], Tensor(g.X), model)
     if mode == "tide":
         for pair in ("zv", "zq", "vq"):
             with _component(f"pmi_{pair}"):
                 comps[f"pmi_{pair}"] = club_estimate(
-                    samples[pair[0]], samples[pair[1]],
+                    outs[pair[0]][1], outs[pair[1]][1],
                     model[f"club_{pair}.p1"], model[f"club_{pair}.p2"])
     if exposure is not None:
         with _component("energy_reg"):
-            comps["energy_reg"] = energy_margin(logits["z"], model, g, config,
+            comps["energy_reg"] = energy_margin(outs["z"][2], model, g, config,
                                                 exposure, eps.get("z_exposure"))
-    return comps, samples
+    return comps, outs
+
+
+def _mean_path_logits(model: TideModel, g: Graph, z_out) -> np.ndarray:
+    """``joint_logits_at_mean`` read off a training forward's joint
+    branch: its own logits when it ran on the posterior mean (sl), else
+    the head applied to the posterior mean it already computed."""
+    dist, sample, logits = z_out
+    if sample is dist.mu:
+        return logits.values
+    with ad.no_grad():
+        return predict_logits(dist.mu, g.adjacency, model, "z").values
 
 
 def train_tide(g: Graph, config: TideConfig,
@@ -309,8 +328,10 @@ def train_tide(g: Graph, config: TideConfig,
     the energy margin term; exposure training is on exactly when it is
     given. A graph that cannot train (an empty train split, or an
     unlabeled train node) raises ``GraphError`` naming that graph.
-    Model selection: highest validation accuracy, latest epoch wins
-    ties; with no val mask the final parameters are kept.
+    Model selection: highest validation accuracy of the parameters
+    after each epoch's steps, latest epoch wins ties; with no val mask
+    the final parameters are kept. Each log record's ``wall_time_s``
+    spans its epoch's forward, backward and steps.
     """
     config.validate()
     mode = config.objective_mode
@@ -343,6 +364,19 @@ def train_tide(g: Graph, config: TideConfig,
     best_snapshot = None
     best_epoch = -1
 
+    def validate_last_epoch(val_logits: np.ndarray) -> None:
+        """Fill in the last logged epoch's validation; the model holds the
+        parameters that epoch's steps produced."""
+        nonlocal best_acc, best_snapshot, best_epoch
+        record = log[-1]
+        record["val_acc"] = val_acc = _accuracy(val_logits, g.y, val_mask)
+        # >= keeps the newest model on a val-accuracy plateau, so the
+        # restored parameters reflect a converged optimizer state.
+        if val_mask.size and val_acc >= best_acc:
+            best_acc = val_acc
+            best_snapshot = model.snapshot()
+            best_epoch = record["epoch"]
+
     for epoch in range(config.epochs):
         tick = time.perf_counter()
         model.zero_grad()
@@ -350,8 +384,10 @@ def train_tide(g: Graph, config: TideConfig,
         eps = {tag: rng.standard_normal(noise_shape[tag])
                for tag, rng in noise.items()}
         try:
-            comps, samples = forward_components(model, g, config, eps,
-                                                exposure_graph)
+            comps, outs = forward_components(model, g, config, eps,
+                                             exposure_graph)
+            if log:
+                validate_last_epoch(_mean_path_logits(model, g, outs["z"]))
             fused, breakdown = tide_total(comps, config)
             if not np.isfinite(list(breakdown.values())).all():
                 raise TrainingError("non-finite loss component")
@@ -369,29 +405,21 @@ def train_tide(g: Graph, config: TideConfig,
 
         if mode == "tide":
             critic_ascent_step(
-                [(samples[a].values, samples[b].values,
+                [(outs[a][1].values, outs[b][1].values,
                   model[f"club_{a}{b}.p1"], model[f"club_{a}{b}.p2"])
                  for a, b in ("zv", "zq", "vq")],
                 critics, state, config.lr)
+        # The next forward fills in val_acc.
+        log.append({"epoch": epoch, "loss": breakdown, "val_acc": None,
+                    "wall_time_s": time.perf_counter() - tick})
 
+    if log:
         try:
             val_logits = joint_logits_at_mean(model, g)
         except (ad.NumericsError, ad.DomainError) as err:
-            raise TrainingError(f"epoch {epoch}: validation pass: {err}") from err
-        val_acc = _accuracy(val_logits, g.y, val_mask)
-        # >= keeps the newest model on a val-accuracy plateau, so the
-        # restored parameters reflect a converged optimizer state.
-        if val_mask.size and val_acc >= best_acc:
-            best_acc = val_acc
-            best_snapshot = model.snapshot()
-            best_epoch = epoch
-        log.append({
-            "epoch": epoch,
-            "loss": breakdown,
-            "val_acc": val_acc,
-            "wall_time_s": time.perf_counter() - tick,
-        })
-
+            raise TrainingError(
+                f"epoch {log[-1]['epoch']}: validation pass: {err}") from err
+        validate_last_epoch(val_logits)
     if best_snapshot is not None:
         model.restore(best_snapshot)
     return TrainResult(model=model, log=log, best_epoch=best_epoch,

@@ -410,6 +410,25 @@ def test_compare_no_seeds_is_usage_error(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("modes,seeds,named", [
+    ("sl", "-1", "seed"),
+    ("nope", "0", "objective_mode"),
+    ("sl,nope", "0", "objective_mode"),
+], ids=["negative_seed", "unknown_mode", "unknown_mode_after_valid"])
+def test_compare_bad_run_fails_before_training_and_writes_nothing(
+        modes, seeds, named, tmp_path, monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a run trained before every config was checked")
+
+    monkeypatch.setattr("tide.experiment.train_tide", no_training)
+    out = tmp_path / "cmp"
+    assert run_cli("compare", "--modes", modes, "--seeds", seeds,
+                   "--out", out) == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_check_grad_passes_at_default_threshold(capsys):
     assert run_cli("check-grad", "--seed", "0") == 0
     out = capsys.readouterr().out

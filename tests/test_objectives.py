@@ -13,7 +13,7 @@ from tide.objectives import (LossError, club_estimate, cross_entropy,
                              energy_reg_loss, kl_standard_normal,
                              recon_cind_loss, tide_total, train_club_head,
                              vib_loss)
-from tide.trainer import TideConfig
+from tide.trainer import AdamState, TideConfig, critic_ascent_step
 from conftest import random_graph
 from oracles import club_all_pairs
 
@@ -157,7 +157,7 @@ def test_club_sample_count_mismatch():
 @pytest.mark.parametrize("n,d1,d2,h", [(1, 3, 2, 4), (2, 1, 1, 1),
                                         (9, 4, 3, 5), (60, 6, 8, 3)])
 def test_club_matches_all_pairs_definition(n, d1, d2, h):
-    """The linear-time form equals the n x n definition, gradients too."""
+    """The cross-covariance form equals the n x n definition, gradients too."""
     rng = np.random.default_rng([n, d1, d2, h])
     arrays = {"s1": rng.normal(size=(n, d1)), "s2": rng.normal(size=(n, d2)),
               "p1": rng.normal(size=(d1, h)), "p2": rng.normal(size=(d2, h))}
@@ -165,7 +165,7 @@ def test_club_matches_all_pairs_definition(n, d1, d2, h):
     leaves = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
     ad.clear_tape()
     got = club_estimate(leaves["s1"], leaves["s2"], leaves["p1"], leaves["p2"])
-    np.testing.assert_allclose(got.item(), want, rtol=1e-10)
+    np.testing.assert_allclose(got.item(), want, rtol=1e-12)
     ad.backward(got, wrt=list(leaves.values()))
     for k, t in leaves.items():
         # Entries that cancel to ~1e-6 of the largest carry only absolute
@@ -173,6 +173,43 @@ def test_club_matches_all_pairs_definition(n, d1, d2, h):
         want_k = want_grads[k]
         np.testing.assert_allclose(t.grad, want_k, rtol=1e-10, err_msg=k,
                                    atol=1e-12 * np.abs(want_k).max())
+
+
+def test_club_gradients_match_central_differences():
+    rng = np.random.default_rng(21)
+    leaves = {"s1": rng.normal(size=(12, 4)), "s2": rng.normal(size=(12, 3)),
+              "p1": rng.normal(size=(4, 5)), "p2": rng.normal(size=(3, 5))}
+    leaves = {k: Tensor(v, requires_grad=True) for k, v in leaves.items()}
+    errors = ad.check_gradients_params(
+        lambda: club_estimate(leaves["s1"], leaves["s2"], leaves["p1"],
+                              leaves["p2"]), leaves)
+    assert set(errors) == {"s1", "s2", "p1", "p2"}
+    assert max(errors.values()) < 1e-6, errors
+
+
+def test_critic_ascent_step_tapes_nothing_sample_sized(monkeypatch, rng):
+    """With detached samples the critic step records only ops on the
+    h-row cross-covariance and its products (and the scalar sums), so
+    its tape does not grow with the node count."""
+    n, h = 50, 6
+    pairs = [(rng.normal(size=(n, h)), rng.normal(size=(n, h)),
+              Tensor(rng.normal(size=(h, h)), requires_grad=True),
+              Tensor(rng.normal(size=(h, h)), requires_grad=True))
+             for _ in range(3)]
+    params = {f"{i}.{k}": pair[2 + j] for i, pair in enumerate(pairs)
+              for j, k in enumerate(("p1", "p2"))}
+    taped = []
+    real_backward = ad.backward
+
+    def spy(loss, wrt=None):
+        taped.extend((e.op, e.out.shape) for e in ad._TAPE)
+        real_backward(loss, wrt)
+
+    monkeypatch.setattr(ad, "backward", spy)
+    critic_ascent_step(pairs, params, AdamState(), lr=0.01)
+    assert taped
+    assert all(shape == (h, h) or shape == (1, 1) for _, shape in taped), taped
+    assert sum(shape == (h, h) for _, shape in taped) == 2 * len(pairs)
 
 
 def test_club_invariant_to_constant_row_shift(rng):

@@ -263,6 +263,58 @@ def test_best_val_snapshot_is_restorable_by_truncation():
                                       truncated.model[name].values)
 
 
+@pytest.mark.parametrize("mode,exposed", [
+    ("sl", False), ("ib", False), ("ib_cind", False), ("tide", False),
+    ("ib", True),
+], ids=["sl", "ib", "ib_cind", "tide", "ib-exposure"])
+def test_validation_reads_the_parameters_each_epoch_stepped_to(
+        mode, exposed, monkeypatch):
+    """Each epoch is validated on the parameters its steps produced, as a
+    separate mean-path pass after the step would see them, although the
+    trainer reads them off the next epoch's forward and runs that pass
+    only once, after the last epoch."""
+    g = fixture_graph(seed=1)
+    exposure = (apply_feature_shift(g, ShiftSpec("feature", intensity=0.8,
+                                                 seed=8)) if exposed else None)
+    val = g.mask("val")
+    built, after_step, snapshots = [], [], []
+
+    def build(*args):
+        built.append(build_model(*args))
+        return built[-1]
+
+    def stepped(params, grads, state, lr):
+        adam_step(params, grads, state, lr)
+        if "z_enc.gcn1.W" in params:  # the main step; tide's critic follows
+            logits = joint_logits_at_mean(built[-1], g)
+            after_step.append(float(np.mean(logits[val].argmax(axis=1)
+                                            == g.y[val])))
+            snapshots.append(None)
+        snapshots[-1] = built[-1].snapshot()
+
+    passes = []
+
+    def counted(model, graph):
+        passes.append(graph)
+        return joint_logits_at_mean(model, graph)
+
+    monkeypatch.setattr("tide.trainer.adam_step", stepped)
+    monkeypatch.setattr("tide.trainer.build_model", build)
+    monkeypatch.setattr("tide.trainer.joint_logits_at_mean", counted)
+    cfg = TideConfig(objective_mode=mode, epochs=12, seed=2,
+                     t_id=-1.2, t_ood=-1.0)
+    result = train_tide(g, cfg, exposure_graph=exposure)
+
+    assert len(built) == 1 and len(passes) == 1 and passes[0] is g
+    assert [rec["epoch"] for rec in result.log] == list(range(12))
+    assert [rec["val_acc"] for rec in result.log] == after_step
+    best = max(after_step)
+    assert result.best_val_acc == best
+    assert result.best_epoch == 11 - after_step[::-1].index(best)
+    for name, values in snapshots[result.best_epoch].items():
+        np.testing.assert_array_equal(result.model[name].values, values)
+
+
 def test_no_val_mask_keeps_final_epoch():
     g = make_graph(np.random.default_rng(0).normal(size=(20, 3)),
                    [[i, (i + 1) % 20] for i in range(20)],
