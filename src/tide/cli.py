@@ -148,6 +148,20 @@ def _require_file(path_str: str, what: str) -> Path:
     return path
 
 
+def _check_out_dir(path_str: str) -> Path:
+    """Fail before any work if ``--out`` cannot become a directory.
+
+    Only the nearest existing ancestor is checked; nothing is created.
+    """
+    path = Path(path_str)
+    ancestor = path
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        raise CliError(f"--out {path}: {ancestor} is not a directory")
+    return path
+
+
 def _parse_shift(token: str, C: int, base_seed: int, index: int):
     from .shift import ShiftSpec
     kind, sep, arg = token.partition(":")
@@ -235,6 +249,7 @@ def cmd_train(args) -> int:
     if overrides:
         config = replace(config, **overrides)
     config.validate()
+    outdir = _check_out_dir(args.out)
 
     g = load_bundle(_require_file(args.data, "data bundle"))
     exposure = None
@@ -248,7 +263,6 @@ def cmd_train(args) -> int:
 
     result = train_tide(g, config, exposure_graph=exposure)
 
-    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     ckpt = outdir / "model.ckpt"
     save_checkpoint(result.model, ckpt, config.to_dict())
@@ -334,7 +348,7 @@ def cmd_compare(args) -> int:
         raise CliError("need at least one seed")
 
     overrides = {} if args.epochs is None else {"epochs": args.epochs}
-    outdir = Path(args.out)
+    outdir = _check_out_dir(args.out)
     run_benchmark_suite(args.fixture, modes, seeds, outdir, **overrides)
     sys.stdout.write((outdir / "compare.md").read_text())
     print(f"  wrote {outdir / 'compare.csv'}")

@@ -225,17 +225,19 @@ def bundle_dict(g: Graph) -> dict:
         "n": g.n,
         "d": g.d,
         "C": g.C,
-        "features": [[float(v) for v in row] for row in g.X],
-        "edges": [[int(u), int(v)] for u, v in g.edges],
-        "labels": [int(v) for v in g.y],
-        "splits": {name: [int(i) for i in g.mask(name)] for name in MASK_NAMES},
+        "features": g.X.tolist(),
+        "edges": g.edges.tolist(),
+        "labels": g.y.tolist(),
+        "splits": {name: g.mask(name).tolist() for name in MASK_NAMES},
     }
 
 
 def save_bundle(g: Graph, path) -> None:
+    # json.dumps takes the C encoder; json.dump streams through the
+    # pure-Python one. The bytes are the same.
+    text = json.dumps(bundle_dict(g), sort_keys=True, separators=(",", ":"))
     with open(path, "w") as fh:
-        json.dump(bundle_dict(g), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _int_list(value) -> bool:

@@ -94,12 +94,45 @@ class ShiftSpec:
                     raise ShiftError("cannot hold out every class")
 
 
+# Pairs per block of the streamed edge draw.
+_EDGE_BLOCK = 1 << 16
+
+
+def _sample_edges(y, p_in: float, p_out: float, rng) -> np.ndarray:
+    """Keep pair (i, j), i < j, when its uniform is below p_in if
+    y[i] == y[j], else below p_out.
+
+    Pairs are numbered in ``np.triu_indices`` order and their uniforms
+    drawn ``_EDGE_BLOCK`` at a time. ``rng.random`` in chunks returns the
+    values of one call, so the edges and the rng state left behind match
+    the all-pairs draw. Only pairs under p_in (>= p_out) are mapped back
+    to (i, j).
+    """
+    n = y.size
+    rows = np.arange(n - 1)
+    row_start = rows * (2 * n - rows - 1) // 2   # index of pair (i, i + 1)
+    total = n * (n - 1) // 2
+    edges = [np.empty((0, 2), dtype=np.int64)]
+    for start in range(0, total, _EDGE_BLOCK):
+        u = rng.random(min(_EDGE_BLOCK, total - start))
+        hit = np.flatnonzero(u < p_in)
+        pair = start + hit
+        i = np.searchsorted(row_start, pair, side="right") - 1
+        j = pair - row_start[i] + i + 1
+        keep = (y[i] == y[j]) | (u[hit] < p_out)
+        edges.append(np.column_stack([i[keep], j[keep]]))
+    return np.concatenate(edges)
+
+
 def gen_csbm(params: CsbmParams) -> Graph:
     """Sample a contextual SBM graph with train/val/test_id splits.
 
     Class means are scaled orthonormal directions, mu_sep/sqrt(2) each,
     so every pair of means is exactly mu_sep apart. Edges are
-    independent Bernoulli draws over the upper triangle.
+    independent Bernoulli draws over the upper triangle, in row-major
+    order. Their uniforms come from the same stream in blocks of
+    ``_EDGE_BLOCK`` pairs, so memory is O(block + edges), not O(n^2),
+    and the graph equals the one a single all-pairs draw gives.
     """
     params.validate()
     rng = np.random.default_rng(params.seed)
@@ -116,11 +149,7 @@ def gen_csbm(params: CsbmParams) -> Graph:
         raise ShiftError(f"sampled features overflow: lower noise={params.noise} "
                          f"or mu_sep={params.mu_sep}")
 
-    iu, ju = np.triu_indices(n, k=1)
-    same = y[iu] == y[ju]
-    prob = np.where(same, params.p_in, params.p_out)
-    picked = rng.random(iu.size) < prob
-    edges = np.column_stack([iu[picked], ju[picked]])
+    edges = _sample_edges(y, params.p_in, params.p_out, rng)
 
     order = rng.permutation(n)
     n_train = int(round(params.train_frac * n))

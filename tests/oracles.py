@@ -99,3 +99,30 @@ def club_all_pairs(s1, s2, p1, p2):
     grad_b = M.T @ a / np.sqrt(h)
     return value, {"s1": grad_a @ p1.T, "s2": grad_b @ p2.T,
                    "p1": s1.T @ grad_a, "p2": s2.T @ grad_b}
+
+
+def csbm_all_pairs(params):
+    """The cSBM draw with every upper-triangle pair materialised at once.
+
+    Same draw order as the generator (labels, class directions, feature
+    noise, edges, split permutation), with one uniform per pair from a
+    single ``rng.random`` call over ``np.triu_indices``. Returns X,
+    edges, y and the unsorted train/val/test_id index arrays.
+    """
+    rng = np.random.default_rng(params.seed)
+    n, C, d = params.n, params.C, params.d
+    y = rng.integers(0, C, size=n)
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    means = (params.mu_sep / np.sqrt(2.0)) * basis[:, :C].T
+    X = means[y] + params.noise * rng.standard_normal((n, d))
+    iu, ju = np.triu_indices(n, k=1)
+    prob = np.where(y[iu] == y[ju], params.p_in, params.p_out)
+    picked = rng.random(iu.size) < prob
+    edges = np.column_stack([iu[picked], ju[picked]])
+    order = rng.permutation(n)
+    n_train = int(round(params.train_frac * n))
+    n_val = int(round(params.val_frac * n))
+    masks = {"train": order[:n_train],
+             "val": order[n_train:n_train + n_val],
+             "test_id": order[n_train + n_val:]}
+    return X, edges, y, masks

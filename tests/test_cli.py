@@ -429,6 +429,27 @@ def test_compare_bad_run_fails_before_training_and_writes_nothing(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_out_under_a_regular_file_fails_before_training(
+        command, bundles, tmp_path, monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a run trained before --out was checked")
+
+    monkeypatch.setattr("tide.experiment.train_tide", no_training)
+    monkeypatch.setattr("tide.trainer.train_tide", no_training)
+    blocker = tmp_path / "F"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub"
+    argv = {"train": ("train", "--data", bundles[0], "--epochs", "1"),
+            "compare": ("compare", "--modes", "sl", "--seeds", "0",
+                        "--epochs", "1")}[command]
+    assert run_cli(*argv, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert str(blocker) in err and "Traceback" not in err
+    assert blocker.read_text() == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]
+
+
 def test_check_grad_passes_at_default_threshold(capsys):
     assert run_cli("check-grad", "--seed", "0") == 0
     out = capsys.readouterr().out

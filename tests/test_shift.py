@@ -6,6 +6,7 @@ seed, the structure shift leaves (X, y) alone, the feature shift leaves
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from tide.shift import (CsbmParams, DegenerateParamsError, ShiftError,
                         ShiftSpec, apply_feature_shift, apply_shift,
                         apply_structure_shift, gen_csbm,
                         label_leave_out_split)
+from oracles import csbm_all_pairs
 
 BASE = CsbmParams(n=60, C=3, d=8, p_in=0.3, p_out=0.05, mu_sep=2.0, seed=0)
 
@@ -37,6 +39,38 @@ def test_p_in_one_p_out_zero_gives_disjoint_cliques():
         within = sum(1 for u, v in g.edges
                      if g.y[u] == c and g.y[v] == c)
         assert within == members.size * (members.size - 1) // 2
+
+
+@pytest.mark.parametrize("n,p_in,p_out", [
+    (1, 0.3, 0.05), (2, 0.3, 0.05), (4, 0.3, 0.05), (400, 0.3, 0.05),
+    (1200, 0.3, 0.05), (400, 1.0, 0.0), (400, 1.0, 1.0), (1200, 1.0, 1.0),
+])
+def test_streamed_edges_match_the_all_pairs_draw(n, p_in, p_out):
+    # n=1200 has 719,400 pairs: several blocks, the last one partial, and
+    # block boundaries that fall inside rows.
+    params = CsbmParams(n=n, C=min(n, 3), d=8, p_in=p_in, p_out=p_out,
+                        mu_sep=2.0, seed=11)
+    X, edges, y, masks = csbm_all_pairs(params)
+    g = gen_csbm(params)
+    assert np.array_equal(g.edges, edges)
+    assert np.array_equal(g.X, X)
+    assert np.array_equal(g.y, y)
+    for name, idx in masks.items():
+        assert np.array_equal(g.mask(name), np.sort(idx))
+    assert g.mask("test_ood").size == 0
+
+
+def test_edge_sampling_memory_is_not_quadratic():
+    # The cli-large graph: all 4.5M pairs at once peak at about 155 MB.
+    params = CsbmParams(n=3000, C=4, d=64, p_in=0.0067, p_out=0.00083,
+                        mu_sep=3.0, seed=0)
+    tracemalloc.start()
+    try:
+        gen_csbm(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"gen_csbm peak {peak / 1e6:.1f} MB"
 
 
 def test_same_seed_same_graph():
