@@ -12,6 +12,15 @@ need, plus central-difference gradient checking.
 
 Every op validates its output for NaN/Inf: overflow surfaces as a
 ``NumericsError`` instead of silently poisoning downstream values.
+
+Per-op cost. On the small blocks of the gradient audit (a 10-node
+probe, evaluated hundreds of thousands of times) an op's fixed Python
+cost outweighs its arithmetic, so the primitives keep it small: each
+hands ``_record`` the 2-D float64 array it computed, which becomes the
+output tensor without another conversion; the finiteness test is one
+count of finite entries; shapes are read off ``values``. A tape-off
+``add`` of two 10x8 blocks costs about 2.6 us, of which the numpy
+addition is about 0.5 us (CPython 3.11, numpy 2.4, one thread).
 """
 
 from __future__ import annotations
@@ -79,9 +88,10 @@ class Tensor:
 
 
 def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
+    # Exact type first: nearly every operand is a plain Tensor.
+    if type(x) is Tensor or isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=np.float64))
+    return Tensor(x)
 
 
 class _TapeEntry:
@@ -119,18 +129,21 @@ def no_grad():
         _RECORDING = prev
 
 
-def _finite_or_raise(op: str, out: np.ndarray) -> None:
-    if not np.isfinite(out).all():
-        raise NumericsError(f"{op} produced non-finite values")
-
-
 def _record(op: str, out_values: np.ndarray, inputs: Sequence[Tensor],
             grad_fns) -> Tensor:
-    _finite_or_raise(op, out_values)
-    needs = _RECORDING and any(t.requires_grad for t in inputs)
-    out = Tensor(out_values, requires_grad=needs)
-    if needs:
-        _TAPE.append(_TapeEntry(op, out, inputs, grad_fns))
+    """Wrap a primitive's output, which is already a 2-D float64 array."""
+    if np.count_nonzero(np.isfinite(out_values)) != out_values.size:
+        raise NumericsError(f"{op} produced non-finite values")
+    out = object.__new__(Tensor)
+    out.values = out_values
+    out.grad = None
+    out.requires_grad = False
+    if _RECORDING:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                _TAPE.append(_TapeEntry(op, out, inputs, grad_fns))
+                break
     return out
 
 
@@ -147,7 +160,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _broadcastable(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return all(x == y or x == 1 or y == 1 for x, y in zip(a, b))
+    return ((a[0] == b[0] or a[0] == 1 or b[0] == 1)
+            and (a[1] == b[1] or a[1] == 1 or b[1] == 1))
 
 
 # ---------------------------------------------------------------------------
@@ -156,38 +170,42 @@ def _broadcastable(a: tuple[int, int], b: tuple[int, int]) -> bool:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if not _broadcastable(a.shape, b.shape):
-        raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
+    sa, sb = a.values.shape, b.values.shape
+    if not _broadcastable(sa, sb):
+        raise ShapeError(f"add shape mismatch: {sa} vs {sb}")
     out = a.values + b.values
     return _record("add", out, (a, b),
-                   (lambda g: _unbroadcast(g, a.shape),
-                    lambda g: _unbroadcast(g, b.shape)))
+                   (lambda g: _unbroadcast(g, sa),
+                    lambda g: _unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if not _broadcastable(a.shape, b.shape):
-        raise ShapeError(f"sub shape mismatch: {a.shape} vs {b.shape}")
+    sa, sb = a.values.shape, b.values.shape
+    if not _broadcastable(sa, sb):
+        raise ShapeError(f"sub shape mismatch: {sa} vs {sb}")
     out = a.values - b.values
     return _record("sub", out, (a, b),
-                   (lambda g: _unbroadcast(g, a.shape),
-                    lambda g: _unbroadcast(-g, b.shape)))
+                   (lambda g: _unbroadcast(g, sa),
+                    lambda g: _unbroadcast(-g, sb)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if not _broadcastable(a.shape, b.shape):
-        raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
+    sa, sb = a.values.shape, b.values.shape
+    if not _broadcastable(sa, sb):
+        raise ShapeError(f"mul shape mismatch: {sa} vs {sb}")
     out = a.values * b.values
     return _record("mul", out, (a, b),
-                   (lambda g: _unbroadcast(g * b.values, a.shape),
-                    lambda g: _unbroadcast(g * a.values, b.shape)))
+                   (lambda g: _unbroadcast(g * b.values, sa),
+                    lambda g: _unbroadcast(g * a.values, sb)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    if a.values.shape[1] != b.values.shape[0]:
+        raise ShapeError(
+            f"matmul shape mismatch: {a.values.shape} @ {b.values.shape}")
     out = a.values @ b.values
     return _record("matmul", out, (a, b),
                    (lambda g: g @ b.values.T, lambda g: a.values.T @ g))
@@ -202,15 +220,15 @@ def transpose(a: Tensor) -> Tensor:
 def spmm(sp, x: Tensor) -> Tensor:
     """Sparse @ dense. ``sp`` is a constant operator with .csr / .csr_t."""
     x = _as_tensor(x)
-    if sp.shape[1] != x.shape[0]:
-        raise ShapeError(f"spmm shape mismatch: {sp.shape} @ {x.shape}")
+    if sp.shape[1] != x.values.shape[0]:
+        raise ShapeError(f"spmm shape mismatch: {sp.shape} @ {x.values.shape}")
     out = sp.csr @ x.values
     return _record("spmm", out, (x,), (lambda g: sp.csr_t @ g,))
 
 
 def log(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    if np.any(a.values <= 0.0):
+    if (a.values <= 0.0).any():
         raise DomainError("log of non-positive value")
     out = np.log(a.values)
     return _record("log", out, (a,), (lambda g: g / a.values,))
@@ -218,9 +236,9 @@ def log(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    out = np.maximum(a.values, 0.0)
-    mask = (a.values > 0.0).astype(np.float64)
-    return _record("relu", out, (a,), (lambda g: g * mask,))
+    x = a.values
+    out = np.maximum(x, 0.0)
+    return _record("relu", out, (a,), (lambda g: g * (x > 0.0),))
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -248,33 +266,35 @@ def row_logsumexp(a: Tensor) -> Tensor:
 def row_sum(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out = a.values.sum(axis=1, keepdims=True)
+    shape = a.values.shape
     return _record("row_sum", out, (a,),
-                   (lambda g: np.broadcast_to(g, a.shape).copy(),))
+                   (lambda g: np.broadcast_to(g, shape).copy(),))
 
 
 def tsum(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    out = np.array([[a.values.sum()]])
-    return _record("sum", out, (a,),
-                   (lambda g: np.full(a.shape, g[0, 0]),))
+    out = a.values.sum(keepdims=True)
+    shape = a.values.shape
+    return _record("sum", out, (a,), (lambda g: np.full(shape, g[0, 0]),))
 
 
 def tmean(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    out = np.array([[a.values.mean()]])
-    n = a.values.size
+    shape, n = a.values.shape, a.values.size
+    out = np.array([[a.values.sum() / n]])  # np.mean's sum and division
     return _record("mean", out, (a,),
-                   (lambda g: np.full(a.shape, g[0, 0] / n),))
+                   (lambda g: np.full(shape, g[0, 0] / n),))
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
     """Mean squared error over all entries, 1x1 output."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mse shape mismatch: {a.shape} vs {b.shape}")
+    if a.values.shape != b.values.shape:
+        raise ShapeError(
+            f"mse shape mismatch: {a.values.shape} vs {b.values.shape}")
     diff = a.values - b.values
-    out = np.array([[np.mean(diff * diff)]])
     n = diff.size
+    out = np.array([[(diff * diff).sum() / n]])  # np.mean's sum and division
     return _record("mse", out, (a, b),
                    (lambda g: (2.0 * g[0, 0] / n) * diff,
                     lambda g: -(2.0 * g[0, 0] / n) * diff))
@@ -283,9 +303,10 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 def scale_shift(mu: Tensor, sigma: Tensor, eps: np.ndarray) -> Tensor:
     """Reparameterization step mu + sigma * eps with eps a fixed draw."""
     mu, sigma = _as_tensor(mu), _as_tensor(sigma)
-    if mu.shape != sigma.shape or mu.shape != eps.shape:
-        raise ShapeError(
-            f"scale_shift shape mismatch: {mu.shape} vs {sigma.shape} vs {eps.shape}")
+    shape = mu.values.shape
+    if shape != sigma.values.shape or shape != eps.shape:
+        raise ShapeError(f"scale_shift shape mismatch: {shape} vs "
+                         f"{sigma.values.shape} vs {eps.shape}")
     out = mu.values + sigma.values * eps
     return _record("scale_shift", out, (mu, sigma),
                    (lambda g: g, lambda g: g * eps))
@@ -297,13 +318,14 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError("gather_rows needs a 1-D index array")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+    shape = a.values.shape
+    if idx.size and (idx.min() < 0 or idx.max() >= shape[0]):
         raise ShapeError(
-            f"gather_rows index out of range for {a.shape[0]} rows")
+            f"gather_rows index out of range for {shape[0]} rows")
     out = a.values[idx]
 
     def bwd(g):
-        full = np.zeros(a.shape)
+        full = np.zeros(shape)
         if (idx[1:] > idx[:-1]).all():  # distinct rows: 0 + g is g
             full[idx] = g
         else:

@@ -1,5 +1,6 @@
 """Tape engine: forward values, backward gradients, finite differences."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import tide.autodiff as ad
-from tide.autodiff import (DomainError, ShapeError, TapeError, Tensor,
-                           backward, check_gradients)
+from tide.autodiff import (DomainError, NumericsError, ShapeError, TapeError,
+                           Tensor, backward, check_gradients)
 from oracles import fd_gradient
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False,
@@ -307,3 +308,172 @@ def test_gather_rows_increasing_index_matches_add_at_bits():
     expected = np.zeros((50, 7))
     np.add.at(expected, idx, weights)
     assert np.array_equal(x.grad, expected)
+
+
+# ---------------------------------------------------------------------------
+# the finiteness check, broadcasting, and what every output looks like
+# ---------------------------------------------------------------------------
+
+BIG = 1e308
+
+
+def _row_of_ones(n):
+    """Sparse n x n matrix whose first row is all ones, nothing else."""
+    from tide.graph import SparseMatrix
+    return SparseMatrix(n=n, rows=np.zeros(n, dtype=np.int64),
+                        cols=np.arange(n), vals=np.ones(n))
+
+# Finite inputs whose result overflows, per primitive, with the op name
+# the error must carry (tsum and tmean tape as "sum" and "mean").
+OVERFLOWS = {
+    "add": ("add", lambda: ad.add([[BIG]], [[BIG]])),
+    "sub": ("sub", lambda: ad.sub([[BIG]], [[-BIG]])),
+    "mul": ("mul", lambda: ad.mul([[1e200]], [[1e200]])),
+    "matmul": ("matmul", lambda: ad.matmul([[BIG, BIG]], [[1.0], [1.0]])),
+    "spmm": ("spmm", lambda: ad.spmm(_row_of_ones(2), np.full((2, 1), BIG))),
+    "row_sum": ("row_sum", lambda: ad.row_sum([[BIG, BIG]])),
+    "tsum": ("sum", lambda: ad.tsum([[BIG], [BIG]])),
+    "tmean": ("mean", lambda: ad.tmean([[BIG, BIG]])),
+    "mse": ("mse", lambda: ad.mse([[1e200]], [[-1e200]])),
+    "scale_shift": ("scale_shift", lambda: ad.scale_shift(
+        [[BIG]], [[BIG]], np.ones((1, 1)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWS))
+def test_overflow_on_finite_inputs_raises_numerics_error(name):
+    op, run = OVERFLOWS[name]
+    with np.errstate(over="ignore"), pytest.raises(NumericsError) as exc:
+        run()
+    assert str(exc.value).startswith(f"{op} produced non-finite")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_to_add_raises_numerics_error(bad):
+    with pytest.raises(NumericsError, match="^add "):
+        ad.add(Tensor([[1.0, bad]]), 1.0)
+
+
+BROADCAST_OPS = ("add", "sub", "mul")
+
+
+@pytest.mark.parametrize("op", BROADCAST_OPS)
+@pytest.mark.parametrize("sa,sb", [((2, 3), (3, 2)), ((2, 3), (2, 2)),
+                                   ((2, 3), (4, 3)), ((1, 3), (2, 2))])
+def test_non_broadcastable_operands_name_both_shapes(op, sa, sb):
+    for left, right in ((sa, sb), (sb, sa)):
+        with pytest.raises(ShapeError) as exc:
+            getattr(ad, op)(Tensor(np.ones(left)), Tensor(np.ones(right)))
+        assert op in str(exc.value)
+        assert str(left) in str(exc.value) and str(right) in str(exc.value)
+
+
+BROADCAST_PAIRS = [((2, 3), (1, 3)), ((2, 3), (2, 1)), ((2, 3), (1, 1)),
+                   ((2, 1), (1, 3))]
+
+
+@pytest.mark.parametrize("op", BROADCAST_OPS)
+@pytest.mark.parametrize("sa,sb", BROADCAST_PAIRS)
+def test_size_one_axes_broadcast_in_either_slot(op, sa, sb):
+    rng = np.random.default_rng(3)
+    ufunc = {"add": np.add, "sub": np.subtract, "mul": np.multiply}[op]
+    for left, right in ((sa, sb), (sb, sa)):
+        x, y = rng.normal(size=left), rng.normal(size=right)
+        out = getattr(ad, op)(Tensor(x), Tensor(y))
+        assert out.shape == np.broadcast_shapes(left, right)
+        assert np.array_equal(out.values, ufunc(x, y))
+
+
+@pytest.mark.parametrize("op", BROADCAST_OPS)
+@pytest.mark.parametrize("sa,sb", BROADCAST_PAIRS)
+def test_broadcast_gradients_match_central_differences(op, sa, sb):
+    rng = np.random.default_rng(4)
+    for left, right in ((sa, sb), (sb, sa)):
+        a = Tensor(rng.uniform(0.5, 1.5, size=left), requires_grad=True)
+        b = Tensor(rng.uniform(0.5, 1.5, size=right), requires_grad=True)
+        weights = rng.normal(size=np.broadcast_shapes(left, right))
+
+        def loss():
+            return ad.tsum(ad.mul(getattr(ad, op)(a, b), weights))
+
+        errors = ad.check_gradients_params(loss, {"a": a, "b": b})
+        assert max(errors.values()) < 1e-6, (left, right, errors)
+
+
+# name -> (primitive over Tensor inputs, the inputs' shapes)
+OUTPUT_CASES = {
+    "add": (ad.add, [(3, 2), (1, 2)]),
+    "sub": (ad.sub, [(3, 2), (3, 1)]),
+    "mul": (ad.mul, [(3, 2), (3, 2)]),
+    "matmul": (ad.matmul, [(3, 2), (2, 4)]),
+    "transpose": (ad.transpose, [(3, 2)]),
+    "spmm": (lambda x: ad.spmm(_spmat(3), x), [(3, 2)]),
+    "log": (ad.log, [(3, 2)]),
+    "relu": (ad.relu, [(3, 2)]),
+    "softplus": (ad.softplus, [(3, 2)]),
+    "row_logsumexp": (ad.row_logsumexp, [(3, 2)]),
+    "row_sum": (ad.row_sum, [(3, 2)]),
+    "tsum": (ad.tsum, [(3, 2)]),
+    "tmean": (ad.tmean, [(3, 2)]),
+    "mse": (ad.mse, [(3, 2), (3, 2)]),
+    "scale_shift": (lambda m, s: ad.scale_shift(m, s, np.full((3, 2), 0.7)),
+                    [(3, 2), (3, 2)]),
+    "gather_rows": (lambda x: ad.gather_rows(x, [2, 0]), [(3, 2)]),
+}
+
+
+def _inputs(shapes, flags):
+    rng = np.random.default_rng(9)
+    return [Tensor(rng.uniform(0.5, 2.0, size=s), requires_grad=f)
+            for s, f in zip(shapes, flags)]
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_CASES))
+def test_output_tensor_invariants(name):
+    fn, shapes = OUTPUT_CASES[name]
+    for flags in itertools.product((False, True), repeat=len(shapes)):
+        inputs = _inputs(shapes, flags)
+        ad.clear_tape()
+        out = fn(*inputs)
+        assert type(out) is Tensor
+        assert type(out.values) is np.ndarray  # never np.matrix
+        assert out.values.ndim == 2 and out.values.dtype == np.float64
+        assert out.grad is None
+        assert out.requires_grad is any(flags)
+        if any(flags):
+            assert ad.tape_size() >= 1
+            entry = ad._TAPE[-1]
+            assert entry.out is out
+            assert all(any(t is x for x in entry.inputs) for t in inputs)
+        else:
+            assert ad.tape_size() == 0
+
+        assert out.shape == out.values.shape
+        assert repr(out) == (f"Tensor(shape={out.values.shape}, "
+                             f"requires_grad={any(flags)})")
+        if out.values.size == 1:
+            assert out.item() == float(out.values[0, 0])
+        else:
+            with pytest.raises(ShapeError):
+                out.item()
+
+        ad.clear_tape()
+        with ad.no_grad():
+            quiet = fn(*_inputs(shapes, flags))
+        assert quiet.requires_grad is False and quiet.grad is None
+        assert ad.tape_size() == 0
+        assert np.array_equal(quiet.values, out.values)
+    ad.clear_tape()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (10, 8), (500, 64)])
+def test_reductions_equal_numpy_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    x = rng.normal(size=shape) * 1e3
+    y = rng.normal(size=shape)
+    assert ad.tsum(x).values.tobytes() == np.array([[x.sum()]]).tobytes()
+    assert ad.tmean(x).values.tobytes() == np.array([[x.mean()]]).tobytes()
+    assert (ad.mse(x, y).values.tobytes()
+            == np.array([[np.mean((x - y) ** 2)]]).tobytes())
+    assert (ad.row_sum(x).values.tobytes()
+            == x.sum(axis=1, keepdims=True).tobytes())
