@@ -4,7 +4,9 @@ Eager tape-based execution: every primitive records itself on a global
 tape as it runs, with one gradient function per input, and ``backward``
 replays the tape once in reverse. It calls only the functions whose
 input requires a gradient, so a constant operand (the features, a
-detached sample) costs nothing in the backward pass.
+detached sample) costs nothing in the backward pass. Gradients are
+``backward``'s return value, one array per named parameter; a tensor
+holds no gradient state.
 Everything is a 2-D float64 matrix; there is no broadcasting beyond
 numpy's (size-1 axes), no GPU, and no higher-order gradients. The
 primitive set is exactly what the encoders and losses in this package
@@ -59,20 +61,17 @@ def _as_matrix(values) -> np.ndarray:
 
 
 class Tensor:
-    """A dense float64 matrix with an optional gradient slot.
+    """A dense float64 matrix.
 
-    ``grad`` is populated by ``backward`` and always matches the shape
-    of ``values``. Tensors created with ``requires_grad=True`` are
-    leaves; ops produce intermediates whose ``requires_grad`` is the OR
-    of their inputs'.
+    Tensors created with ``requires_grad=True`` are leaves; ops produce
+    intermediates whose ``requires_grad`` is the OR of their inputs'.
     """
 
-    __slots__ = ("values", "requires_grad", "grad")
+    __slots__ = ("values", "requires_grad")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = _as_matrix(values)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -136,7 +135,6 @@ def _record(op: str, out_values: np.ndarray, inputs: Sequence[Tensor],
         raise NumericsError(f"{op} produced non-finite values")
     out = object.__new__(Tensor)
     out.values = out_values
-    out.grad = None
     out.requires_grad = False
     if _RECORDING:
         for t in inputs:
@@ -339,53 +337,46 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 # Backward pass
 # ---------------------------------------------------------------------------
 
-def backward(loss: Tensor, wrt: Sequence[Tensor] | None = None) -> None:
-    """Accumulate d(loss)/d(leaf) into .grad for every reachable leaf.
+def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """d(loss)/d(p) for each named leaf ``p`` in ``params``.
 
-    Only the gradient functions of inputs that require a gradient run.
-    The tape is consumed. Leaves listed in ``wrt`` that the loss never
-    touched get an explicit zero gradient instead of None.
+    Only the gradient functions of inputs that require a gradient run,
+    and the tape is consumed. Intermediate gradients live in a local
+    table, each dropped once its tape entry has used it. A leaf the loss
+    never reaches gets zeros. The caller owns every returned array:
+    changing one in place cannot change another.
     """
     if loss.values.size != 1:
         raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not _TAPE:
         raise TapeError("backward called with an empty tape")
 
-    loss.grad = np.ones((1, 1))
-    produced = []
-    reached = []
+    # Keyed by id(): the tape and ``params`` keep every keyed tensor alive.
+    grads = {id(loss): np.ones((1, 1))}
     for entry in reversed(_TAPE):
-        g = entry.out.grad
+        g = grads.pop(id(entry.out), None)
         if g is None:
             continue  # this output never fed the loss
-        produced.append(entry.out)
         for t, grad_fn in zip(entry.inputs, entry.grad_fns):
             if not t.requires_grad:
                 continue
             contrib = grad_fn(g)
-            if t.grad is None:
-                t.grad = contrib
-                reached.append(t)
-            else:
-                # Out of place: a contribution may be another tensor's
-                # gradient array (add hands one g to both inputs).
-                t.grad = t.grad + contrib
+            prev = grads.get(id(t))
+            # Out of place: a contribution may be another tensor's
+            # gradient array (add hands one g to both inputs).
+            grads[id(t)] = contrib if prev is None else prev + contrib
     clear_tape()
-    # Intermediates are one-shot; only leaves keep their gradients.
-    for t in produced:
-        t.grad = None
-    # Each leaf owns its gradient array, so changing one in place
-    # cannot change another.
+    out: dict[str, np.ndarray] = {}
     owned = set()
-    for t in reached:
-        if t.grad is not None:
-            if t.grad.base is not None or id(t.grad) in owned:
-                t.grad = t.grad.copy()
-            owned.add(id(t.grad))
-    if wrt is not None:
-        for t in wrt:
-            if t.grad is None:
-                t.grad = np.zeros(t.shape)
+    for name, p in params.items():
+        g = grads.get(id(p))
+        if g is None:
+            g = np.zeros(p.shape)
+        elif g.base is not None or id(g) in owned:
+            g = g.copy()
+        owned.add(id(g))
+        out[name] = g
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -409,32 +400,19 @@ def _central_difference(eval_fn, flat: np.ndarray, h: float) -> np.ndarray:
     return cd
 
 
-def check_gradients(fn: Callable[[Tensor], Tensor], point: Tensor,
-                    h: float = 1e-5) -> float:
-    """Max relative error between backward and central differences.
-
-    ``fn`` must be a deterministic scalar-valued function of its tensor
-    argument (freeze any noise draws before calling). Relative error is
-    |analytic - cd| / (|cd| + 1e-8), maximised over entries.
-    """
-    x = Tensor(point.values.copy(), requires_grad=True)
-    return check_gradients_params(lambda: fn(x), {"x": x}, h)["x"]
-
-
 def check_gradients_params(fn: Callable[[], Tensor],
                            params: dict[str, Tensor],
                            h: float = 1e-5) -> dict[str, float]:
     """Gradient check for a loss closed over many named parameters.
 
-    Returns per-parameter max relative error; ``fn`` is re-evaluated
-    2 * total_entries times, so keep the probed model small.
+    ``fn`` must be a deterministic scalar-valued function of the
+    parameters (freeze any noise draws before calling). Returns the
+    per-parameter max relative error |analytic - cd| / (|cd| + 1e-8);
+    ``fn`` is re-evaluated 2 * total_entries times, so keep the probed
+    model small.
     """
-    for p in params.values():
-        p.grad = None
     clear_tape()
-    loss = fn()
-    backward(loss, wrt=list(params.values()))
-    analytic = {name: p.grad.copy() for name, p in params.items()}
+    analytic = backward(fn(), params)
 
     errors: dict[str, float] = {}
     with no_grad():

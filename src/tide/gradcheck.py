@@ -26,21 +26,23 @@ from .objectives import (club_estimate, cross_entropy, kl_standard_normal,
 from .shift import CsbmParams, ShiftSpec, apply_feature_shift, gen_csbm
 from .trainer import TideConfig, branch, energy_margin, forward_components
 
+# The probe: nodes, feature width, hidden width and classes.
+PROBE_N, PROBE_D, PROBE_HIDDEN, PROBE_C = 10, 5, 8, 3
 
-def gradient_check_report(seed: int = 0, h: float = 1e-5, n: int = 10,
-                          d: int = 5, hidden: int = 8, C: int = 3
-                          ) -> dict[str, float]:
+
+def gradient_check_report(seed: int = 0, h: float = 1e-5) -> dict[str, float]:
     """Max relative gradient error per loss component, worst entry wins."""
-    g = gen_csbm(CsbmParams(n=n, C=C, d=d, p_in=0.6, p_out=0.15,
-                            mu_sep=2.0, noise=1.0, seed=seed))
+    g = gen_csbm(CsbmParams(n=PROBE_N, C=PROBE_C, d=PROBE_D, p_in=0.6,
+                            p_out=0.15, mu_sep=2.0, noise=1.0, seed=seed))
     exposure = apply_feature_shift(
         g, ShiftSpec(kind="feature", intensity=0.8, seed=seed + 1))
-    model = build_model(d, hidden, C, seed)
+    model = build_model(PROBE_D, PROBE_HIDDEN, PROBE_C, seed)
     # Thresholds straddle the initial energies (about -log C) so some ID
     # rows sit above t_id and some exposure rows below t_ood.
-    config = TideConfig(hidden=hidden, seed=seed, objective_mode="tide",
+    config = TideConfig(hidden=PROBE_HIDDEN, seed=seed, objective_mode="tide",
                         t_id=-1.15, t_ood=-1.05, epochs=0)
-    eps = {tag: component_rng(seed, NOISE_STREAM[tag]).standard_normal((n, hidden))
+    eps = {tag: component_rng(seed, NOISE_STREAM[tag]).standard_normal(
+               (PROBE_N, PROBE_HIDDEN))
            for tag in ("z", "v", "q", "z_exposure")}
     train = g.mask("train")
 

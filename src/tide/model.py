@@ -34,6 +34,8 @@ SIGMA_FLOOR = 1e-6
 # so that dropping a network from a run never shifts another network's draws.
 INIT_STREAM = {"z": 1, "v": 2, "q": 3, "recon": 4, "club": 5}
 NOISE_STREAM = {"z": 11, "v": 12, "q": 13, "z_exposure": 14}
+# Network pairs the critic couples, each with its own projection pair.
+CRITIC_PAIRS = ("zv", "zq", "vq")
 
 
 class ModelError(ValueError):
@@ -73,14 +75,6 @@ def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 class TideModel:
     """All parameters of the tri-network detector, in a fixed order."""
 
-    GROUP_PREFIXES = {
-        "z": ("z_enc.", "z_head."),
-        "v": ("v_enc.", "v_head."),
-        "q": ("q_enc.", "q_head."),
-        "recon": ("recon.",),
-        "club": ("club_",),
-    }
-
     def __init__(self, d: int, hidden: int, C: int, seed: int,
                  params: dict[str, Tensor]):
         self.d = d
@@ -92,18 +86,11 @@ class TideModel:
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
-    def group_of(self, name: str) -> str:
-        for group, prefixes in self.GROUP_PREFIXES.items():
-            if name.startswith(prefixes):
-                return group
-        raise ModelError(f"parameter {name!r} belongs to no group")
-
     def names_in(self, *groups: str) -> list[str]:
-        return [n for n in self.params if self.group_of(n) in groups]
+        """Names of the parameters in ``groups``, in parameter order."""
+        return [name for group, layout
+                in param_layout(self.d, self.hidden, self.C).items()
+                if group in groups for name, _ in layout]
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {n: p.values.copy() for n, p in self.params.items()}
@@ -135,7 +122,7 @@ def param_layout(d: int, h: int, C: int
         "recon": [("recon.fc1.W", (h, h)), ("recon.fc1.b", (1, h)),
                   ("recon.out.W", (h, d)), ("recon.out.b", (1, d))],
         "club": [(f"club_{pair}.{side}", (h, h))
-                 for pair in ("zv", "zq", "vq") for side in ("p1", "p2")],
+                 for pair in CRITIC_PAIRS for side in ("p1", "p2")],
     }
 
 

@@ -39,8 +39,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .detection import energy_tensor, propagate_energy_tensor
 from .graph import Graph, GraphError
-from .model import (NOISE_STREAM, LatentDistribution, TideModel, build_model,
-                    component_rng, encode_feature, encode_joint,
+from .model import (CRITIC_PAIRS, NOISE_STREAM, LatentDistribution, TideModel,
+                    build_model, component_rng, encode_feature, encode_joint,
                     encode_structure, joint_logits_at_mean, predict_logits,
                     reparameterize)
 from .objectives import (club_estimate, energy_reg_loss, recon_cind_loss,
@@ -179,11 +179,10 @@ class AdamState:
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> None:
-    """Textbook bias-corrected Adam, in place."""
+    """Textbook bias-corrected Adam, in place; ``grads`` has an entry
+    for every name in ``params``."""
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros(p.shape)
+        g = grads[name]
         if name not in state.m:
             state.m[name] = np.zeros(p.shape)
             state.v[name] = np.zeros(p.shape)
@@ -205,15 +204,13 @@ def critic_ascent_step(pairs, params: dict[str, Tensor], state: AdamState,
     which enter detached, so only the projections move. The step
     maximizes the sum of the pairs' ``club_estimate``.
     """
-    for p in params.values():
-        p.grad = None
     ad.clear_tape()
     total = None
     for s1, s2, p1, p2 in pairs:
         est = club_estimate(Tensor(s1), Tensor(s2), p1, p2)
         total = est if total is None else ad.add(total, est)
-    ad.backward(total, wrt=list(params.values()))
-    adam_step(params, {n: -p.grad for n, p in params.items()}, state, lr)
+    grads = ad.backward(total, params)
+    adam_step(params, {n: -g for n, g in grads.items()}, state, lr)
 
 
 @dataclass
@@ -297,7 +294,7 @@ def forward_components(model: TideModel, g: Graph, config: TideConfig,
         with _component("cind"):
             comps["cind"] = recon_cind_loss(outs["z"][1], Tensor(g.X), model)
     if mode == "tide":
-        for pair in ("zv", "zq", "vq"):
+        for pair in CRITIC_PAIRS:
             with _component(f"pmi_{pair}"):
                 comps[f"pmi_{pair}"] = club_estimate(
                     outs[pair[0]][1], outs[pair[1]][1],
@@ -346,8 +343,8 @@ def train_tide(g: Graph, config: TideConfig,
     val_mask = g.mask("val")
     model = build_model(g.d, config.hidden, g.C, config.seed)
     state = AdamState()
-    names = model.names_in(*MODE_GROUPS[mode])
-    critics = {n: model.params[n] for n in model.names_in("club")}
+    trained = {n: model[n] for n in model.names_in(*MODE_GROUPS[mode])}
+    critics = {n: model[n] for n in model.names_in("club")}
     # A noise stream per sampled branch plus the exposure pass; sl runs
     # on posterior means and draws none.
     streams = [] if mode == "sl" else [t for t in NETWORKS
@@ -379,7 +376,6 @@ def train_tide(g: Graph, config: TideConfig,
 
     for epoch in range(config.epochs):
         tick = time.perf_counter()
-        model.zero_grad()
         ad.clear_tape()
         eps = {tag: rng.standard_normal(noise_shape[tag])
                for tag, rng in noise.items()}
@@ -392,22 +388,20 @@ def train_tide(g: Graph, config: TideConfig,
             if not np.isfinite(list(breakdown.values())).all():
                 raise TrainingError("non-finite loss component")
             with _component("backward"):
-                ad.backward(fused, wrt=[model.params[n] for n in names])
+                grads = ad.backward(fused, trained)
         except TrainingError as err:
             raise TrainingError(f"epoch {epoch}: {err}") from err
         except (ad.NumericsError, ad.DomainError) as err:
             # Overflow in an encoder/head forward, outside the per-loss guards.
             raise TrainingError(f"epoch {epoch}: forward pass: {err}") from err
 
-        adam_step({n: model.params[n] for n in names},
-                  {n: model.params[n].grad for n in names},
-                  state, config.lr)
+        adam_step(trained, grads, state, config.lr)
 
         if mode == "tide":
             critic_ascent_step(
                 [(outs[a][1].values, outs[b][1].values,
                   model[f"club_{a}{b}.p1"], model[f"club_{a}{b}.p2"])
-                 for a, b in ("zv", "zq", "vq")],
+                 for a, b in CRITIC_PAIRS],
                 critics, state, config.lr)
         # The next forward fills in val_acc.
         log.append({"epoch": epoch, "loss": breakdown, "val_acc": None,

@@ -1,20 +1,18 @@
-import os
 import sys
 from pathlib import Path
 
-# Pin BLAS pools before numpy ever loads; the determinism contract
-# (and the acceptance byte-comparisons) assume single-threaded kernels.
-os.environ.setdefault("TIDE_THREADS", "1")
-for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-    os.environ[var] = os.environ["TIDE_THREADS"]
+# tide.cli imports only the standard library at load time, so the BLAS
+# pools are pinned before numpy ever loads; the determinism contract (and
+# the acceptance byte-comparisons) assume single-threaded kernels.
+from tide.cli import _cap_threads, _keep_heap_mapped
+
+_cap_threads()
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from tide.cli import _keep_heap_mapped  # noqa: E402
 from tide.graph import make_graph  # noqa: E402
 
 # The suite owns this process and trains in it, so it keeps the training

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 import tide.autodiff as ad
 from tide.autodiff import (DomainError, NumericsError, ShapeError, TapeError,
-                           Tensor, backward, check_gradients)
+                           Tensor, backward, check_gradients_params)
 from oracles import fd_gradient
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False,
@@ -64,28 +65,74 @@ def test_matmul_shape_mismatch_names_both_shapes():
 
 def test_backward_square():
     x = Tensor([[3.0]], requires_grad=True)
-    backward(ad.tsum(ad.mul(x, x)))
-    assert x.grad[0, 0] == pytest.approx(6.0)
+    grads = backward(ad.tsum(ad.mul(x, x)), {"x": x})
+    assert grads["x"][0, 0] == pytest.approx(6.0)
 
 
 def test_untouched_leaf_gets_zero_grad():
     x = Tensor([[1.0]], requires_grad=True)
     w = Tensor([[5.0]], requires_grad=True)
-    backward(ad.tsum(ad.mul(x, 2.0)), wrt=[x, w])
-    assert w.grad.tolist() == [[0.0]]
-    assert x.grad.tolist() == [[2.0]]
+    grads = backward(ad.tsum(ad.mul(x, 2.0)), {"x": x, "w": w})
+    assert grads["w"].tolist() == [[0.0]]
+    assert grads["x"].tolist() == [[2.0]]
+    # Both arrays are the caller's: writing one leaves the other alone.
+    grads["w"] += 1.0
+    assert grads["x"].tolist() == [[2.0]]
+    grads["x"] *= 3.0
+    assert grads["w"].tolist() == [[1.0]]
+
+
+def test_backward_returns_exactly_the_named_params():
+    """Keys and order follow ``params``: a reached leaf left out of it
+    gets no entry, a named one the loss never reaches gets zeros."""
+    rng = np.random.default_rng(2)
+    leaves = {name: Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+              for name in ("c", "a", "b", "unused")}
+    ad.clear_tape()
+    loss = ad.tsum(ad.mul(ad.add(leaves["a"], leaves["b"]), leaves["c"]))
+    params = {k: t for k, t in leaves.items() if k != "b"}
+    grads = backward(loss, params)
+    assert list(grads) == list(params)
+    for name, t in params.items():
+        assert grads[name].shape == t.shape
+    assert not grads["unused"].any()
+    np.testing.assert_array_equal(grads["a"], leaves["c"].values)
+
+
+def test_backward_frees_each_intermediate_gradient_once_used():
+    """A 40-op chain over 1000 x 100 blocks holds a few gradients at a
+    time, not one per op."""
+    x = Tensor(np.ones((1000, 100)), requires_grad=True)
+    ad.clear_tape()
+    y = x
+    for _ in range(40):
+        y = ad.mul(y, 0.99)
+    loss = ad.tsum(y)
+    block = x.values.nbytes
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        grads = backward(loss, {"x": x})
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(grads["x"], np.full(x.shape, 0.99 ** 40),
+                               rtol=1e-12)
+    assert peak < 4 * block, f"peak {peak / block:.1f} gradients"
 
 
 def test_backward_rejects_nonscalar_loss():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(TapeError):
-        backward(ad.mul(x, 1.0))
+        backward(ad.mul(x, 1.0), {"x": x})
 
 
 def test_backward_on_empty_tape_raises():
     ad.clear_tape()
+    x = Tensor([[1.0]], requires_grad=True)
     with pytest.raises(TapeError):
-        backward(Tensor([[1.0]], requires_grad=True))
+        backward(x, {"x": x})
 
 
 def test_softmax_cross_entropy_gradient_matches_oracle():
@@ -106,20 +153,21 @@ def test_softmax_cross_entropy_gradient_matches_oracle():
     x = Tensor(logits0, requires_grad=True)
     picked = ad.mul(ad.sub(x, ad.row_logsumexp(x)),
                     np.eye(3)[target].reshape(1, 3))
-    backward(ad.mul(ad.tsum(picked), -1.0), wrt=[x])
+    grad = backward(ad.mul(ad.tsum(picked), -1.0), {"x": x})["x"]
     numeric = fd_gradient(loss_np, logits0.reshape(-1))
-    rel = np.abs(x.grad.reshape(-1) - numeric) / (np.abs(numeric) + 1e-8)
+    rel = np.abs(grad.reshape(-1) - numeric) / (np.abs(numeric) + 1e-8)
     assert rel.max() < 1e-4
 
 
 def test_check_gradients_on_sum_is_exact():
-    err = check_gradients(ad.tsum, Tensor(np.arange(6.0).reshape(2, 3)))
-    assert err < 1e-9
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    err = check_gradients_params(lambda: ad.tsum(x), {"x": x})
+    assert err["x"] < 1e-9
 
 
 def test_check_gradients_on_kl_term():
     """The closed-form KL integrand at a fixed (mu, sigma) point."""
-    point = Tensor(np.array([[0.3, 1.2]]))
+    x = Tensor(np.array([[0.3, 1.2]]), requires_grad=True)
 
     def kl_of(t):
         mu = ad.mul(t, np.array([[1.0, 0.0]]))
@@ -130,7 +178,7 @@ def test_check_gradients_on_kl_term():
                        -1.0)
         return ad.mul(ad.tsum(inner), 0.5)
 
-    assert check_gradients(kl_of, point) < 1e-4
+    assert check_gradients_params(lambda: kl_of(x), {"x": x})["x"] < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +228,8 @@ def test_primitive_gradient_vs_central_differences(name):
             point = point * rng.choice([-1.0, 1.0], size=point.shape)
         if name == "relu":
             point = point + np.sign(point) * 0.05
-        err = check_gradients(fn, Tensor(point))
+        x = Tensor(point, requires_grad=True)
+        err = check_gradients_params(lambda: fn(x), {"x": x})["x"]
         assert err < 1e-4, f"{name}: max rel err {err}"
 
 
@@ -191,8 +240,7 @@ def test_backward_is_linear(values, a, b):
     def grad_of(builder):
         x = Tensor(values, requires_grad=True)
         ad.clear_tape()
-        backward(builder(x), wrt=[x])
-        return x.grad.copy()
+        return backward(builder(x), {"x": x})["x"]
 
     f = lambda x: ad.tsum(ad.mul(x, x))          # noqa: E731
     g = lambda x: ad.tmean(ad.softplus(x))       # noqa: E731
@@ -205,8 +253,8 @@ def test_forward_and_gradient_determinism():
     def run():
         x = Tensor(np.linspace(-1, 1, 12).reshape(3, 4), requires_grad=True)
         loss = ad.tmean(ad.mul(ad.softplus(x), ad.softplus(ad.mul(x, 0.5))))
-        backward(loss, wrt=[x])
-        return loss.values.copy(), x.grad.copy()
+        grad = backward(loss, {"x": x})["x"]
+        return loss.values.copy(), grad
 
     v1, g1 = run()
     v2, g2 = run()
@@ -236,16 +284,23 @@ def test_constant_operand_gradient_is_never_computed():
         raise AssertionError("gradient of a constant operand computed")
 
     entry.grad_fns = (constant_side, entry.grad_fns[1])
-    backward(loss, wrt=[W])
-    assert X.grad is None
-    np.testing.assert_array_equal(W.grad, X.values.T @ np.ones((3, 4)))
+    grads = backward(loss, {"W": W})
+    assert list(grads) == ["W"]
+    np.testing.assert_array_equal(grads["W"], X.values.T @ np.ones((3, 4)))
 
 
 @pytest.mark.parametrize("op", ["add", "mul"])
 def test_same_tensor_as_both_operands(op):
     fn = lambda x: ad.tsum(ad.softplus(getattr(ad, op)(x, x)))  # noqa: E731
-    point = Tensor(np.linspace(-1.5, 2.0, 6).reshape(2, 3))
-    assert check_gradients(fn, point) < 1e-6
+    x = Tensor(np.linspace(-1.5, 2.0, 6).reshape(2, 3), requires_grad=True)
+    assert check_gradients_params(lambda: fn(x), {"x": x})["x"] < 1e-6
+    # One leaf under two names: equal gradients, two arrays.
+    ad.clear_tape()
+    grads = backward(fn(x), {"a": x, "b": x})
+    np.testing.assert_array_equal(grads["a"], grads["b"])
+    before = grads["b"].copy()
+    grads["a"] += 1.0
+    np.testing.assert_array_equal(grads["b"], before)
 
 
 @pytest.mark.parametrize("a_used_before", [False, True])
@@ -264,14 +319,13 @@ def test_leaves_fed_one_upstream_gradient_stay_independent(a_used_before):
 
     errors = ad.check_gradients_params(loss, {"a": a, "b": b})
     assert max(errors.values()) < 1e-6
-    a.grad = b.grad = None
     ad.clear_tape()
-    backward(loss(), wrt=[a, b])
-    a_before, b_before = a.grad.copy(), b.grad.copy()
-    a.grad += 1.0
-    np.testing.assert_array_equal(b.grad, b_before)
-    b.grad *= 2.0
-    np.testing.assert_array_equal(a.grad, a_before + 1.0)
+    grads = backward(loss(), {"a": a, "b": b})
+    a_before, b_before = grads["a"].copy(), grads["b"].copy()
+    grads["a"] += 1.0
+    np.testing.assert_array_equal(grads["b"], b_before)
+    grads["b"] *= 2.0
+    np.testing.assert_array_equal(grads["a"], a_before + 1.0)
 
 
 def test_softplus_matches_logaddexp_and_sigmoid():
@@ -282,9 +336,9 @@ def test_softplus_matches_logaddexp_and_sigmoid():
         t = Tensor(x, requires_grad=True)
         ad.clear_tape()
         out = ad.softplus(t)
-        backward(ad.tsum(out), wrt=[t])
+        grad = backward(ad.tsum(out), {"t": t})["t"]
         assert np.abs(out.values - np.logaddexp(0.0, x)).max() <= 4.5e-16
-        assert np.abs(t.grad - 1.0 / (1.0 + np.exp(-x))).max() <= 4e-15
+        assert np.abs(grad - 1.0 / (1.0 + np.exp(-x))).max() <= 4e-15
 
 
 def test_gather_rows_backward_accumulates_repeated_rows():
@@ -293,9 +347,8 @@ def test_gather_rows_backward_accumulates_repeated_rows():
     for idx, expected in (([0, 0, 2], [[4.0, 6.0], [0.0, 0.0], [5.0, 6.0]]),
                           ([2, 0, 1], [[3.0, 4.0], [5.0, 6.0], [1.0, 2.0]])):
         ad.clear_tape()
-        x.grad = None
-        backward(ad.tsum(ad.mul(ad.gather_rows(x, idx), weights)), wrt=[x])
-        assert x.grad.tolist() == expected
+        loss = ad.tsum(ad.mul(ad.gather_rows(x, idx), weights))
+        assert backward(loss, {"x": x})["x"].tolist() == expected
 
 
 def test_gather_rows_increasing_index_matches_add_at_bits():
@@ -304,10 +357,11 @@ def test_gather_rows_increasing_index_matches_add_at_bits():
     idx = np.sort(rng.choice(50, size=20, replace=False))
     weights = rng.normal(size=(20, 7))
     ad.clear_tape()
-    backward(ad.tsum(ad.mul(ad.gather_rows(x, idx), weights)), wrt=[x])
+    grad = backward(ad.tsum(ad.mul(ad.gather_rows(x, idx), weights)),
+                    {"x": x})["x"]
     expected = np.zeros((50, 7))
     np.add.at(expected, idx, weights)
-    assert np.array_equal(x.grad, expected)
+    assert np.array_equal(grad, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +492,7 @@ def test_output_tensor_invariants(name):
         assert type(out) is Tensor
         assert type(out.values) is np.ndarray  # never np.matrix
         assert out.values.ndim == 2 and out.values.dtype == np.float64
-        assert out.grad is None
+        assert not hasattr(out, "grad")  # gradients are backward's result
         assert out.requires_grad is any(flags)
         if any(flags):
             assert ad.tape_size() >= 1
@@ -460,7 +514,7 @@ def test_output_tensor_invariants(name):
         ad.clear_tape()
         with ad.no_grad():
             quiet = fn(*_inputs(shapes, flags))
-        assert quiet.requires_grad is False and quiet.grad is None
+        assert quiet.requires_grad is False
         assert ad.tape_size() == 0
         assert np.array_equal(quiet.values, out.values)
     ad.clear_tape()

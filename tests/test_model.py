@@ -202,8 +202,8 @@ def test_reconstruction_loss_has_gradient_through_sample(model):
     sample = Tensor(np.full((2, HID), 0.3), requires_grad=True)
     target = Tensor(np.ones((2, 2)))
     loss = ad.mse(reconstruct(sample, model), target)
-    ad.backward(loss, wrt=[sample])
-    assert np.abs(sample.grad).max() > 0
+    grads = ad.backward(loss, {"sample": sample})
+    assert np.abs(grads["sample"]).max() > 0
 
 
 # ---------------------------------------------------------------------------
