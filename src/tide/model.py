@@ -152,8 +152,7 @@ def gcn_layer(H: Tensor, A_norm: SparseMatrix, W: Tensor,
 
 
 def _sigma_head(h2: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    raw = ad.add(ad.matmul(h2, W), b)
-    return ad.add(ad.softplus(raw), SIGMA_FLOOR)
+    return ad.add(ad.softplus(ad.linear(h2, W, b)), SIGMA_FLOOR)
 
 
 def encode_joint(X: Tensor, A_norm: SparseMatrix, model: TideModel) -> LatentDistribution:
@@ -161,7 +160,7 @@ def encode_joint(X: Tensor, A_norm: SparseMatrix, model: TideModel) -> LatentDis
         raise ModelError(f"feature width {X.shape[1]} != model d={model.d}")
     h1 = gcn_layer(X, A_norm, model["z_enc.gcn1.W"])
     h2 = gcn_layer(h1, A_norm, model["z_enc.gcn2.W"])
-    mu = ad.add(ad.matmul(h2, model["z_enc.mu.W"]), model["z_enc.mu.b"])
+    mu = ad.linear(h2, model["z_enc.mu.W"], model["z_enc.mu.b"])
     sigma = _sigma_head(h2, model["z_enc.sigma.W"], model["z_enc.sigma.b"])
     return LatentDistribution(mu, sigma)
 
@@ -169,9 +168,9 @@ def encode_joint(X: Tensor, A_norm: SparseMatrix, model: TideModel) -> LatentDis
 def encode_feature(X: Tensor, model: TideModel) -> LatentDistribution:
     if X.shape[1] != model.d:
         raise ModelError(f"feature width {X.shape[1]} != model d={model.d}")
-    h1 = ad.relu(ad.add(ad.matmul(X, model["v_enc.fc1.W"]), model["v_enc.fc1.b"]))
-    h2 = ad.relu(ad.add(ad.matmul(h1, model["v_enc.fc2.W"]), model["v_enc.fc2.b"]))
-    mu = ad.add(ad.matmul(h2, model["v_enc.mu.W"]), model["v_enc.mu.b"])
+    h1 = ad.relu(ad.linear(X, model["v_enc.fc1.W"], model["v_enc.fc1.b"]))
+    h2 = ad.relu(ad.linear(h1, model["v_enc.fc2.W"], model["v_enc.fc2.b"]))
+    mu = ad.linear(h2, model["v_enc.mu.W"], model["v_enc.mu.b"])
     sigma = _sigma_head(h2, model["v_enc.sigma.W"], model["v_enc.sigma.b"])
     return LatentDistribution(mu, sigma)
 
@@ -181,7 +180,7 @@ def encode_structure(A_norm: SparseMatrix, model: TideModel) -> LatentDistributi
     ones = Tensor(np.ones((A_norm.n, 1)))
     h1 = gcn_layer(ones, A_norm, model["q_enc.gcn1.W"])
     h2 = gcn_layer(h1, A_norm, model["q_enc.gcn2.W"])
-    mu = ad.add(ad.matmul(h2, model["q_enc.mu.W"]), model["q_enc.mu.b"])
+    mu = ad.linear(h2, model["q_enc.mu.W"], model["q_enc.mu.b"])
     sigma = _sigma_head(h2, model["q_enc.sigma.W"], model["q_enc.sigma.b"])
     return LatentDistribution(mu, sigma)
 
@@ -196,16 +195,15 @@ def predict_logits(sample: Tensor, A_norm: SparseMatrix | None,
     if which == "z":
         return ad.spmm(A_norm, ad.matmul(sample, model["z_head.W"]))
     if which == "v":
-        return ad.add(ad.matmul(sample, model["v_head.W"]), model["v_head.b"])
+        return ad.linear(sample, model["v_head.W"], model["v_head.b"])
     if which == "q":
         return ad.spmm(A_norm, ad.matmul(sample, model["q_head.W"]))
     raise ModelError(f"unknown head {which!r}")
 
 
 def reconstruct(sample: Tensor, model: TideModel) -> Tensor:
-    h1 = ad.relu(ad.add(ad.matmul(sample, model["recon.fc1.W"]),
-                        model["recon.fc1.b"]))
-    return ad.add(ad.matmul(h1, model["recon.out.W"]), model["recon.out.b"])
+    h1 = ad.relu(ad.linear(sample, model["recon.fc1.W"], model["recon.fc1.b"]))
+    return ad.linear(h1, model["recon.out.W"], model["recon.out.b"])
 
 
 def joint_logits_at_mean(model: TideModel, g: Graph) -> np.ndarray:
@@ -269,11 +267,12 @@ def load_checkpoint(path) -> TideModel:
                                   for n, shape in layout]:
         raise ModelError(f"{manifest_path}: parameter names and shapes do not "
                          f"match a d={dims[0]}, hidden={dims[1]}, C={dims[2]} model")
-    flat = np.fromfile(path, dtype="<f8").astype(np.float64)
     expected = sum(rows * cols for _, (rows, cols) in layout)
-    if flat.size != expected:
-        raise ModelError(
-            f"{path}: has {flat.size} values, manifest expects {expected}")
+    size = path.stat().st_size
+    if size != 8 * expected:
+        raise ModelError(f"{path}: has {size} bytes, manifest expects "
+                         f"{expected} float64 values ({8 * expected} bytes)")
+    flat = np.fromfile(path, dtype="<f8")
     model = build_model(*dims)
     offset = 0
     for p in model.params.values():

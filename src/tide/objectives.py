@@ -40,10 +40,8 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, mask: np.ndarray) -> Tenso
     if mask.size == 0:
         raise LossError("cross_entropy: empty mask")
     sub = ad.gather_rows(logits, mask)
-    hot = Tensor(one_hot(np.asarray(labels)[mask], logits.shape[1]))
-    lse = ad.row_logsumexp(sub)
-    true_logit = ad.row_sum(ad.mul(sub, hot))
-    return ad.tmean(ad.sub(lse, true_logit))
+    hot = one_hot(np.asarray(labels)[mask], logits.shape[1])
+    return ad.softmax_cross_entropy(sub, hot)
 
 
 def kl_standard_normal(dist: LatentDistribution) -> Tensor:
@@ -51,12 +49,9 @@ def kl_standard_normal(dist: LatentDistribution) -> Tensor:
 
     Closed form: -1/2 * sum(1 + log sigma^2 - mu^2 - sigma^2).
     """
-    n = dist.mu.shape[0]
-    if n == 0:
+    if dist.mu.shape[0] == 0:
         raise LossError("kl_standard_normal: empty distribution")
-    inner = ad.sub(ad.add(1.0, ad.mul(2.0, ad.log(dist.sigma))),
-                   ad.add(ad.mul(dist.mu, dist.mu), ad.mul(dist.sigma, dist.sigma)))
-    return ad.mul(ad.tsum(inner), -0.5 / n)
+    return ad.gaussian_kl(dist.mu, dist.sigma)
 
 
 def vib_loss(logits: Tensor, labels: np.ndarray, mask: np.ndarray,

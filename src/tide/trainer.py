@@ -5,12 +5,12 @@
 the objective trains (``MODE_GROUPS``) and adds that network's
 bottleneck term (sl: beta = 0 on the posterior mean), then the
 couplings ``objectives.TERMS`` routes. ``energy_margin`` runs it on the
-exposure graph; the gradient audit calls all three, so the audited
-objective is the trained one. One epoch is that forward, one fused
-backward whose per-network gradient restriction implements the
-routing, an Adam step on those branches' parameters, and (in tide mode)
-one ``critic_ascent_step`` on the pair projections, the step
-``objectives.train_club_head`` repeats.
+exposure graph. The gradient audit reads every component it checks off
+``forward_components``, so the audited objective is the trained one.
+One epoch is that forward, one fused backward whose per-network
+gradient restriction implements the routing, an Adam step on those
+branches' parameters, and (in tide mode) one ``critic_ascent_step`` on
+the pair projections, the step ``objectives.train_club_head`` repeats.
 
 Validation reads the next forward: epoch t+1's forward runs on the
 parameters epoch t's steps produced, so its joint branch already holds

@@ -1,8 +1,10 @@
 """Tape engine: forward values, backward gradients, finite differences."""
 
+import ast
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,11 @@ from oracles import fd_gradient
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False,
                    width=64).map(lambda v: round(v, 6))
+
+
+def check_scalar(fn, params):
+    """``check_gradients_params`` for one scalar loss: error per parameter."""
+    return check_gradients_params(lambda: {"loss": fn()}, {"loss": params})["loss"]
 
 
 def small_matrix(rows=(1, 4), cols=(1, 4), elements=finite):
@@ -161,8 +168,7 @@ def test_softmax_cross_entropy_gradient_matches_oracle():
 
 def test_check_gradients_on_sum_is_exact():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    err = check_gradients_params(lambda: ad.tsum(x), {"x": x})
-    assert err["x"] < 1e-9
+    assert check_scalar(lambda: ad.tsum(x), {"x": x})["x"] < 1e-9
 
 
 def test_check_gradients_on_kl_term():
@@ -178,7 +184,7 @@ def test_check_gradients_on_kl_term():
                        -1.0)
         return ad.mul(ad.tsum(inner), 0.5)
 
-    assert check_gradients_params(lambda: kl_of(x), {"x": x})["x"] < 1e-4
+    assert check_scalar(lambda: kl_of(x), {"x": x})["x"] < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +221,13 @@ PRIMITIVES = {
     "scale_shift": lambda x: ad.tsum(
         ad.scale_shift(x, ad.softplus(x), np.full(x.shape, 0.7))),
     "gather": lambda x: ad.tsum(ad.gather_rows(x, [0, x.shape[0] - 1])),
+    "transpose": lambda x: ad.tsum(
+        ad.mul(ad.transpose(x), np.arange(9.0).reshape(3, 3))),
+    "linear": lambda x: ad.tsum(
+        ad.mul(ad.linear(x, ad.transpose(x), ad.gather_rows(x, [1])), x)),
+    "softmax_cross_entropy": lambda x: ad.softmax_cross_entropy(
+        x, np.eye(x.shape[1])[np.arange(x.shape[0]) % x.shape[1]]),
+    "gaussian_kl": lambda x: ad.gaussian_kl(x, ad.softplus(x)),
 }
 
 
@@ -229,7 +242,7 @@ def test_primitive_gradient_vs_central_differences(name):
         if name == "relu":
             point = point + np.sign(point) * 0.05
         x = Tensor(point, requires_grad=True)
-        err = check_gradients_params(lambda: fn(x), {"x": x})["x"]
+        err = check_scalar(lambda: fn(x), {"x": x})["x"]
         assert err < 1e-4, f"{name}: max rel err {err}"
 
 
@@ -293,7 +306,7 @@ def test_constant_operand_gradient_is_never_computed():
 def test_same_tensor_as_both_operands(op):
     fn = lambda x: ad.tsum(ad.softplus(getattr(ad, op)(x, x)))  # noqa: E731
     x = Tensor(np.linspace(-1.5, 2.0, 6).reshape(2, 3), requires_grad=True)
-    assert check_gradients_params(lambda: fn(x), {"x": x})["x"] < 1e-6
+    assert check_scalar(lambda: fn(x), {"x": x})["x"] < 1e-6
     # One leaf under two names: equal gradients, two arrays.
     ad.clear_tape()
     grads = backward(fn(x), {"a": x, "b": x})
@@ -317,7 +330,7 @@ def test_leaves_fed_one_upstream_gradient_stay_independent(a_used_before):
         rest = ad.tsum(ad.mul(s, s))
         return rest if first is None else ad.add(first, rest)
 
-    errors = ad.check_gradients_params(loss, {"a": a, "b": b})
+    errors = check_scalar(loss, {"a": a, "b": b})
     assert max(errors.values()) < 1e-6
     ad.clear_tape()
     grads = backward(loss(), {"a": a, "b": b})
@@ -365,6 +378,170 @@ def test_gather_rows_increasing_index_matches_add_at_bits():
 
 
 # ---------------------------------------------------------------------------
+# fused primitives: bit for bit the composite chains they replaced
+# ---------------------------------------------------------------------------
+
+# The chains as the encoders and losses wrote them before fusion, kept
+# here only as the reference.
+def _linear_chain(x, W, b):
+    return ad.add(ad.matmul(x, W), b)
+
+
+def _xent_chain(a, onehot):
+    lse = ad.row_logsumexp(a)
+    true_logit = ad.row_sum(ad.mul(a, Tensor(onehot)))
+    return ad.tmean(ad.sub(lse, true_logit))
+
+
+def _kl_chain(mu, sigma):
+    inner = ad.sub(ad.add(1.0, ad.mul(2.0, ad.log(sigma))),
+                   ad.add(ad.mul(mu, mu), ad.mul(sigma, sigma)))
+    return ad.mul(ad.tsum(inner), -0.5 / mu.shape[0])
+
+
+def _bytes_of(loss_of, leaves):
+    """Forward bytes and returned-gradient bytes of ``loss_of`` over
+    fresh leaf copies of ``leaves``."""
+    params = {k: Tensor(v.copy(), requires_grad=True) for k, v in leaves.items()}
+    ad.clear_tape()
+    out, loss = loss_of(**params)
+    grads = backward(loss, params)
+    return out.values.tobytes(), {k: g.tobytes() for k, g in grads.items()}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 40])
+def test_linear_matches_matmul_add_chain_bits(rows):
+    rng = np.random.default_rng(rows)
+    leaves = {"x": rng.normal(size=(rows, 6)), "W": rng.normal(size=(6, 5)),
+              "b": rng.normal(size=(1, 5))}
+    weights = rng.normal(size=(rows, 5))
+
+    def loss_of(op):
+        def run(x, W, b):
+            out = op(x, W, b)
+            return out, ad.tsum(ad.mul(out, weights))
+        return run
+
+    assert (_bytes_of(loss_of(ad.linear), leaves)
+            == _bytes_of(loss_of(_linear_chain), leaves))
+
+
+@pytest.mark.parametrize("repeated", [False, True], ids=["sorted", "repeated"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_softmax_cross_entropy_matches_chain_bits(seed, repeated):
+    """Through cross_entropy's gather_rows, on sorted mask rows and on
+    repeated ones (gather_rows' np.add.at backward)."""
+    rng = np.random.default_rng(seed)
+    n, C = 30, 4
+    idx = rng.choice(n, size=12, replace=repeated)
+    idx = np.sort(idx) if not repeated else np.concatenate([idx, idx[:3]])
+    onehot = np.eye(C)[rng.integers(0, C, size=idx.size)]
+    leaves = {"logits": rng.normal(size=(n, C)) * 3.0}
+
+    def loss_of(op):
+        def run(logits):
+            out = op(ad.gather_rows(logits, idx), onehot)
+            return out, ad.mul(out, 0.37)
+        return run
+
+    assert (_bytes_of(loss_of(ad.softmax_cross_entropy), leaves)
+            == _bytes_of(loss_of(_xent_chain), leaves))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gaussian_kl_matches_chain_bits(seed):
+    rng = np.random.default_rng(seed)
+    leaves = {"mu": rng.normal(size=(9, 6)) * 2.0,
+              "sigma": rng.uniform(1e-3, 3.0, size=(9, 6))}
+
+    def loss_of(op):
+        def run(mu, sigma):
+            out = op(mu, sigma)
+            return out, ad.mul(out, 1e-3)
+        return run
+
+    assert (_bytes_of(loss_of(ad.gaussian_kl), leaves)
+            == _bytes_of(loss_of(_kl_chain), leaves))
+
+
+def test_fused_primitive_shape_errors_name_the_shapes():
+    with pytest.raises(ShapeError, match=r"\(2, 2\) @ \(2, 3\) \+ \(2, 3\)"):
+        ad.linear(np.ones((2, 2)), np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ShapeError, match=r"\(2, 3\)"):
+        ad.softmax_cross_entropy(np.ones((2, 3)), np.ones((2, 2)))
+    with pytest.raises(ShapeError, match=r"\(2, 1\)"):
+        ad.gaussian_kl(np.ones((2, 2)), np.ones((2, 1)))
+    with pytest.raises(DomainError):
+        ad.gaussian_kl(np.ones((1, 2)), np.array([[1.0, 0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# one central-difference sweep over named components
+# ---------------------------------------------------------------------------
+
+def test_shared_sweep_equals_separate_sweeps_and_evaluates_once():
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    y = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+    calls = []
+
+    def components():
+        calls.append(None)
+        xy = ad.matmul(x, y)
+        return {"sq": ad.tsum(ad.mul(xy, xy)), "soft": ad.tmean(ad.softplus(x))}
+
+    probes = {"sq": {"x": x, "y": y}, "soft": {"x": x}}
+    errors = check_gradients_params(components, probes)
+    # One taped forward per component, then two per entry of x and y.
+    assert len(calls) == 2 + 2 * (x.values.size + y.values.size)
+    assert list(errors) == ["sq", "soft"]
+    assert list(errors["sq"]) == ["x", "y"] and list(errors["soft"]) == ["x"]
+    for comp, params in probes.items():
+        alone = check_gradients_params(lambda: {comp: components()[comp]},
+                                       {comp: params})
+        assert alone[comp] == errors[comp]
+        assert max(errors[comp].values()) < 1e-6
+
+
+def test_numerics_error_in_a_probe_names_parameter_and_entry():
+    x = Tensor(np.zeros((2, 2)), requires_grad=True)
+    w = Tensor(np.zeros((1, 3)), requires_grad=True)
+
+    def components():
+        if w.values[0, 2] != 0.0:
+            ad.mul([[1e200]], [[1e200]])
+        return {"f": ad.add(ad.tsum(x), ad.tsum(w))}
+
+    with np.errstate(over="ignore"), pytest.raises(NumericsError) as exc:
+        check_gradients_params(components, {"f": {"x": x, "w": w}})
+    assert "probing w entry 2" in str(exc.value)
+    assert "mul produced non-finite" in str(exc.value)
+    assert not w.values.any()  # the perturbed entry is restored
+
+
+def _recording_functions() -> set[str]:
+    """Module-level ``autodiff`` functions that call ``_record``."""
+    tree = ast.parse(Path(ad.__file__).read_text())
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == "_record"
+                    for call in ast.walk(node))}
+
+
+def test_every_primitive_is_checked_by_differences_and_output_cases():
+    """A primitive is anything that tapes itself through ``_record``:
+    some central-difference case must call it, and it needs its own
+    output-invariant case."""
+    recording = _recording_functions()
+    assert {"add", "linear", "softmax_cross_entropy", "gaussian_kl"} <= recording
+    called = set().union(*(fn.__code__.co_names for fn in PRIMITIVES.values()))
+    assert recording - called == set()
+    assert recording - set(OUTPUT_CASES) == set()
+
+
+# ---------------------------------------------------------------------------
 # the finiteness check, broadcasting, and what every output looks like
 # ---------------------------------------------------------------------------
 
@@ -391,6 +568,12 @@ OVERFLOWS = {
     "mse": ("mse", lambda: ad.mse([[1e200]], [[-1e200]])),
     "scale_shift": ("scale_shift", lambda: ad.scale_shift(
         [[BIG]], [[BIG]], np.ones((1, 1)))),
+    "linear": ("linear", lambda: ad.linear([[BIG, BIG]], [[1.0], [1.0]],
+                                           [[0.0]])),
+    "softmax_cross_entropy": ("softmax_cross_entropy",
+                              lambda: ad.softmax_cross_entropy(
+                                  [[BIG, -BIG]], np.array([[0.0, 1.0]]))),
+    "gaussian_kl": ("gaussian_kl", lambda: ad.gaussian_kl([[1e200]], [[1.0]])),
 }
 
 
@@ -450,7 +633,7 @@ def test_broadcast_gradients_match_central_differences(op, sa, sb):
         def loss():
             return ad.tsum(ad.mul(getattr(ad, op)(a, b), weights))
 
-        errors = ad.check_gradients_params(loss, {"a": a, "b": b})
+        errors = check_scalar(loss, {"a": a, "b": b})
         assert max(errors.values()) < 1e-6, (left, right, errors)
 
 
@@ -473,6 +656,10 @@ OUTPUT_CASES = {
     "scale_shift": (lambda m, s: ad.scale_shift(m, s, np.full((3, 2), 0.7)),
                     [(3, 2), (3, 2)]),
     "gather_rows": (lambda x: ad.gather_rows(x, [2, 0]), [(3, 2)]),
+    "linear": (ad.linear, [(3, 2), (2, 4), (1, 4)]),
+    "softmax_cross_entropy": (
+        lambda a: ad.softmax_cross_entropy(a, np.eye(2)[[0, 1, 1]]), [(3, 2)]),
+    "gaussian_kl": (ad.gaussian_kl, [(3, 2), (3, 2)]),
 }
 
 

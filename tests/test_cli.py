@@ -322,6 +322,20 @@ def test_eval_checkpoint_dim_mismatch_exits_one(bundles, tmp_path):
     assert code == 1
 
 
+def test_eval_checkpoint_with_trailing_bytes_exits_one(bundles, trained,
+                                                       tmp_path, capsys):
+    id_bundle, ood_bundle = bundles
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes((trained / "model.ckpt").read_bytes() + b"abc")
+    (tmp_path / "model.ckpt.json").write_bytes(
+        (trained / "model.ckpt.json").read_bytes())
+    code = run_cli("eval", "--checkpoint", ckpt, "--data", id_bundle,
+                   "--ood-data", ood_bundle, "--out", tmp_path / "e")
+    assert code == 1
+    assert "model.ckpt: has" in capsys.readouterr().err
+    assert not (tmp_path / "e" / "report.json").exists()
+
+
 def _with_shape(doc, i, shape):
     doc["params"][i]["shape"] = shape
     return doc

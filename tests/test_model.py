@@ -246,6 +246,23 @@ def test_checkpoint_truncation_detected(tmp_path, model):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("extra", [3, 8])
+def test_checkpoint_trailing_bytes_rejected_before_reading(tmp_path, model,
+                                                           monkeypatch, extra):
+    """A blob longer than the manifest's layout fails on its size alone:
+    a partial value (3 bytes) and a whole one (8) alike."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path, {})
+    path.write_bytes(path.read_bytes() + b"\x7f" * extra)
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("blob read before its size was checked")
+
+    monkeypatch.setattr(np, "fromfile", no_read)
+    with pytest.raises(ModelError, match="bytes"):
+        load_checkpoint(path)
+
+
 def test_joint_logits_at_mean_deterministic(rng):
     g = random_graph(rng, n=10, d=2)
     model = build_model(d=2, hidden=HID, C=2, seed=3)

@@ -181,8 +181,9 @@ def test_club_gradients_match_central_differences():
               "p1": rng.normal(size=(4, 5)), "p2": rng.normal(size=(3, 5))}
     leaves = {k: Tensor(v, requires_grad=True) for k, v in leaves.items()}
     errors = ad.check_gradients_params(
-        lambda: club_estimate(leaves["s1"], leaves["s2"], leaves["p1"],
-                              leaves["p2"]), leaves)
+        lambda: {"club": club_estimate(leaves["s1"], leaves["s2"],
+                                       leaves["p1"], leaves["p2"])},
+        {"club": leaves})["club"]
     assert set(errors) == {"s1", "s2", "p1", "p2"}
     assert max(errors.values()) < 1e-6, errors
 
@@ -298,11 +299,11 @@ def test_energy_reg_gradients_match_central_differences():
     assert energy_reg_loss(col(-9.0), e_ood, -4.0, -3.0).item() > 0.0
     x_id = Tensor(e_id.values.copy(), requires_grad=True)
     x_ood = Tensor(e_ood.values.copy(), requires_grad=True)
-    err_id = ad.check_gradients_params(
-        lambda: energy_reg_loss(x_id, e_ood, -4.0, -3.0), {"x": x_id})
-    err_ood = ad.check_gradients_params(
-        lambda: energy_reg_loss(e_id, x_ood, -4.0, -3.0), {"x": x_ood})
-    assert max(err_id["x"], err_ood["x"]) < 1e-6
+    errors = ad.check_gradients_params(
+        lambda: {"id": energy_reg_loss(x_id, e_ood, -4.0, -3.0),
+                 "ood": energy_reg_loss(e_id, x_ood, -4.0, -3.0)},
+        {"id": {"x_id": x_id}, "ood": {"x_ood": x_ood}})
+    assert max(errors["id"]["x_id"], errors["ood"]["x_ood"]) < 1e-6
 
 
 def test_energy_reg_threshold_order_enforced():

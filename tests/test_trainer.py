@@ -371,6 +371,52 @@ def test_gradient_audit_probes_both_margin_hinges(monkeypatch):
     assert nearest > h
 
 
+def test_gradient_audit_reads_every_component_off_one_forward(monkeypatch):
+    """One ``forward_components`` call per component on the tape, then
+    two per parameter entry of the probe model, each read by every
+    component that probes that parameter."""
+    import tide.gradcheck as gc
+    calls = []
+    real = gc.forward_components
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gc, "forward_components", spy)
+    report = gradient_check_report(seed=0)
+    model = build_model(gc.PROBE_D, gc.PROBE_HIDDEN, gc.PROBE_C, 0)
+    entries = sum(p.values.size for p in model.params.values())
+    assert entries == 1304 and len(report) == 6
+    assert len(calls) == 2 * entries + len(report)
+
+
+def test_gradient_audit_probe_failure_names_parameter_and_entry(monkeypatch):
+    """Overflow while z_head.W[1, 2] (flat entry 5) is perturbed."""
+    import tide.gradcheck as gc
+    probed = []
+    real_build, real_ce = gc.build_model, gc.cross_entropy
+
+    def build_spy(*args):
+        model = real_build(*args)
+        W = model["z_head.W"].values
+        probed.append((W, W[1, 2]))
+        return model
+
+    def ce_spy(logits, labels, mask):
+        W, start = probed[0]
+        if W[1, 2] != start:
+            ad.mul([[1e200]], [[1e200]])
+        return real_ce(logits, labels, mask)
+
+    monkeypatch.setattr(gc, "build_model", build_spy)
+    monkeypatch.setattr(gc, "cross_entropy", ce_spy)
+    with np.errstate(over="ignore"), pytest.raises(ad.NumericsError) as exc:
+        gradient_check_report(seed=0)
+    assert str(exc.value).startswith(
+        "non-finite value probing z_head.W entry 5: mul produced non-finite")
+
+
 def test_sl_baseline_reaches_high_val_accuracy():
     g = gen_csbm(CsbmParams(n=500, C=4, d=16, p_in=0.05, p_out=0.005,
                             mu_sep=2.0, seed=0))
