@@ -8,10 +8,14 @@ trainer's own ``forward_components`` in tide mode with its energy
 margin: the joint network's cross-entropy and KL, the joint/feature
 dependence estimate, the reconstruction surrogate, the energy margin
 and the fused routed total. So the audited objective is the one that
-trains. ``check_gradients_params`` perturbs each of the model's 1,304
-parameter entries once per direction and reads every component that
-probes it off those two forwards: 2 x 1,304 untaped forwards plus one
-taped forward per component, well under the 30 s budget.
+trains, with its critics held fixed as in training: ``fit_critics``
+fits them once, from one untaped forward at the probe point. (A fit
+inside each forward would depend on the parameters off the tape, so
+the differences would check another function.)
+``check_gradients_params`` perturbs each of the model's 920 parameter
+entries once per direction and reads every component that probes it
+off those two forwards: 2 x 920 untaped forwards plus one taped
+forward per component, well under the 30 s budget.
 
 The margin thresholds sit inside the initial energy range, so both
 hinges have active rows at the probe point: ID energies above t_id and
@@ -22,11 +26,14 @@ step size of a threshold (checked at seed 0 by the test suite).
 
 from __future__ import annotations
 
-from .autodiff import Tensor, check_gradients_params
+import numpy as np
+
+from .autodiff import Tensor, check_gradients_params, no_grad
 from .model import NOISE_STREAM, build_model, component_rng
 from .objectives import cross_entropy, kl_standard_normal, tide_total
 from .shift import CsbmParams, ShiftSpec, apply_feature_shift, gen_csbm
-from .trainer import TideConfig, forward_components
+from .trainer import (CRITIC_PAIRS, TideConfig, fit_critics,
+                      forward_components)
 
 # The probe: nodes, feature width, hidden width and classes.
 PROBE_N, PROBE_D, PROBE_HIDDEN, PROBE_C = 10, 5, 8, 3
@@ -47,6 +54,10 @@ def gradient_check_report(seed: int = 0, h: float = 1e-5) -> dict[str, float]:
                (PROBE_N, PROBE_HIDDEN))
            for tag in ("z", "v", "q", "z_exposure")}
     train = g.mask("train")
+    zero = dict.fromkeys(CRITIC_PAIRS, np.zeros((PROBE_HIDDEN, PROBE_HIDDEN)))
+    with no_grad():
+        critics = fit_critics(
+            forward_components(model, g, config, eps, zero, exposure)[1])
 
     def params(*groups: str) -> dict[str, Tensor]:
         return {nm: model[nm] for nm in model.names_in(*groups)}
@@ -54,7 +65,8 @@ def gradient_check_report(seed: int = 0, h: float = 1e-5) -> dict[str, float]:
     z_enc = {nm: p for nm, p in params("z").items() if nm.startswith("z_enc.")}
 
     def components() -> dict[str, Tensor]:
-        comps, outs = forward_components(model, g, config, eps, exposure)
+        comps, outs = forward_components(model, g, config, eps, critics,
+                                         exposure)
         dist, _, logits = outs["z"]
         return {"cross_entropy": cross_entropy(logits, g.y, train),
                 "kl": kl_standard_normal(dist.rows(train)),
@@ -66,8 +78,7 @@ def gradient_check_report(seed: int = 0, h: float = 1e-5) -> dict[str, float]:
     probes = {
         "cross_entropy": params("z"),
         "kl": z_enc,
-        "club": {**params("z", "v"), "club_zv.p1": model["club_zv.p1"],
-                 "club_zv.p2": model["club_zv.p2"]},
+        "club": params("z", "v"),
         "recon": {**z_enc, **params("recon")},
         "energy_reg": params("z"),
         "tide_total": model.params,

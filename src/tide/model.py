@@ -5,9 +5,8 @@ over X alone. Structure encoder: 2-layer GCN over a constant all-ones
 column, so it can only see A. Each ends in linear mu / sigma heads
 (sigma through a softplus with a 1e-6 floor). On top sit a prediction
 head per network (graph-convolutional for the joint and structure
-networks, row-wise linear for the feature network), an MLP that
-reconstructs X from joint samples, and one pair of projection matrices
-per network pair for the similarity-based MI estimates.
+networks, row-wise linear for the feature network) and an MLP that
+reconstructs X from joint samples.
 
 Parameters live in one ordered dict, initialized Glorot-uniform from
 independent per-component seed streams: a model built for a single
@@ -32,10 +31,8 @@ SIGMA_FLOOR = 1e-6
 
 # Seed-stream tags; initialization and per-epoch noise use disjoint streams
 # so that dropping a network from a run never shifts another network's draws.
-INIT_STREAM = {"z": 1, "v": 2, "q": 3, "recon": 4, "club": 5}
+INIT_STREAM = {"z": 1, "v": 2, "q": 3, "recon": 4}
 NOISE_STREAM = {"z": 11, "v": 12, "q": 13, "z_exposure": 14}
-# Network pairs the critic couples, each with its own projection pair.
-CRITIC_PAIRS = ("zv", "zq", "vq")
 
 
 class ModelError(ValueError):
@@ -121,8 +118,6 @@ def param_layout(d: int, h: int, C: int
               *posterior("q"), ("q_head.W", (h, C))],
         "recon": [("recon.fc1.W", (h, h)), ("recon.fc1.b", (1, h)),
                   ("recon.out.W", (h, d)), ("recon.out.b", (1, d))],
-        "club": [(f"club_{pair}.{side}", (h, h))
-                 for pair in CRITIC_PAIRS for side in ("p1", "p2")],
     }
 
 
@@ -218,7 +213,7 @@ def joint_logits_at_mean(model: TideModel, g: Graph) -> np.ndarray:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-CKPT_FORMAT = "tide-ckpt-v1"
+CKPT_FORMAT = "tide-ckpt-v2"
 
 
 def config_sha256(config_dict: dict) -> str:
@@ -253,8 +248,10 @@ def load_checkpoint(path) -> TideModel:
     manifest_path = path.with_name(path.name + ".json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    if not isinstance(manifest, dict) or manifest.get("format") != CKPT_FORMAT:
-        raise ModelError(f"{manifest_path}: unknown checkpoint format")
+    found = manifest.get("format") if isinstance(manifest, dict) else None
+    if found != CKPT_FORMAT:
+        raise ModelError(f"{manifest_path}: checkpoint format {found!r}, "
+                         f"expected {CKPT_FORMAT!r}")
     dims = [manifest.get(k) for k in ("d", "hidden", "C", "seed")]
     if not all(type(v) is int and v >= 0 for v in dims):
         raise ModelError(f"{manifest_path}: d, hidden, C and seed must be "

@@ -1,14 +1,15 @@
 """Loss terms: the per-network variational objectives, the
 conditional-independence surrogate, the pairwise contrastive dependence
-estimate (a bilinear critic, computed in closed form from the samples'
-cross-covariance), the energy margin regularizer, and their routing
-into per-network totals. The energies the margin compares, their
-propagation and its operator live in ``detection``, the same code that
-scores nodes at evaluation.
+estimate (in closed form from the samples' cross-covariance, with a
+bilinear critic fitted by ridge least squares), the energy margin
+regularizer, and their routing into per-network totals. The energies
+the margin compares, their propagation and its operator live in
+``detection``, the same code that scores nodes at evaluation.
 
-All functions build on the autodiff primitives and return 1x1 tensors,
-so they compose into one fused backward pass. ``TERMS`` is the single
-place that knows each term's weight and which networks it feeds;
+The loss functions build on the autodiff primitives and return 1x1
+tensors, so they compose into one fused backward pass; ``fit_critic``
+works on detached arrays, off the tape. ``TERMS`` is the single place
+that knows each term's weight and which networks it feeds;
 ``tide_total`` fuses and routes by it.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import TideModel, LatentDistribution, glorot, reconstruct
+from .model import TideModel, LatentDistribution, reconstruct
 
 
 class LossError(ValueError):
@@ -66,29 +67,48 @@ def vib_loss(logits: Tensor, labels: np.ndarray, mask: np.ndarray,
     return ad.add(ce, ad.mul(kl, beta))
 
 
-def club_estimate(s1: Tensor, s2: Tensor, p1: Tensor, p2: Tensor) -> Tensor:
+# The critic fit's ridge per sample: lambda = CRITIC_RIDGE * n.
+CRITIC_RIDGE = 1e-3
+
+
+def fit_critic(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """``club_estimate``'s critic for two n-row sample arrays.
+
+    CLUB (Cheng et al., ICML 2020) fits its variational q(s2 | s1) by
+    likelihood; it does not ascend the bound. For a linear-Gaussian q
+    that fit is ridge least squares of s2 on a = s1 - s1_mean,
+    P = (a^T a + lambda I)^-1 a^T s2, and the estimate at P is
+    tr(s2^T a P) / (n sqrt(h)) >= 0.
+    """
+    n = s1.shape[0]
+    a = s1 - s1.mean(0)
+    return np.linalg.solve(a.T @ a + CRITIC_RIDGE * n * np.eye(a.shape[1]),
+                           a.T @ s2)
+
+
+def club_estimate(s1: Tensor, s2: Tensor, p) -> Tensor:
     """Contrastive dependence estimate between two sample sets.
 
-    With projections a = s1 p1, b = s2 p2 and the bilinear critic
-    a_i . b_j / sqrt(h), this is the matched-pair mean minus the
-    all-pairs mean, mean_i a_i . b_i - mean_ij a_i . b_j, which equals
-    sum_i (a_i - a_mean) . b_i / (n sqrt(h)). It is computed in
-    cross-covariance form, sum(p1 * (M p2)) / (n sqrt(h)) with
+    With the projection a = s1 p (``p`` is d1 x d2, usually
+    ``fit_critic``'s) and the bilinear critic a_i . s2_j / sqrt(h),
+    h = d2, this is the matched-pair mean minus the all-pairs mean,
+    mean_i a_i . s2_i - mean_ij a_i . s2_j, which equals
+    sum_i (a_i - a_mean) . s2_i / (n sqrt(h)). It is computed in
+    cross-covariance form, sum(M * p) / (n sqrt(h)) with
     M = (s1 - s1_mean)^T s2: one n-row product in the forward and two in
-    the backward (for s1 and s2); everything else works on the small M,
-    and when the samples are constants nothing n-sized is taped.
+    the backward (for s1 and s2); everything else works on the small M.
     Centring keeps it invariant to adding a constant row to either set.
-    Zero when either projection is zero or one side is constant.
+    Zero when ``p`` is zero or one side is constant.
     """
     if s1.shape[0] != s2.shape[0]:
         raise LossError(f"sample count mismatch: {s1.shape} vs {s2.shape}")
     n = s1.shape[0]
     if n == 0:
         raise LossError("club_estimate: no samples")
-    h = p1.shape[1]
+    h = s2.shape[1]
     s1_mean = ad.matmul(Tensor(np.full((1, n), 1.0 / n)), s1)
     M = ad.matmul(ad.transpose(ad.sub(s1, s1_mean)), s2)
-    return ad.mul(ad.tsum(ad.mul(ad.matmul(M, p2), p1)), 1.0 / (n * np.sqrt(h)))
+    return ad.mul(ad.tsum(ad.mul(M, p)), 1.0 / (n * np.sqrt(h)))
 
 
 def recon_cind_loss(z_sample: Tensor, X: Tensor, model: TideModel) -> Tensor:
@@ -160,29 +180,3 @@ def tide_total(components: dict[str, Tensor | None], config
         raise LossError("tide_total: no loss components")
     breakdown.update({f"total_{net}": total for net, total in totals.items()})
     return fused, breakdown
-
-
-def train_club_head(s1: np.ndarray, s2: np.ndarray, seed: int = 0,
-                    steps: int = 200, lr: float = 0.05) -> float:
-    """Fit the pair projections by ascent and return the final estimate.
-
-    Standalone helper for measuring dependence between two fixed sample
-    sets: ``steps`` calls of the trainer's critic ascent step, then the
-    estimate at the fitted projections.
-    """
-    # Late import: trainer imports this module and owns the ascent step.
-    from .trainer import AdamState, critic_ascent_step
-
-    s1 = np.asarray(s1, dtype=np.float64)
-    s2 = np.asarray(s2, dtype=np.float64)
-    if s1.shape[0] != s2.shape[0]:
-        raise LossError("train_club_head: sample count mismatch")
-    d1, d2 = s1.shape[1], s2.shape[1]
-    rng = np.random.default_rng([seed, 5])
-    p1 = Tensor(glorot(rng, d1, d1), requires_grad=True)
-    p2 = Tensor(glorot(rng, d2, d1), requires_grad=True)
-    params, state = {"p1": p1, "p2": p2}, AdamState()
-    for _ in range(steps):
-        critic_ascent_step([(s1, s2, p1, p2)], params, state, lr)
-    with ad.no_grad():
-        return club_estimate(Tensor(s1), Tensor(s2), p1, p2).item()

@@ -8,9 +8,10 @@ couplings ``objectives.TERMS`` routes. ``energy_margin`` runs it on the
 exposure graph. The gradient audit reads every component it checks off
 ``forward_components``, so the audited objective is the trained one.
 One epoch is that forward, one fused backward whose per-network
-gradient restriction implements the routing, an Adam step on those
-branches' parameters, and (in tide mode) one ``critic_ascent_step`` on
-the pair projections, the step ``objectives.train_club_head`` repeats.
+gradient restriction implements the routing and an Adam step on those
+branches' parameters. Tide's dependence penalties read fixed critics,
+zero at first; after each step ``fit_critics`` refits them to that
+epoch's detached samples, one step behind, as in CLUB's alternation.
 
 Validation reads the next forward: epoch t+1's forward runs on the
 parameters epoch t's steps produced, so its joint branch already holds
@@ -39,18 +40,17 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .detection import energy_tensor, propagate_energy_tensor
 from .graph import Graph, GraphError
-from .model import (CRITIC_PAIRS, NOISE_STREAM, LatentDistribution, TideModel,
-                    build_model, component_rng, encode_feature, encode_joint,
+from .model import (NOISE_STREAM, LatentDistribution, TideModel, build_model,
+                    component_rng, encode_feature, encode_joint,
                     encode_structure, joint_logits_at_mean, predict_logits,
                     reparameterize)
-from .objectives import (club_estimate, energy_reg_loss, recon_cind_loss,
-                         tide_total, vib_loss)
+from .objectives import (club_estimate, energy_reg_loss, fit_critic,
+                         recon_cind_loss, tide_total, vib_loss)
 
 # Parameter groups each objective trains: the training forward builds
 # only these branches and Adam steps only these groups. In sl/ib/ib_cind
 # nothing couples V or Q to the joint classifier, so they stay at their
-# initial values. The critic projections ("club") get tide's separate
-# ascent step.
+# initial values.
 MODE_GROUPS = {
     "sl": ("z",),
     "ib": ("z",),
@@ -60,6 +60,8 @@ MODE_GROUPS = {
 OBJECTIVE_MODES = tuple(MODE_GROUPS)
 # The three variational networks: joint, feature-only, structure-only.
 NETWORKS = ("z", "v", "q")
+# Network pairs the tide dependence penalties couple, each with its critic.
+CRITIC_PAIRS = ("zv", "zq", "vq")
 
 
 class ConfigError(ValueError):
@@ -170,47 +172,29 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """Per-parameter moments and step counts."""
+    """Per-parameter moments and the step count they share."""
 
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-    t: dict = field(default_factory=dict)
+    t: int = 0
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> None:
     """Textbook bias-corrected Adam, in place; ``grads`` has an entry
-    for every name in ``params``."""
+    for every name in ``params``. One state serves one parameter set,
+    every entry of which steps at every call."""
+    state.t += 1
     for name, p in params.items():
         g = grads[name]
         if name not in state.m:
             state.m[name] = np.zeros(p.shape)
             state.v[name] = np.zeros(p.shape)
-            state.t[name] = 0
-        state.t[name] += 1
-        t = state.t[name]
         state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
         state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
-        m_hat = state.m[name] / (1 - ADAM_BETA1 ** t)
-        v_hat = state.v[name] / (1 - ADAM_BETA2 ** t)
+        m_hat = state.m[name] / (1 - ADAM_BETA1 ** state.t)
+        v_hat = state.v[name] / (1 - ADAM_BETA2 ** state.t)
         p.values -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-
-
-def critic_ascent_step(pairs, params: dict[str, Tensor], state: AdamState,
-                       lr: float) -> None:
-    """One Adam ascent step of the critic projections ``params``.
-
-    ``pairs`` holds (s1, s2, p1, p2) tuples with s1, s2 sample arrays,
-    which enter detached, so only the projections move. The step
-    maximizes the sum of the pairs' ``club_estimate``.
-    """
-    ad.clear_tape()
-    total = None
-    for s1, s2, p1, p2 in pairs:
-        est = club_estimate(Tensor(s1), Tensor(s2), p1, p2)
-        total = est if total is None else ad.add(total, est)
-    grads = ad.backward(total, params)
-    adam_step(params, {n: -g for n, g in grads.items()}, state, lr)
 
 
 @dataclass
@@ -230,11 +214,12 @@ def _accuracy(logits: np.ndarray, y: np.ndarray, mask: np.ndarray) -> float:
 
 @contextlib.contextmanager
 def _component(name: str):
-    """Report a numerics failure inside one loss term by the term's name."""
+    """Name the loss term in a numerics failure inside it, keeping the
+    error's type, so the gradient audit can still add the probed entry."""
     try:
         yield
     except (ad.NumericsError, ad.DomainError) as err:
-        raise TrainingError(f"component {name}: {err}") from err
+        raise type(err)(f"component {name}: {err}") from err
 
 
 def branch(model: TideModel, g: Graph, tag: str, eps: np.ndarray | None = None
@@ -269,7 +254,9 @@ def energy_margin(logits_z: Tensor, model: TideModel, g: Graph,
 
 
 def forward_components(model: TideModel, g: Graph, config: TideConfig,
-                       eps: dict[str, np.ndarray], exposure: Graph | None = None
+                       eps: dict[str, np.ndarray],
+                       critics: dict[str, np.ndarray],
+                       exposure: Graph | None = None
                        ) -> tuple[dict[str, Tensor], dict[str, Tensor]]:
     """One training forward: the loss terms of ``config.objective_mode``.
 
@@ -277,7 +264,9 @@ def forward_components(model: TideModel, g: Graph, config: TideConfig,
     and contributes its variational bottleneck term; sl is that term
     with beta = 0 on the posterior mean. ``eps`` maps each noise stream
     the mode samples ("z", "v", "q", "z_exposure"; sl draws none) to its
-    draw for this forward; ``exposure`` is the energy margin's OOD
+    draw for this forward; ``critics`` maps each ``CRITIC_PAIRS`` pair to
+    the fixed projection its dependence penalty reads (tide only; the
+    other modes ignore it); ``exposure`` is the energy margin's OOD
     graph. Returns the components ``tide_total`` fuses and each built
     network's ``branch`` outputs (posterior, sample, logits).
     """
@@ -297,13 +286,19 @@ def forward_components(model: TideModel, g: Graph, config: TideConfig,
         for pair in CRITIC_PAIRS:
             with _component(f"pmi_{pair}"):
                 comps[f"pmi_{pair}"] = club_estimate(
-                    outs[pair[0]][1], outs[pair[1]][1],
-                    model[f"club_{pair}.p1"], model[f"club_{pair}.p2"])
+                    outs[pair[0]][1], outs[pair[1]][1], critics[pair])
     if exposure is not None:
         with _component("energy_reg"):
             comps["energy_reg"] = energy_margin(outs["z"][2], model, g, config,
                                                 exposure, eps.get("z_exposure"))
     return comps, outs
+
+
+def fit_critics(outs: dict) -> dict[str, np.ndarray]:
+    """Each pair's critic fitted to a tide forward's detached samples;
+    ``outs`` is ``forward_components``' second result."""
+    return {pair: fit_critic(outs[pair[0]][1].values, outs[pair[1]][1].values)
+            for pair in CRITIC_PAIRS}
 
 
 def _mean_path_logits(model: TideModel, g: Graph, z_out) -> np.ndarray:
@@ -328,7 +323,7 @@ def train_tide(g: Graph, config: TideConfig,
     Model selection: highest validation accuracy of the parameters
     after each epoch's steps, latest epoch wins ties; with no val mask
     the final parameters are kept. Each log record's ``wall_time_s``
-    spans its epoch's forward, backward and steps.
+    spans its epoch's forward, backward, step and (tide) critic refit.
     """
     config.validate()
     mode = config.objective_mode
@@ -344,7 +339,7 @@ def train_tide(g: Graph, config: TideConfig,
     model = build_model(g.d, config.hidden, g.C, config.seed)
     state = AdamState()
     trained = {n: model[n] for n in model.names_in(*MODE_GROUPS[mode])}
-    critics = {n: model[n] for n in model.names_in("club")}
+    critics = dict.fromkeys(CRITIC_PAIRS, np.zeros((config.hidden,) * 2))
     # A noise stream per sampled branch plus the exposure pass; sl runs
     # on posterior means and draws none.
     streams = [] if mode == "sl" else [t for t in NETWORKS
@@ -380,29 +375,23 @@ def train_tide(g: Graph, config: TideConfig,
         eps = {tag: rng.standard_normal(noise_shape[tag])
                for tag, rng in noise.items()}
         try:
-            comps, outs = forward_components(model, g, config, eps,
+            comps, outs = forward_components(model, g, config, eps, critics,
                                              exposure_graph)
             if log:
                 validate_last_epoch(_mean_path_logits(model, g, outs["z"]))
             fused, breakdown = tide_total(comps, config)
-            if not np.isfinite(list(breakdown.values())).all():
-                raise TrainingError("non-finite loss component")
-            with _component("backward"):
-                grads = ad.backward(fused, trained)
-        except TrainingError as err:
-            raise TrainingError(f"epoch {epoch}: {err}") from err
         except (ad.NumericsError, ad.DomainError) as err:
-            # Overflow in an encoder/head forward, outside the per-loss guards.
             raise TrainingError(f"epoch {epoch}: forward pass: {err}") from err
+        if not np.isfinite(list(breakdown.values())).all():
+            raise TrainingError(f"epoch {epoch}: non-finite loss component")
+        try:
+            grads = ad.backward(fused, trained)
+        except (ad.NumericsError, ad.DomainError) as err:
+            raise TrainingError(f"epoch {epoch}: backward: {err}") from err
 
         adam_step(trained, grads, state, config.lr)
-
         if mode == "tide":
-            critic_ascent_step(
-                [(outs[a][1].values, outs[b][1].values,
-                  model[f"club_{a}{b}.p1"], model[f"club_{a}{b}.p2"])
-                 for a, b in CRITIC_PAIRS],
-                critics, state, config.lr)
+            critics = fit_critics(outs)
         # The next forward fills in val_acc.
         log.append({"epoch": epoch, "loss": breakdown, "val_acc": None,
                     "wall_time_s": time.perf_counter() - tick})

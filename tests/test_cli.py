@@ -336,6 +336,28 @@ def test_eval_checkpoint_with_trailing_bytes_exits_one(bundles, trained,
     assert not (tmp_path / "e" / "report.json").exists()
 
 
+def test_eval_previous_checkpoint_format_exits_one(bundles, trained,
+                                                   tmp_path, capsys):
+    """A tide-ckpt-v1 checkpoint, which carried trained critic
+    projections, is refused by its format before its layout is read."""
+    id_bundle, ood_bundle = bundles
+    doc = json.loads((trained / "model.ckpt.json").read_text())
+    h = doc["hidden"]
+    doc["format"] = "tide-ckpt-v1"
+    doc["params"] += [{"name": f"club_{pair}.{side}", "shape": [h, h]}
+                      for pair in ("zv", "zq", "vq") for side in ("p1", "p2")]
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes((trained / "model.ckpt").read_bytes()
+                     + np.zeros(6 * h * h).astype("<f8").tobytes())
+    (tmp_path / "model.ckpt.json").write_text(json.dumps(doc))
+    code = run_cli("eval", "--checkpoint", ckpt, "--data", id_bundle,
+                   "--ood-data", ood_bundle, "--out", tmp_path / "e")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "tide-ckpt-v1" in err and "Traceback" not in err
+    assert not (tmp_path / "e" / "report.json").exists()
+
+
 def _with_shape(doc, i, shape):
     doc["params"][i]["shape"] = shape
     return doc
@@ -467,7 +489,7 @@ def test_out_under_a_regular_file_fails_before_training(
 CHECK_GRAD_SEED_0 = """\
  cross_entropy  max rel err 4.661e-08
             kl  max rel err 7.585e-09
-          club  max rel err 2.775e-04
+          club  max rel err 9.728e-07
          recon  max rel err 4.654e-04
     energy_reg  max rel err 1.005e-06
     tide_total  max rel err 1.063e-04

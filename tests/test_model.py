@@ -23,7 +23,7 @@ def model():
 
 
 def zeroed(model):
-    for name in model.names_in("z", "v", "q", "recon", "club"):
+    for name in model.names_in("z", "v", "q", "recon"):
         model[name].values[...] = 0.0
     return model
 
@@ -214,7 +214,7 @@ def test_build_model_is_seed_deterministic():
     a = build_model(d=3, hidden=4, C=2, seed=7)
     b = build_model(d=3, hidden=4, C=2, seed=7)
     c = build_model(d=3, hidden=4, C=2, seed=8)
-    for name in a.names_in("z", "v", "q", "recon", "club"):
+    for name in a.names_in("z", "v", "q", "recon"):
         np.testing.assert_array_equal(a[name].values, b[name].values)
     assert any(not np.array_equal(a[name].values, c[name].values)
                for name in a.names_in("z"))
@@ -233,7 +233,7 @@ def test_checkpoint_round_trip(seed, tmp_path):
     model = build_model(d=3, hidden=4, C=2, seed=seed)
     save_checkpoint(model, path, {"seed": seed})
     loaded = load_checkpoint(path)
-    for name in model.names_in("z", "v", "q", "recon", "club"):
+    for name in model.names_in("z", "v", "q", "recon"):
         np.testing.assert_array_equal(model[name].values,
                                       loaded[name].values)
 

@@ -15,12 +15,13 @@ from tide.graph import GraphError, make_graph, sym_normalized_adjacency
 from tide.model import (NOISE_STREAM, build_model, component_rng,
                         config_sha256, encode_feature, joint_logits_at_mean,
                         predict_logits, reparameterize)
-from tide.objectives import cross_entropy, energy_reg_loss, vib_loss
+from tide.objectives import (club_estimate, cross_entropy, energy_reg_loss,
+                             vib_loss)
 from tide.shift import (CsbmParams, ShiftSpec, apply_feature_shift,
                         apply_shift, as_ood_bundle, gen_csbm)
-from tide.trainer import (AdamState, ConfigError, TideConfig, TrainingError,
-                          adam_step, branch, forward_components, train_tide,
-                          write_train_log)
+from tide.trainer import (CRITIC_PAIRS, AdamState, ConfigError, TideConfig,
+                          TrainingError, adam_step, branch, forward_components,
+                          train_tide, write_train_log)
 
 FIXTURE = CsbmParams(n=120, C=3, d=8, p_in=0.15, p_out=0.02, mu_sep=2.0,
                      seed=0, train_frac=0.4, val_frac=0.2)
@@ -95,7 +96,7 @@ class TestAdam:
         state = AdamState()
         adam_step({"p": p}, {"p": np.zeros((1, 2))}, state, lr=0.1)
         np.testing.assert_array_equal(p.values, [[1.0, -2.0]])
-        assert state.t["p"] == 1
+        assert state.t == 1
 
     def test_first_step_matches_hand_formula(self):
         g = np.array([[0.3, -4.0]])
@@ -125,7 +126,7 @@ def test_zero_epochs_returns_initialization():
     cfg = TideConfig(objective_mode="sl", epochs=0, seed=4)
     result = train_tide(g, cfg)
     init = build_model(g.d, cfg.hidden, g.C, seed=4)
-    for name in init.names_in("z", "v", "q", "recon", "club"):
+    for name in init.names_in("z", "v", "q", "recon"):
         np.testing.assert_array_equal(result.model[name].values,
                                       init[name].values)
 
@@ -172,7 +173,8 @@ def test_mean_branch_is_eval_path_and_sl_is_plain_cross_entropy():
     model = build_model(g.d, 16, g.C, seed=2)
     logits = branch(model, g, "z")[2]
     np.testing.assert_array_equal(logits.values, joint_logits_at_mean(model, g))
-    comps, _ = forward_components(model, g, TideConfig(objective_mode="sl"), {})
+    comps, _ = forward_components(model, g, TideConfig(objective_mode="sl"),
+                                  {}, {})
     assert set(comps) == {"vib_z"}
     assert comps["vib_z"].item() == cross_entropy(logits, g.y, g.mask("train")).item()
     ad.clear_tape()
@@ -185,6 +187,18 @@ def test_train_ce_halves_from_first_epoch():
     # Per-epoch samples keep the curve noisy, so check the best point
     # reached rather than the final epoch.
     assert min(rec["loss"]["vib_z"] for rec in result.log) <= 0.5 * first
+
+
+def test_tide_dependence_penalties_stay_bounded():
+    """A benchmark-length tide run on the joint fixture keeps every
+    dependence penalty bounded and ends near its best validation
+    accuracy, rather than diverging and leaning on early stopping."""
+    g, _ = make_fixture("joint", 0)
+    result = train_tide(g, bench_config("tide", 0))
+    worst = max(abs(rec["loss"][f"pmi_{pair}"]) for rec in result.log
+                for pair in CRITIC_PAIRS)
+    assert worst < 10.0
+    assert result.log[-1]["val_acc"] >= result.best_val_acc - 0.15
 
 
 def test_decoupled_feature_network_matches_solo_vib_run():
@@ -224,7 +238,7 @@ def test_full_run_is_bit_deterministic():
     g = fixture_graph(seed=2)
     cfg = TideConfig(objective_mode="tide", epochs=8, seed=3)
     a, b = train_tide(g, cfg), train_tide(g, cfg)
-    for name in a.model.names_in("z", "v", "q", "recon", "club"):
+    for name in a.model.names_in("z", "v", "q", "recon"):
         np.testing.assert_array_equal(a.model[name].values,
                                       b.model[name].values)
     assert [r["loss"] for r in a.log] == [r["loss"] for r in b.log]
@@ -275,12 +289,10 @@ def test_validation_reads_the_parameters_each_epoch_stepped_to(
 
     def stepped(params, grads, state, lr):
         adam_step(params, grads, state, lr)
-        if "z_enc.gcn1.W" in params:  # the main step; tide's critic follows
-            logits = joint_logits_at_mean(built[-1], g)
-            after_step.append(float(np.mean(logits[val].argmax(axis=1)
-                                            == g.y[val])))
-            snapshots.append(None)
-        snapshots[-1] = built[-1].snapshot()
+        logits = joint_logits_at_mean(built[-1], g)
+        after_step.append(float(np.mean(logits[val].argmax(axis=1)
+                                        == g.y[val])))
+        snapshots.append(built[-1].snapshot())
 
     passes = []
 
@@ -372,9 +384,9 @@ def test_gradient_audit_probes_both_margin_hinges(monkeypatch):
 
 
 def test_gradient_audit_reads_every_component_off_one_forward(monkeypatch):
-    """One ``forward_components`` call per component on the tape, then
-    two per parameter entry of the probe model, each read by every
-    component that probes that parameter."""
+    """One untaped ``forward_components`` call to fit the critics, one
+    per component on the tape, then two per parameter entry of the probe
+    model, each read by every component that probes that parameter."""
     import tide.gradcheck as gc
     calls = []
     real = gc.forward_components
@@ -387,8 +399,8 @@ def test_gradient_audit_reads_every_component_off_one_forward(monkeypatch):
     report = gradient_check_report(seed=0)
     model = build_model(gc.PROBE_D, gc.PROBE_HIDDEN, gc.PROBE_C, 0)
     entries = sum(p.values.size for p in model.params.values())
-    assert entries == 1304 and len(report) == 6
-    assert len(calls) == 2 * entries + len(report)
+    assert entries == 920 and len(report) == 6
+    assert len(calls) == 1 + 2 * entries + len(report)
 
 
 def test_gradient_audit_probe_failure_names_parameter_and_entry(monkeypatch):
@@ -415,6 +427,29 @@ def test_gradient_audit_probe_failure_names_parameter_and_entry(monkeypatch):
         gradient_check_report(seed=0)
     assert str(exc.value).startswith(
         "non-finite value probing z_head.W entry 5: mul produced non-finite")
+
+
+def test_gradient_audit_loss_term_failure_names_parameter_entry_and_term(
+        monkeypatch):
+    """An overflow inside a loss term during a probe keeps its type, so
+    the sweep still names the perturbed parameter and entry, and the
+    term's name survives beside them. The 40th call is the first of the
+    seventh probe forward: 3 calls for the critic fit, 18 for the taped
+    forwards, 18 for the first three entries' six probe forwards."""
+    calls = []
+
+    def spy(*args):
+        calls.append(None)
+        if len(calls) == 40:
+            ad.mul([[1e200]], [[1e200]])
+        return club_estimate(*args)
+
+    monkeypatch.setattr("tide.trainer.club_estimate", spy)
+    with np.errstate(over="ignore"), pytest.raises(ad.NumericsError) as exc:
+        gradient_check_report(seed=0)
+    assert str(exc.value).startswith(
+        "non-finite value probing z_enc.gcn1.W entry 3: component pmi_zv: "
+        "mul produced non-finite")
 
 
 def test_sl_baseline_reaches_high_val_accuracy():
