@@ -31,8 +31,8 @@ count of finite entries; shapes are read off ``values``. A tape-off
 addition is about 0.5 us (CPython 3.11, numpy 2.4, one thread). The
 fused ops pay that fixed cost once where their chains paid it two to
 nine times, and ``check_gradients_params`` evaluates each perturbed
-entry once for every component probing it, so one audit runs about
-379k ops where it ran 618k.
+entry once and reads every component off that one evaluation, so one
+audit runs about 262k ops.
 """
 
 from __future__ import annotations
@@ -104,11 +104,10 @@ def _as_tensor(x) -> Tensor:
 
 
 class _TapeEntry:
-    __slots__ = ("op", "out", "inputs", "grad_fns")
+    __slots__ = ("out", "inputs", "grad_fns")
 
-    def __init__(self, op: str, out: Tensor, inputs: Sequence[Tensor],
+    def __init__(self, out: Tensor, inputs: Sequence[Tensor],
                  grad_fns: Sequence[Callable[[np.ndarray], np.ndarray]]):
-        self.op = op
         self.out = out
         self.inputs = inputs
         self.grad_fns = grad_fns  # one per input: upstream g -> d/d(input)
@@ -150,7 +149,7 @@ def _record(op: str, out_values: np.ndarray, inputs: Sequence[Tensor],
         for t in inputs:
             if t.requires_grad:
                 out.requires_grad = True
-                _TAPE.append(_TapeEntry(op, out, inputs, grad_fns))
+                _TAPE.append(_TapeEntry(out, inputs, grad_fns))
                 break
     return out
 
@@ -468,51 +467,47 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def check_gradients_params(fn: Callable[[], dict[str, Tensor]],
-                           probes: dict[str, dict[str, Tensor]],
+                           params: dict[str, Tensor],
                            h: float = 1e-5) -> dict[str, dict[str, float]]:
-    """Central-difference gradient check of named scalar components.
+    """Central-difference check of every named scalar component.
 
     ``fn`` must be a deterministic function of the parameters (freeze
-    any noise draws before calling) returning 1x1 tensors under at least
-    the keys of ``probes``, which maps each component to the named
-    parameters its gradient is checked against. Returns, per component,
-    each probed parameter's max relative error |analytic - cd| /
-    (|cd| + 1e-8).
+    any noise draws before calling) returning a dict of 1x1 tensors.
+    Every component is checked against every named parameter in
+    ``params``. Returns, per component and parameter, the max relative
+    error |analytic - cd| / (|cd| + 1e-8); a parameter a component
+    never reads gets zeros from ``backward`` and equal perturbed values,
+    so its error is exactly 0.
 
-    One sweep serves every component: each entry of each parameter (a
-    name probed by several components counts once) is perturbed by +h
-    and -h, and every component probing that parameter is read off the
-    same two evaluations. ``fn`` therefore runs once per component on
-    the tape, for the analytic gradient, and then 2 * (entries in the
-    union of the probe sets) times without it, so keep the probed model
-    small. A ``NumericsError`` in a perturbed evaluation is re-raised
-    naming the parameter and the entry.
+    ``fn`` runs once per component on the tape, for the analytic
+    gradient. Then each entry of each parameter, in ``params`` order, is
+    perturbed by +h and -h, and every component is read off those two
+    evaluations: 2 * (entries in ``params``) untaped calls, so keep the
+    model small. A ``NumericsError`` in a perturbed evaluation is
+    re-raised naming the parameter and the entry.
     """
+    clear_tape()
+    out = fn()
     analytic = {}
-    for comp, params in probes.items():
-        clear_tape()
-        analytic[comp] = backward(fn()[comp], params)
+    for comp in list(out):
+        if analytic:  # backward consumed the previous forward's tape
+            out = fn()
+        analytic[comp] = backward(out[comp], params)
 
-    # Each parameter once, in first-probed order, with its components.
-    readers: dict[str, tuple[Tensor, list[str]]] = {}
-    for comp, params in probes.items():
-        for name, p in params.items():
-            readers.setdefault(name, (p, []))[1].append(comp)
-
-    found: dict[str, dict[str, float]] = {comp: {} for comp in probes}
+    found: dict[str, dict[str, float]] = {comp: {} for comp in analytic}
     with no_grad():
-        for name, (p, comps) in readers.items():
+        for name, p in params.items():
             flat = p.values.reshape(-1)
-            cd = np.empty((len(comps), flat.size))
+            cd = np.empty((len(analytic), flat.size))
             for i in range(flat.size):
                 orig = flat[i]
                 try:
                     flat[i] = orig + h
                     out = fn()
-                    f_plus = [out[c].item() for c in comps]
+                    f_plus = [out[c].item() for c in analytic]
                     flat[i] = orig - h
                     out = fn()
-                    f_minus = [out[c].item() for c in comps]
+                    f_minus = [out[c].item() for c in analytic]
                 except NumericsError as err:
                     raise NumericsError(f"non-finite value probing {name} "
                                         f"entry {i}: {err}") from err
@@ -520,9 +515,8 @@ def check_gradients_params(fn: Callable[[], dict[str, Tensor]],
                     flat[i] = orig
                 for k, (fp, fm) in enumerate(zip(f_plus, f_minus)):
                     cd[k, i] = (fp - fm) / (2.0 * h)
-            for comp, diff in zip(comps, cd):
+            for comp, diff in zip(analytic, cd):
                 diff = diff.reshape(p.shape)
                 rel = np.abs(analytic[comp][name] - diff) / (np.abs(diff) + 1e-8)
                 found[comp][name] = float(rel.max()) if rel.size else 0.0
-    return {comp: {name: found[comp][name] for name in params}
-            for comp, params in probes.items()}
+    return found

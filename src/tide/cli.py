@@ -276,8 +276,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     import numpy as np
 
-    from .detection import (histogram_data, score_splits, softmax_rows,
-                            write_scores_csv)
+    from .detection import (HIST_BINS, histogram_data, score_splits,
+                            softmax_rows, write_scores_csv)
     from .graph import load_bundle
     from .model import load_checkpoint
 
@@ -312,7 +312,7 @@ def cmd_eval(args) -> int:
 
     conf = softmax_rows(s.logits).max(axis=1)
     hist = {
-        "bins": 64,
+        "bins": HIST_BINS,
         "energy_raw": histogram_data(s.raw[~s.is_ood], s.raw[s.is_ood]),
         "energy_prop": histogram_data(s.prop[~s.is_ood], s.prop[s.is_ood]),
         "confidence": histogram_data(conf[~s.is_ood], conf[s.is_ood]),

@@ -27,6 +27,9 @@ from .autodiff import Tensor
 from .graph import Graph, SparseMatrix, propagation_operator  # noqa: F401
 from .model import TideModel, joint_logits_at_mean
 
+# Bins of every histogram in eval's hist.json.
+HIST_BINS = 64
+
 
 class MetricError(ValueError):
     pass
@@ -238,8 +241,7 @@ def write_scores_csv(path, node_ids, scores, is_ood, predicted, labels) -> None:
             writer.writerow([int(nid), repr(float(s)), int(o), int(p), int(lab)])
 
 
-def histogram_data(id_values: np.ndarray, ood_values: np.ndarray,
-                   bins: int = 64) -> dict:
+def histogram_data(id_values: np.ndarray, ood_values: np.ndarray) -> dict:
     """Shared-range histogram of one statistic for the two populations."""
     id_values = np.asarray(id_values, dtype=np.float64)
     ood_values = np.asarray(ood_values, dtype=np.float64)
@@ -247,7 +249,7 @@ def histogram_data(id_values: np.ndarray, ood_values: np.ndarray,
     lo, hi = float(joint.min()), float(joint.max())
     if lo == hi:
         hi = lo + 1.0   # all mass lands in the first bin
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, HIST_BINS + 1)
     id_counts, _ = np.histogram(id_values, bins=edges)
     ood_counts, _ = np.histogram(ood_values, bins=edges)
     return {

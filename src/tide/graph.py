@@ -77,9 +77,6 @@ class SparseMatrix:
             self._csr_t = self.csr.T.tocsr()
         return self._csr_t
 
-    def to_dense(self) -> np.ndarray:
-        return np.asarray(self.csr.todense())
-
 
 @dataclass(frozen=True)
 class Graph:

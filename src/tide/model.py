@@ -51,10 +51,6 @@ class LatentDistribution:
             raise ModelError(
                 f"mu/sigma shape mismatch: {self.mu.shape} vs {self.sigma.shape}")
 
-    @property
-    def shape(self):
-        return self.mu.shape
-
     def rows(self, idx) -> "LatentDistribution":
         return LatentDistribution(ad.gather_rows(self.mu, idx),
                                   ad.gather_rows(self.sigma, idx))
@@ -139,11 +135,9 @@ def build_model(d: int, hidden: int, C: int, seed: int) -> TideModel:
 # Forward pieces
 # ---------------------------------------------------------------------------
 
-def gcn_layer(H: Tensor, A_norm: SparseMatrix, W: Tensor,
-              activate: bool = True) -> Tensor:
-    """One propagation step: optionally ReLU(A_norm @ H @ W)."""
-    out = ad.spmm(A_norm, ad.matmul(H, W))
-    return ad.relu(out) if activate else out
+def gcn_layer(H: Tensor, A_norm: SparseMatrix, W: Tensor) -> Tensor:
+    """One propagation step: ReLU(A_norm @ H @ W)."""
+    return ad.relu(ad.spmm(A_norm, ad.matmul(H, W)))
 
 
 def _sigma_head(h2: Tensor, W: Tensor, b: Tensor) -> Tensor:

@@ -22,7 +22,7 @@ finite = st.floats(min_value=-10, max_value=10, allow_nan=False,
 
 def check_scalar(fn, params):
     """``check_gradients_params`` for one scalar loss: error per parameter."""
-    return check_gradients_params(lambda: {"loss": fn()}, {"loss": params})["loss"]
+    return check_gradients_params(lambda: {"loss": fn()}, params)["loss"]
 
 
 def small_matrix(rows=(1, 4), cols=(1, 4), elements=finite):
@@ -291,7 +291,7 @@ def test_constant_operand_gradient_is_never_computed():
     W = Tensor(np.linspace(-1, 1, 8).reshape(2, 4), requires_grad=True)
     ad.clear_tape()
     loss = ad.tsum(ad.matmul(X, W))
-    entry = next(e for e in ad._TAPE if e.op == "matmul")
+    entry = ad._TAPE[0]  # the matmul; the sum follows it
 
     def constant_side(g):
         raise AssertionError("gradient of a constant operand computed")
@@ -480,9 +480,12 @@ def test_fused_primitive_shape_errors_name_the_shapes():
 # ---------------------------------------------------------------------------
 
 def test_shared_sweep_equals_separate_sweeps_and_evaluates_once():
+    """Every component is checked against every parameter, and the
+    error on a parameter the component never reads is exactly 0."""
     rng = np.random.default_rng(8)
     x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     y = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+    params = {"x": x, "y": y}
     calls = []
 
     def components():
@@ -490,16 +493,16 @@ def test_shared_sweep_equals_separate_sweeps_and_evaluates_once():
         xy = ad.matmul(x, y)
         return {"sq": ad.tsum(ad.mul(xy, xy)), "soft": ad.tmean(ad.softplus(x))}
 
-    probes = {"sq": {"x": x, "y": y}, "soft": {"x": x}}
-    errors = check_gradients_params(components, probes)
+    errors = check_gradients_params(components, params)
     # One taped forward per component, then two per entry of x and y.
     assert len(calls) == 2 + 2 * (x.values.size + y.values.size)
     assert list(errors) == ["sq", "soft"]
-    assert list(errors["sq"]) == ["x", "y"] and list(errors["soft"]) == ["x"]
-    for comp, params in probes.items():
+    assert list(errors["sq"]) == list(errors["soft"]) == ["x", "y"]
+    assert errors["soft"]["y"] == 0.0
+    for comp in errors:
         alone = check_gradients_params(lambda: {comp: components()[comp]},
-                                       {comp: params})
-        assert alone[comp] == errors[comp]
+                                       params)
+        assert alone == {comp: errors[comp]}
         assert max(errors[comp].values()) < 1e-6
 
 
@@ -513,7 +516,7 @@ def test_numerics_error_in_a_probe_names_parameter_and_entry():
         return {"f": ad.add(ad.tsum(x), ad.tsum(w))}
 
     with np.errstate(over="ignore"), pytest.raises(NumericsError) as exc:
-        check_gradients_params(components, {"f": {"x": x, "w": w}})
+        check_gradients_params(components, {"x": x, "w": w})
     assert "probing w entry 2" in str(exc.value)
     assert "mul produced non-finite" in str(exc.value)
     assert not w.values.any()  # the perturbed entry is restored

@@ -238,7 +238,7 @@ def test_write_scores_csv_layout(tmp_path):
 def test_histogram_conservation(rng):
     id_v = rng.normal(size=37)
     ood_v = rng.normal(size=23) + 1.0
-    hist = histogram_data(id_v, ood_v, bins=64)
+    hist = histogram_data(id_v, ood_v)
     assert len(hist["id_counts"]) == 64
     assert sum(hist["id_counts"]) + sum(hist["ood_counts"]) == 60
     assert hist["edges"][0] <= min(id_v.min(), ood_v.min())
@@ -246,7 +246,7 @@ def test_histogram_conservation(rng):
 
 
 def test_histogram_degenerate_range():
-    hist = histogram_data(np.zeros(3), np.zeros(2), bins=8)
+    hist = histogram_data(np.zeros(3), np.zeros(2))
     assert sum(hist["id_counts"]) == 3
     assert sum(hist["ood_counts"]) == 2
 

@@ -100,43 +100,43 @@ class TestValidation:
 
 class TestAdjacency:
     def test_two_clique_sym_norm_entries(self, two_clique):
-        dense = sym_normalized_adjacency(two_clique).to_dense()
+        dense = sym_normalized_adjacency(two_clique).csr.toarray()
         np.testing.assert_allclose(dense, np.full((2, 2), 0.5), atol=1e-15)
 
     def test_isolated_node_sym_norm(self):
         g = make_graph([[0.0]], [], [0])
-        assert sym_normalized_adjacency(g).to_dense().tolist() == [[1.0]]
+        assert sym_normalized_adjacency(g).csr.toarray().tolist() == [[1.0]]
 
     def test_path_graph_sym_norm_entry(self, path3):
-        dense = sym_normalized_adjacency(path3).to_dense()
+        dense = sym_normalized_adjacency(path3).csr.toarray()
         assert dense[0, 1] == pytest.approx(1 / np.sqrt(6), abs=1e-15)
 
     def test_row_stochastic_two_neighbors(self, path3):
-        dense = propagation_operator(path3).to_dense()
+        dense = propagation_operator(path3).csr.toarray()
         assert dense[1].tolist() == [0.5, 0.0, 0.5]
 
     def test_row_stochastic_isolated_row_is_self_loop(self):
         g = make_graph([[0.0], [1.0], [2.0]], [[0, 1]], [0, 1, 0])
-        dense = propagation_operator(g).to_dense()
+        dense = propagation_operator(g).csr.toarray()
         assert dense[2].tolist() == [0.0, 0.0, 1.0]
 
     def test_star_center_row(self):
         g = make_graph(np.zeros((4, 1)), [[0, 1], [0, 2], [0, 3]], [0] * 4)
-        dense = propagation_operator(g).to_dense()
+        dense = propagation_operator(g).csr.toarray()
         np.testing.assert_allclose(dense[0, 1:], 1 / 3)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_sym_norm_is_symmetric(self, seed):
         g = random_graph(np.random.default_rng(seed))
-        dense = sym_normalized_adjacency(g).to_dense()
+        dense = sym_normalized_adjacency(g).csr.toarray()
         np.testing.assert_allclose(dense, dense.T, atol=1e-15)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_row_stochastic_rows_in_simplex(self, seed):
         g = random_graph(np.random.default_rng(seed))
-        dense = propagation_operator(g).to_dense()
+        dense = propagation_operator(g).csr.toarray()
         assert (dense >= 0).all()
         np.testing.assert_allclose(dense.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 

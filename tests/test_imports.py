@@ -1,11 +1,14 @@
-"""Static check of the package source: no module-level import goes unused."""
+"""Static checks of the package source: no module-level import goes
+unused, and no function, class or method is named only by tests."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tide"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tide"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +45,58 @@ def test_unused_import_check_flags_and_honours_noqa():
               "from json import (dumps,\n    loads)  # noqa\n"
               "from math import pi, tau\nprint(pi)\n")
     assert unused_imports(source) == ["line 1: os", "line 5: tau"]
+
+
+def _names(tree: ast.AST) -> Counter:
+    """How often a tree names each identifier: as a variable, an
+    attribute, an import, or a whole string constant (tidebench looks
+    its layers up by name)."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found[node.value] += 1
+    return found
+
+
+def unnamed_definitions(checked: dict[str, str], readers: list[str]) -> list[str]:
+    """Functions, classes and methods defined in the ``checked`` sources
+    (file name -> source) that no source, ``readers`` included, names
+    outside the definition itself. Dunder methods are skipped: Python
+    calls them."""
+    trees = {name: ast.parse(source) for name, source in checked.items()}
+    named = Counter()
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        named.update(_names(tree))
+    return [f"{name}:{node.lineno} {node.name}"
+            for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and named[node.name] == _names(node)[node.name]]
+
+
+def test_no_definition_is_named_only_by_tests():
+    """An API whose only caller is its own unit test is deleted."""
+    checked = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readers = [p.read_text() for folder in ("tidebench", "scripts")
+               for p in sorted((ROOT / folder).glob("*.py"))
+               if not p.name.startswith("test_")]
+    assert unnamed_definitions(checked, readers) == []
+
+
+def test_unnamed_definition_check_flags_dead_code():
+    source = ("def used():\n    pass\n"
+              "def recursive():\n    return recursive()\n"
+              "def by_name():\n    pass\n"
+              "class K:\n"
+              "    def __repr__(self):\n        return ''\n"
+              "    def gone(self):\n        pass\n"
+              "used(), K()\n")
+    assert unnamed_definitions({"m.py": source}, ["LAYERS = ('by_name',)"]) == [
+        "m.py:3 recursive", "m.py:10 gone"]

@@ -33,17 +33,17 @@ def zeroed(model):
 # ---------------------------------------------------------------------------
 
 def test_gcn_layer_identity_operator_no_activation():
+    """On nonnegative inputs the ReLU is the identity."""
     from tide.graph import SparseMatrix
     eye = SparseMatrix(2, rows=[0, 1], cols=[0, 1], vals=[1.0, 1.0])
-    H = Tensor([[1.0], [-2.0]])
-    out = gcn_layer(H, eye, Tensor([[1.0]]), activate=False)
+    H = Tensor([[1.0], [2.0]])
+    out = gcn_layer(H, eye, Tensor([[1.0]]))
     np.testing.assert_array_equal(out.values, H.values)
 
 
 def test_gcn_layer_two_clique_averages(two_clique):
     A = sym_normalized_adjacency(two_clique)
-    out = gcn_layer(Tensor([[1.0], [3.0]]), A, Tensor([[1.0]]),
-                    activate=False)
+    out = gcn_layer(Tensor([[1.0], [3.0]]), A, Tensor([[1.0]]))
     np.testing.assert_allclose(out.values, [[2.0], [2.0]])
 
 

@@ -183,7 +183,7 @@ def test_club_gradients_match_central_differences():
     errors = ad.check_gradients_params(
         lambda: {"club": club_estimate(leaves["s1"], leaves["s2"],
                                        leaves["p"])},
-        {"club": leaves})["club"]
+        leaves)["club"]
     assert set(errors) == {"s1", "s2", "p"}
     assert max(errors.values()) < 1e-6, errors
 
@@ -281,8 +281,9 @@ def test_energy_reg_gradients_match_central_differences():
     errors = ad.check_gradients_params(
         lambda: {"id": energy_reg_loss(x_id, e_ood, -4.0, -3.0),
                  "ood": energy_reg_loss(e_id, x_ood, -4.0, -3.0)},
-        {"id": {"x_id": x_id}, "ood": {"x_ood": x_ood}})
+        {"x_id": x_id, "x_ood": x_ood})
     assert max(errors["id"]["x_id"], errors["ood"]["x_ood"]) < 1e-6
+    assert errors["id"]["x_ood"] == errors["ood"]["x_id"] == 0.0
 
 
 def test_energy_reg_threshold_order_enforced():

@@ -224,7 +224,7 @@ def test_decoupled_feature_network_matches_solo_vib_run():
     for _ in range(epochs):
         ad.clear_tape()
         dist = encode_feature(X, solo)
-        sample = reparameterize(dist, rng_v.standard_normal(dist.shape))
+        sample = reparameterize(dist, rng_v.standard_normal(dist.mu.shape))
         logits = predict_logits(sample, None, solo, "v")
         loss = vib_loss(logits, g.y, g.mask("train"), dist, cfg.beta_v)
         adam_step(v_params, ad.backward(loss, v_params), state, cfg.lr)
