@@ -104,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=["sl", "ib", "ib_cind", "tide"])
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--hidden", type=int)
     p.add_argument("--exposure-data",
                    help="auxiliary OOD bundle (empty test_id split); "
                         "turns on exposure training")
@@ -241,8 +239,7 @@ def cmd_train(args) -> int:
     config = _load_config(args)
     overrides = {}
     for flag, field_name in (("objective", "objective_mode"), ("seed", "seed"),
-                             ("epochs", "epochs"), ("lr", "lr"),
-                             ("hidden", "hidden")):
+                             ("epochs", "epochs")):
         value = getattr(args, flag)
         if value is not None:
             overrides[field_name] = value
@@ -330,7 +327,7 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     _keep_heap_mapped()
-    from .experiment import run_benchmark_suite
+    from .experiment import BENCH_EPOCHS, run_benchmark_suite
 
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     seeds = []
@@ -347,9 +344,9 @@ def cmd_compare(args) -> int:
     if not seeds:
         raise CliError("need at least one seed")
 
-    overrides = {} if args.epochs is None else {"epochs": args.epochs}
+    epochs = BENCH_EPOCHS if args.epochs is None else args.epochs
     outdir = _check_out_dir(args.out)
-    run_benchmark_suite(args.fixture, modes, seeds, outdir, **overrides)
+    run_benchmark_suite(args.fixture, modes, seeds, outdir, epochs)
     sys.stdout.write((outdir / "compare.md").read_text())
     print(f"  wrote {outdir / 'compare.csv'}")
     return 0

@@ -70,12 +70,11 @@ def make_fixture(kind: str, seed: int) -> tuple[Graph, Graph]:
     return g, as_ood_bundle(shifted)
 
 
-def bench_config(mode: str, seed: int, **overrides) -> TideConfig:
-    base = TideConfig(objective_mode=mode, seed=seed, epochs=BENCH_EPOCHS)
-    if overrides:
-        base = replace(base, **overrides)
-    base.validate()
-    return base
+def bench_config(mode: str, seed: int, epochs: int = BENCH_EPOCHS
+                 ) -> TideConfig:
+    config = TideConfig(objective_mode=mode, seed=seed, epochs=epochs)
+    config.validate()
+    return config
 
 
 @dataclass
@@ -87,9 +86,9 @@ class RunOutcome:
 
 
 def run_single(mode: str, seed: int, g_id: Graph, g_ood: Graph,
-               **config_overrides) -> RunOutcome:
+               epochs: int = BENCH_EPOCHS) -> RunOutcome:
     """Train one objective on the clean graph, score against the twin."""
-    config = bench_config(mode, seed, **config_overrides)
+    config = bench_config(mode, seed, epochs)
     result = train_tide(g_id, config)
 
     s = score_splits(result.model, g_id, g_ood, config.prop_alpha, config.prop_k)
@@ -112,20 +111,20 @@ def run_single(mode: str, seed: int, g_id: Graph, g_ood: Graph,
 
 
 def run_comparison(fixture: str, modes: list[str], seeds: list[int],
-                   **config_overrides) -> list[dict]:
+                   epochs: int = BENCH_EPOCHS) -> list[dict]:
     """All (mode, seed) rows for one fixture, modes outer, seeds inner.
 
     Every run's config is built and validated before the first one
-    trains, so a bad mode, seed or override fails at once.
+    trains, so a bad mode, seed or epoch count fails at once.
     """
     for mode in modes:
         for seed in seeds:
-            bench_config(mode, seed, **config_overrides)
+            bench_config(mode, seed, epochs)
     rows = []
     for mode in modes:
         for seed in seeds:
             g_id, g_ood = make_fixture(fixture, seed)
-            outcome = run_single(mode, seed, g_id, g_ood, **config_overrides)
+            outcome = run_single(mode, seed, g_id, g_ood, epochs)
             rows.append(outcome.row)
     return rows
 
@@ -185,13 +184,13 @@ def write_summary_json(path, rows: list[dict], modes: list[str],
 
 
 def run_benchmark_suite(fixture: str, modes: list[str], seeds: list[int],
-                        outdir, **config_overrides) -> list[dict]:
+                        outdir, epochs: int = BENCH_EPOCHS) -> list[dict]:
     """Run the comparison and drop compare.csv / compare.md / summary.json.
 
     ``outdir`` is created only once the rows exist, so a run that fails
     leaves nothing behind.
     """
-    rows = run_comparison(fixture, modes, seeds, **config_overrides)
+    rows = run_comparison(fixture, modes, seeds, epochs)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_compare_csv(outdir / "compare.csv", rows)

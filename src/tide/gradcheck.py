@@ -5,13 +5,14 @@ graph, 8-wide model, fixed reparameterization noise) and compares the
 tape's gradients against central differences, parameter entry by
 parameter entry. All six components come from one call of the
 trainer's own ``forward_components`` in tide mode with its energy
-margin: the joint network's cross-entropy and KL, the joint/feature
-dependence estimate, the reconstruction surrogate, the energy margin
-and the fused routed total. So the audited objective is the one that
-trains, with its critics held fixed as in training: ``fit_critics``
-fits them once, from one untaped forward at the probe point. (A fit
-inside each forward would depend on the parameters off the tape, so
-the differences would check another function.)
+margin: the joint network's cross-entropy and KL (the tensors
+``ce_z`` and ``kl_z`` that train), the joint/feature dependence
+estimate, the reconstruction surrogate, the energy margin and the
+fused routed total. So the audited objective is the one that trains,
+with its critics held fixed as in training: ``fit_critics`` fits them
+once, from one untaped forward at the probe point. (A fit inside each
+forward would depend on the parameters off the tape, so the
+differences would check another function.)
 ``check_gradients_params`` checks every component against every
 parameter: it perturbs each of the model's 920 parameter entries once
 per direction and reads all six components off those two forwards,
@@ -33,7 +34,7 @@ import numpy as np
 
 from .autodiff import Tensor, check_gradients_params, no_grad
 from .model import NOISE_STREAM, build_model, component_rng
-from .objectives import cross_entropy, kl_standard_normal, tide_total
+from .objectives import tide_total
 from .shift import CsbmParams, ShiftSpec, apply_feature_shift, gen_csbm
 from .trainer import (CRITIC_PAIRS, TideConfig, fit_critics,
                       forward_components)
@@ -56,18 +57,15 @@ def gradient_check_report(seed: int = 0, h: float = 1e-5) -> dict[str, float]:
     eps = {tag: component_rng(seed, NOISE_STREAM[tag]).standard_normal(
                (PROBE_N, PROBE_HIDDEN))
            for tag in ("z", "v", "q", "z_exposure")}
-    train = g.mask("train")
     zero = dict.fromkeys(CRITIC_PAIRS, np.zeros((PROBE_HIDDEN, PROBE_HIDDEN)))
     with no_grad():
         critics = fit_critics(
             forward_components(model, g, config, eps, zero, exposure)[1])
 
     def components() -> dict[str, Tensor]:
-        comps, outs = forward_components(model, g, config, eps, critics,
-                                         exposure)
-        dist, _, logits = outs["z"]
-        return {"cross_entropy": cross_entropy(logits, g.y, train),
-                "kl": kl_standard_normal(dist.rows(train)),
+        comps = forward_components(model, g, config, eps, critics,
+                                   exposure)[0]
+        return {"cross_entropy": comps["ce_z"], "kl": comps["kl_z"],
                 "club": comps["pmi_zv"],
                 "recon": comps["cind"],
                 "energy_reg": comps["energy_reg"],

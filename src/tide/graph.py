@@ -57,25 +57,19 @@ class SparseMatrix:
                 raise GraphError("duplicate (row, col) entries")
         if not np.all(np.isfinite(self.vals)):
             raise GraphError("non-finite sparse values")
-        self._csr = None
-        self._csr_t = None
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n, self.n)
 
-    @property
+    @cached_property
     def csr(self):
-        if self._csr is None:
-            self._csr = sp.csr_matrix(
-                (self.vals, (self.rows, self.cols)), shape=self.shape)
-        return self._csr
+        return sp.csr_matrix((self.vals, (self.rows, self.cols)),
+                             shape=self.shape)
 
-    @property
+    @cached_property
     def csr_t(self):
-        if self._csr_t is None:
-            self._csr_t = self.csr.T.tocsr()
-        return self._csr_t
+        return self.csr.T.tocsr()
 
 
 @dataclass(frozen=True)

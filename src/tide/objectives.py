@@ -1,16 +1,18 @@
-"""Loss terms: the per-network variational objectives, the
-conditional-independence surrogate, the pairwise contrastive dependence
-estimate (in closed form from the samples' cross-covariance, with a
-bilinear critic fitted by ridge least squares), the energy margin
-regularizer, and their routing into per-network totals. The energies
-the margin compares, their propagation and its operator live in
-``detection``, the same code that scores nodes at evaluation.
+"""Loss terms: each network's variational bottleneck (its cross-entropy
+and KL, two separate terms), the conditional-independence surrogate,
+the pairwise contrastive dependence estimate (in closed form from the
+samples' cross-covariance, with a bilinear critic fitted by ridge least
+squares), the energy margin regularizer, and their routing into
+per-network totals. The energies the margin compares, their propagation
+and its operator live in ``detection``, the same code that scores nodes
+at evaluation.
 
 The loss functions build on the autodiff primitives and return 1x1
-tensors, so they compose into one fused backward pass; ``fit_critic``
-works on detached arrays, off the tape. ``TERMS`` is the single place
-that knows each term's weight and which networks it feeds;
-``tide_total`` fuses and routes by it.
+tensors (``vib_loss`` a pair of them), so they compose into one fused
+backward pass; ``fit_critic`` works on detached arrays, off the tape.
+``TERMS`` is the single place that knows each term's weight, beta
+included, and which networks it feeds; ``tide_total`` alone applies
+the weights, fusing and routing by it.
 """
 
 from __future__ import annotations
@@ -56,15 +58,12 @@ def kl_standard_normal(dist: LatentDistribution) -> Tensor:
 
 
 def vib_loss(logits: Tensor, labels: np.ndarray, mask: np.ndarray,
-             dist: LatentDistribution, beta: float) -> Tensor:
-    """Supervised term plus beta-weighted compression, both on the mask."""
-    if beta < 0:
-        raise LossError(f"beta must be >= 0, got {beta}")
-    ce = cross_entropy(logits, labels, mask)
-    if beta == 0.0:
-        return ce
-    kl = kl_standard_normal(dist.rows(np.asarray(mask, dtype=np.int64)))
-    return ad.add(ce, ad.mul(kl, beta))
+             dist: LatentDistribution) -> tuple[Tensor, Tensor]:
+    """The bottleneck's supervised and compression terms on the mask:
+    (cross-entropy, KL); ``TERMS`` weighs the KL by the network's beta."""
+    mask = np.asarray(mask, dtype=np.int64)
+    return (cross_entropy(logits, labels, mask),
+            kl_standard_normal(dist.rows(mask)))
 
 
 # The critic fit's ridge per sample: lambda = CRITIC_RIDGE * n.
@@ -139,13 +138,17 @@ def energy_reg_loss(e_id: Tensor, e_ood: Tensor, t_id: float, t_ood: float
 # restricting its gradient to one network's parameters reproduces that
 # network's routed total:
 #
-#     Z <- vib_z + lambda_cind*cind + a1*pmi_zv + a2*pmi_zq [+ lambda_oe*ereg]
-#     V <- vib_v + a1*pmi_zv + a3*pmi_vq
-#     Q <- vib_q + a2*pmi_zq + a3*pmi_vq
+#     Z <- ce_z + beta_z*kl_z + lambda_cind*cind + a1*pmi_zv + a2*pmi_zq
+#          [+ lambda_oe*ereg]
+#     V <- ce_v + beta_v*kl_v + a1*pmi_zv + a3*pmi_vq
+#     Q <- ce_q + beta_q*kl_q + a2*pmi_zq + a3*pmi_vq
 TERMS = {
-    "vib_z": (None, "z"),
-    "vib_v": (None, "v"),
-    "vib_q": (None, "q"),
+    "ce_z": (None, "z"),
+    "kl_z": ("beta_z", "z"),
+    "ce_v": (None, "v"),
+    "kl_v": ("beta_v", "v"),
+    "ce_q": (None, "q"),
+    "kl_q": ("beta_q", "q"),
     "cind": ("lambda_cind", "z"),
     "pmi_zv": ("alpha1", "zv"),
     "pmi_zq": ("alpha2", "zq"),
@@ -154,13 +157,14 @@ TERMS = {
 }
 
 
-def tide_total(components: dict[str, Tensor | None], config
+def tide_total(components: dict[str, Tensor], config
                ) -> tuple[Tensor, dict[str, float]]:
     """Fuse the components into one backward target and route the totals.
 
-    ``components`` may hold any ``TERMS`` key; missing or None entries
-    count as zero. Returns the fused scalar and the breakdown: each
-    term's value, then ``total_z``/``total_v``/``total_q``, the routed
+    ``components`` may hold any ``TERMS`` key; a missing one counts as
+    zero, and a zero-weight one is logged but left out of the fused
+    scalar. Returns the fused scalar and the breakdown: each term's
+    value, then ``total_z``/``total_v``/``total_q``, the routed
     per-network totals (all to minimize).
     """
     fused: Tensor | None = None

@@ -3,9 +3,11 @@
 ``branch`` is a network's one forward (posterior, sample, head logits).
 ``forward_components``, the training forward, runs it for each network
 the objective trains (``MODE_GROUPS``) and adds that network's
-bottleneck term (sl: beta = 0 on the posterior mean), then the
-couplings ``objectives.TERMS`` routes. ``energy_margin`` runs it on the
-exposure graph. The gradient audit reads every component it checks off
+bottleneck terms, its cross-entropy and KL (sl: the cross-entropy
+alone, on the posterior mean), then the couplings.
+``objectives.TERMS`` weighs and routes every term, and each epoch's log
+records each one. ``energy_margin`` runs ``branch`` on the exposure
+graph. The gradient audit reads every component it checks off
 ``forward_components``, so the audited objective is the trained one.
 One epoch is that forward, one fused backward whose per-network
 gradient restriction implements the routing and an Adam step on those
@@ -44,8 +46,9 @@ from .model import (NOISE_STREAM, LatentDistribution, TideModel, build_model,
                     component_rng, encode_feature, encode_joint,
                     encode_structure, joint_logits_at_mean, predict_logits,
                     reparameterize)
-from .objectives import (club_estimate, energy_reg_loss, fit_critic,
-                         recon_cind_loss, tide_total, vib_loss)
+from .objectives import (TERMS, club_estimate, cross_entropy,
+                         energy_reg_loss, fit_critic, recon_cind_loss,
+                         tide_total, vib_loss)
 
 # Parameter groups each objective trains: the training forward builds
 # only these branches and Adam steps only these groups. In sl/ib/ib_cind
@@ -126,9 +129,8 @@ class TideConfig:
             raise ConfigError(
                 f"objective_mode must be one of {OBJECTIVE_MODES}, "
                 f"got {self.objective_mode!r}")
-        for name in ("beta_z", "beta_v", "beta_q", "alpha1", "alpha2",
-                     "alpha3", "lambda_cind", "lambda_oe", "prop_k",
-                     "epochs", "seed"):
+        weights = [name for name, _ in TERMS.values() if name is not None]
+        for name in (*weights, "prop_k", "epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if not (0.0 <= self.prop_alpha <= 1.0):
@@ -261,14 +263,15 @@ def forward_components(model: TideModel, g: Graph, config: TideConfig,
     """One training forward: the loss terms of ``config.objective_mode``.
 
     Each network in ``MODE_GROUPS`` for the mode runs through ``branch``
-    and contributes its variational bottleneck term; sl is that term
-    with beta = 0 on the posterior mean. ``eps`` maps each noise stream
-    the mode samples ("z", "v", "q", "z_exposure"; sl draws none) to its
-    draw for this forward; ``critics`` maps each ``CRITIC_PAIRS`` pair to
-    the fixed projection its dependence penalty reads (tide only; the
-    other modes ignore it); ``exposure`` is the energy margin's OOD
-    graph. Returns the components ``tide_total`` fuses and each built
-    network's ``branch`` outputs (posterior, sample, logits).
+    and contributes its variational bottleneck terms, ``ce_<tag>`` and
+    ``kl_<tag>``; sl contributes ``ce_z`` alone, on the posterior mean.
+    ``eps`` maps each noise stream the mode samples ("z", "v", "q",
+    "z_exposure"; sl draws none) to its draw for this forward;
+    ``critics`` maps each ``CRITIC_PAIRS`` pair to the fixed projection
+    its dependence penalty reads (tide only; the other modes ignore it);
+    ``exposure`` is the energy margin's OOD graph. Returns the
+    components, all ``TERMS`` keys, and each built network's ``branch``
+    outputs (posterior, sample, logits).
     """
     mode = config.objective_mode
     groups = MODE_GROUPS[mode]
@@ -276,9 +279,12 @@ def forward_components(model: TideModel, g: Graph, config: TideConfig,
     comps, outs = {}, {}
     for tag in [t for t in NETWORKS if t in groups]:
         dist, _, logits = outs[tag] = branch(model, g, tag, eps.get(tag))
-        beta = 0.0 if mode == "sl" else getattr(config, f"beta_{tag}")
         with _component(f"vib_{tag}"):
-            comps[f"vib_{tag}"] = vib_loss(logits, g.y, train, dist, beta)
+            if mode == "sl":
+                comps[f"ce_{tag}"] = cross_entropy(logits, g.y, train)
+            else:
+                comps[f"ce_{tag}"], comps[f"kl_{tag}"] = vib_loss(
+                    logits, g.y, train, dist)
     if "recon" in groups:
         with _component("cind"):
             comps["cind"] = recon_cind_loss(outs["z"][1], Tensor(g.X), model)

@@ -133,13 +133,13 @@ def test_sl_and_tide_logs_differ_in_expected_components(bundles, tmp_path):
         first = json.loads(
             (out / "train_log.jsonl").read_text().split("\n")[0])
         logs[mode] = first["loss"]
-    always_zero_in_sl = ("vib_v", "vib_q", "cind", "pmi_zv", "pmi_zq",
-                         "pmi_vq")
+    always_zero_in_sl = ("ce_v", "ce_q", "kl_z", "kl_v", "kl_q", "cind",
+                         "pmi_zv", "pmi_zq", "pmi_vq")
     for key in always_zero_in_sl:
         assert logs["sl"][key] == 0.0
-    assert logs["tide"]["vib_v"] > 0
+    assert logs["tide"]["ce_v"] > 0 and logs["tide"]["kl_v"] > 0
     assert logs["tide"]["cind"] > 0
-    assert logs["sl"]["vib_z"] > 0 and logs["tide"]["vib_z"] > 0
+    assert logs["sl"]["ce_z"] > 0 and logs["tide"]["ce_z"] > 0
 
 
 def test_train_exposure_flag_without_data_is_usage_error(bundles, tmp_path,

@@ -9,10 +9,10 @@ import tide.autodiff as ad
 from tide.autodiff import Tensor
 from tide.graph import sym_normalized_adjacency
 from tide.model import LatentDistribution, build_model, encode_joint, reparameterize
-from tide.objectives import (LossError, club_estimate, cross_entropy,
+from tide.objectives import (TERMS, LossError, club_estimate, cross_entropy,
                              energy_reg_loss, fit_critic, kl_standard_normal,
                              recon_cind_loss, tide_total, vib_loss)
-from tide.trainer import TideConfig
+from tide.trainer import ConfigError, TideConfig
 from conftest import random_graph
 from oracles import club_all_pairs
 
@@ -97,13 +97,16 @@ def test_cross_entropy_empty_mask_rejected():
 
 
 def test_vib_beta_zero_is_pure_ce():
+    """A zero beta logs the KL but leaves it out of the fused loss."""
     logits = Tensor(np.array([[0.2, -0.4], [1.0, 0.0]]))
     labels = np.array([1, 0])
     mask = np.arange(2)
     d = dist_of(np.ones((2, 2)), np.ones((2, 2)))
-    vib = vib_loss(logits, labels, mask, d, beta=0.0)
-    ce = cross_entropy(logits, labels, mask)
-    assert vib.item() == ce.item()
+    ce, kl = vib_loss(logits, labels, mask, d)
+    fused, br = tide_total({"ce_z": ce, "kl_z": kl}, TideConfig(beta_z=0.0))
+    assert fused is ce
+    assert br["kl_z"] == kl.item() > 0
+    assert br["total_z"] == ce.item()
 
 
 def test_vib_composes_ce_plus_beta_kl():
@@ -111,16 +114,20 @@ def test_vib_composes_ce_plus_beta_kl():
     labels = np.array([1, 0, 1])
     mask = np.array([0, 2])
     d = dist_of([[1.0], [2.0], [3.0]], [[1.0], [1.0], [2.0]])
-    got = vib_loss(logits, labels, mask, d, beta=0.001).item()
-    ce = cross_entropy(logits, labels, mask).item()
-    kl = kl_standard_normal(d.rows(mask)).item()
-    assert got == pytest.approx(ce + 0.001 * kl, rel=1e-12)
+    ce, kl = vib_loss(logits, labels, mask, d)
+    assert ce.item() == cross_entropy(logits, labels, mask).item()
+    assert kl.item() == kl_standard_normal(d.rows(mask)).item()
+    fused, _ = tide_total({"ce_z": ce, "kl_z": kl}, TideConfig(beta_z=0.001))
+    assert fused.item() == pytest.approx(ce.item() + 0.001 * kl.item(),
+                                         rel=1e-12)
 
 
-def test_vib_negative_beta_rejected():
-    with pytest.raises(LossError):
-        vib_loss(Tensor(np.zeros((1, 2))), np.array([0]), np.array([0]),
-                 dist_of([[0.0]], [[1.0]]), beta=-0.1)
+@pytest.mark.parametrize("field", sorted({f for f, _ in TERMS.values() if f}))
+def test_every_terms_weight_must_be_nonnegative(field):
+    """Weights are config fields, so the config rejects a negative one
+    before any loss is built."""
+    with pytest.raises(ConfigError, match=f"{field} must be >= 0"):
+        TideConfig(**{field: -0.1}).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -303,25 +310,31 @@ def scalar(v):
 def test_tide_total_routes_per_network():
     cfg = TideConfig(alpha1=0.1, alpha2=0.2, alpha3=0.3, lambda_cind=0.5,
                      lambda_oe=2.0)
-    comps = {"vib_z": scalar(1.0), "vib_v": scalar(2.0), "vib_q": scalar(3.0),
+    comps = {"ce_z": scalar(1.0), "ce_v": scalar(2.0), "ce_q": scalar(3.0),
+             "kl_z": scalar(10.0), "kl_v": scalar(20.0), "kl_q": scalar(30.0),
              "cind": scalar(4.0), "pmi_zv": scalar(5.0),
              "pmi_zq": scalar(6.0), "pmi_vq": scalar(7.0),
              "energy_reg": scalar(8.0)}
     fused, br = tide_total(comps, cfg)
-    assert br["total_z"] == pytest.approx(1 + 0.5 * 4 + 0.1 * 5 + 0.2 * 6 + 2.0 * 8)
-    assert br["total_v"] == pytest.approx(2 + 0.1 * 5 + 0.3 * 7)
-    assert br["total_q"] == pytest.approx(3 + 0.2 * 6 + 0.3 * 7)
-    expected_fused = (1 + 2 + 3 + 0.5 * 4 + 0.1 * 5 + 0.2 * 6 + 0.3 * 7
-                      + 2.0 * 8)
+    b = cfg.beta_z
+    assert cfg.beta_v == cfg.beta_q == b
+    assert br["total_z"] == pytest.approx(
+        1 + b * 10 + 0.5 * 4 + 0.1 * 5 + 0.2 * 6 + 2.0 * 8)
+    assert br["total_v"] == pytest.approx(2 + b * 20 + 0.1 * 5 + 0.3 * 7)
+    assert br["total_q"] == pytest.approx(3 + b * 30 + 0.2 * 6 + 0.3 * 7)
+    expected_fused = (1 + 2 + 3 + b * (10 + 20 + 30) + 0.5 * 4 + 0.1 * 5
+                      + 0.2 * 6 + 0.3 * 7 + 2.0 * 8)
     assert fused.item() == pytest.approx(expected_fused, rel=1e-12)
 
 
 def test_tide_total_zero_couplings_reduce_to_vibs():
-    cfg = TideConfig(alpha1=0.0, alpha2=0.0, alpha3=0.0, lambda_cind=0.0)
-    comps = {"vib_z": scalar(1.5), "vib_v": scalar(0.5), "vib_q": scalar(2.0)}
+    cfg = TideConfig(alpha1=0.0, alpha2=0.0, alpha3=0.0, lambda_cind=0.0,
+                     beta_z=0.5, beta_v=0.25, beta_q=0.125)
+    comps = {"ce_z": scalar(1.5), "ce_v": scalar(0.5), "ce_q": scalar(2.0),
+             "kl_z": scalar(2.0), "kl_v": scalar(4.0), "kl_q": scalar(8.0)}
     fused, br = tide_total(comps, cfg)
-    assert (br["total_z"], br["total_v"], br["total_q"]) == (1.5, 0.5, 2.0)
-    assert fused.item() == pytest.approx(4.0)
+    assert (br["total_z"], br["total_v"], br["total_q"]) == (2.5, 1.5, 3.0)
+    assert fused.item() == pytest.approx(7.0)
 
 
 def test_tide_total_without_components_rejected():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -15,13 +16,14 @@ from tide.graph import GraphError, make_graph, sym_normalized_adjacency
 from tide.model import (NOISE_STREAM, build_model, component_rng,
                         config_sha256, encode_feature, joint_logits_at_mean,
                         predict_logits, reparameterize)
-from tide.objectives import (club_estimate, cross_entropy, energy_reg_loss,
-                             vib_loss)
+from tide.objectives import (TERMS, club_estimate, cross_entropy,
+                             energy_reg_loss, vib_loss)
 from tide.shift import (CsbmParams, ShiftSpec, apply_feature_shift,
                         apply_shift, as_ood_bundle, gen_csbm)
-from tide.trainer import (CRITIC_PAIRS, AdamState, ConfigError, TideConfig,
-                          TrainingError, adam_step, branch, forward_components,
-                          train_tide, write_train_log)
+from tide.trainer import (CRITIC_PAIRS, OBJECTIVE_MODES, AdamState,
+                          ConfigError, TideConfig, TrainingError, adam_step,
+                          branch, forward_components, train_tide,
+                          write_train_log)
 
 FIXTURE = CsbmParams(n=120, C=3, d=8, p_in=0.15, p_out=0.02, mu_sep=2.0,
                      seed=0, train_frac=0.4, val_frac=0.2)
@@ -143,13 +145,17 @@ def test_joint_only_modes_leave_v_and_q_untrained(mode):
     g = fixture_graph()
     cfg = TideConfig(objective_mode=mode, epochs=3)
     result = train_tide(g, cfg)
-    zero = ["vib_v", "vib_q", "pmi_zv", "pmi_zq", "pmi_vq"]
+    zero = ["ce_v", "kl_v", "ce_q", "kl_q", "pmi_zv", "pmi_zq", "pmi_vq"]
     if mode == "ib_cind":
         assert all(rec["loss"]["cind"] > 0 for rec in result.log)
     else:
         zero.append("cind")
+    if mode == "sl":
+        zero.append("kl_z")
+    else:
+        assert all(rec["loss"]["kl_z"] > 0 for rec in result.log)
     for rec in result.log:
-        assert rec["loss"]["vib_z"] > 0
+        assert rec["loss"]["ce_z"] > 0
         for key in zero:
             assert rec["loss"][key] == 0.0
     init = build_model(g.d, cfg.hidden, g.C, cfg.seed)
@@ -162,7 +168,9 @@ def test_tide_mode_logs_every_component():
     g = fixture_graph()
     result = train_tide(g, TideConfig(objective_mode="tide", epochs=3))
     last = result.log[-1]["loss"]
-    assert last["vib_v"] > 0 and last["vib_q"] > 0 and last["cind"] > 0
+    assert all(last[f"{term}_{tag}"] > 0 for term in ("ce", "kl")
+               for tag in "zvq")
+    assert last["cind"] > 0
     assert any(last[k] != 0.0 for k in ("pmi_zv", "pmi_zq", "pmi_vq"))
 
 
@@ -175,18 +183,45 @@ def test_mean_branch_is_eval_path_and_sl_is_plain_cross_entropy():
     np.testing.assert_array_equal(logits.values, joint_logits_at_mean(model, g))
     comps, _ = forward_components(model, g, TideConfig(objective_mode="sl"),
                                   {}, {})
-    assert set(comps) == {"vib_z"}
-    assert comps["vib_z"].item() == cross_entropy(logits, g.y, g.mask("train")).item()
+    assert set(comps) == {"ce_z"}
+    assert comps["ce_z"].item() == cross_entropy(logits, g.y, g.mask("train")).item()
     ad.clear_tape()
+
+
+@pytest.mark.parametrize("exposed", [False, True], ids=["plain", "exposure"])
+@pytest.mark.parametrize("mode", OBJECTIVE_MODES)
+def test_every_forward_component_is_a_weighted_term(mode, exposed,
+                                                     monkeypatch):
+    """Whatever the training forward computes is a ``TERMS`` entry, so it
+    reaches the fused loss or the log, and the log holds every term."""
+    g = fixture_graph()
+    exposure = (apply_feature_shift(g, ShiftSpec("feature", intensity=0.8,
+                                                 seed=8)) if exposed else None)
+    seen = []
+
+    def spy(*args):
+        comps, outs = forward_components(*args)
+        seen.append(set(comps))
+        return comps, outs
+
+    monkeypatch.setattr("tide.trainer.forward_components", spy)
+    cfg = TideConfig(objective_mode=mode, epochs=2, t_id=-1.2, t_ood=-1.0)
+    result = train_tide(g, cfg, exposure_graph=exposure)
+    assert len(seen) == 2
+    assert all(keys <= set(TERMS) for keys in seen)
+    assert all(("energy_reg" in keys) == exposed for keys in seen)
+    for rec in result.log:
+        assert set(rec["loss"]) == set(TERMS) | {"total_z", "total_v",
+                                                 "total_q"}
 
 
 def test_train_ce_halves_from_first_epoch():
     g = fixture_graph()
     result = train_tide(g, TideConfig(objective_mode="tide", epochs=60))
-    first = result.log[0]["loss"]["vib_z"]
+    first = result.log[0]["loss"]["ce_z"]
     # Per-epoch samples keep the curve noisy, so check the best point
     # reached rather than the final epoch.
-    assert min(rec["loss"]["vib_z"] for rec in result.log) <= 0.5 * first
+    assert min(rec["loss"]["ce_z"] for rec in result.log) <= 0.5 * first
 
 
 def test_tide_dependence_penalties_stay_bounded():
@@ -226,7 +261,8 @@ def test_decoupled_feature_network_matches_solo_vib_run():
         dist = encode_feature(X, solo)
         sample = reparameterize(dist, rng_v.standard_normal(dist.mu.shape))
         logits = predict_logits(sample, None, solo, "v")
-        loss = vib_loss(logits, g.y, g.mask("train"), dist, cfg.beta_v)
+        ce, kl = vib_loss(logits, g.y, g.mask("train"), dist)
+        loss = ad.add(ce, ad.mul(kl, cfg.beta_v))
         adam_step(v_params, ad.backward(loss, v_params), state, cfg.lr)
 
     for name in v_params:
@@ -403,11 +439,43 @@ def test_gradient_audit_reads_every_component_off_one_forward(monkeypatch):
     assert len(calls) == 1 + 2 * entries + len(report)
 
 
-def test_gradient_audit_probe_failure_names_parameter_and_entry(monkeypatch):
-    """Overflow while z_head.W[1, 2] (flat entry 5) is perturbed."""
+def test_gradient_audit_computes_each_ce_and_kl_once_per_forward(monkeypatch):
+    """The audit reads the joint network's CE and KL off the training
+    forward rather than recomputing them: every tide-mode forward
+    computes the three networks' CE and KL once each, and nothing else
+    does."""
     import tide.gradcheck as gc
+    import tide.objectives as obj
+    counts = dict.fromkeys(("forward", "cross_entropy", "kl_standard_normal"),
+                           0)
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    for name in ("cross_entropy", "kl_standard_normal"):
+        real = getattr(obj, name)
+        spy = counted(name, real)
+        for key, module in list(sys.modules.items()):
+            if key.startswith("tide.") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(gc, "forward_components",
+                        counted("forward", gc.forward_components))
+    gradient_check_report(seed=0)
+    assert counts["forward"] == 1 + 2 * 920 + 6
+    assert counts["cross_entropy"] == 3 * counts["forward"]
+    assert counts["kl_standard_normal"] == 3 * counts["forward"]
+
+
+def test_gradient_audit_probe_failure_names_parameter_and_entry(monkeypatch):
+    """Overflow in the training forward's cross-entropy while
+    z_head.W[1, 2] (flat entry 5) is perturbed."""
+    import tide.gradcheck as gc
+    import tide.objectives as obj
     probed = []
-    real_build, real_ce = gc.build_model, gc.cross_entropy
+    real_build, real_ce = gc.build_model, obj.cross_entropy
 
     def build_spy(*args):
         model = real_build(*args)
@@ -422,11 +490,12 @@ def test_gradient_audit_probe_failure_names_parameter_and_entry(monkeypatch):
         return real_ce(logits, labels, mask)
 
     monkeypatch.setattr(gc, "build_model", build_spy)
-    monkeypatch.setattr(gc, "cross_entropy", ce_spy)
+    monkeypatch.setattr(obj, "cross_entropy", ce_spy)
     with np.errstate(over="ignore"), pytest.raises(ad.NumericsError) as exc:
         gradient_check_report(seed=0)
     assert str(exc.value).startswith(
-        "non-finite value probing z_head.W entry 5: mul produced non-finite")
+        "non-finite value probing z_head.W entry 5: component vib_z: "
+        "mul produced non-finite")
 
 
 def test_gradient_audit_loss_term_failure_names_parameter_entry_and_term(
