@@ -189,36 +189,38 @@ def cmd_generate(args) -> int:
     from .shift import (CsbmParams, apply_shift, as_ood_bundle, gen_csbm,
                         label_leave_out_split)
 
+    outdir = Path(args.out_dir)
+    id_path = outdir / f"{args.stem}_id.json"
+    paths = [outdir / f"{args.stem}_{token.replace(':', '_').replace(',', '-')}.json"
+             for token in args.shift]
+    repeated = [t for i, t in enumerate(args.shift) if paths[i] in paths[:i]]
+    if repeated:
+        raise CliError(f"--shift {repeated[0]} is given twice")
+
     params = CsbmParams(n=args.n, C=args.classes, d=args.dim,
                         p_in=args.p_in, p_out=args.p_out, mu_sep=args.mu_sep,
                         noise=args.noise, seed=args.seed,
                         train_frac=args.train_frac, val_frac=args.val_frac)
     g = gen_csbm(params)
 
-    outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    id_path = outdir / f"{args.stem}_id.json"
-    save_bundle(g, id_path)
-    written.append(id_path)
+    memo = {}  # twins share arrays with g; each is encoded once
+    save_bundle(g, id_path, memo)
 
     kinds = []
-    for i, token in enumerate(args.shift):
+    for i, (token, path) in enumerate(zip(args.shift, paths)):
         spec = _parse_shift(token, g.C, args.seed, i)
         spec.validate(C=g.C)
         if spec.kind == "label":
             shifted = label_leave_out_split(g, spec.ood_classes)
         else:
             shifted = as_ood_bundle(apply_shift(g, spec))
-        tag = token.replace(":", "_").replace(",", "-")
-        path = outdir / f"{args.stem}_{tag}.json"
-        save_bundle(shifted, path)
-        written.append(path)
+        save_bundle(shifted, path, memo)
         kinds.append(spec.kind)
 
     print(f"generated n={g.n} edges={g.num_edges} C={g.C} "
-          f"shifts={kinds if kinds else '[]'}")
-    for path in written:
+          f"shifts={kinds}")
+    for path in [id_path, *paths]:
         print(f"  wrote {path}")
     return 0
 

@@ -11,7 +11,7 @@ A graph builds each of its two operators at most once: ``g.adjacency``
 heads, and ``g.propagation`` (``propagation_operator``), that of energy
 propagation. Training, the audit and scoring all read them there.
 
-On disk a graph is a single-JSON "bundle" (see ``bundle_dict``); it
+On disk a graph is a single-JSON "bundle" (see ``save_bundle``); it
 round-trips exactly, since floats are written with shortest-repr
 precision.
 """
@@ -19,12 +19,12 @@ precision.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 
 MASK_NAMES = ("train", "val", "test_id", "test_ood")
@@ -64,6 +64,9 @@ class SparseMatrix:
 
     @cached_property
     def csr(self):
+        # Imported here, at the first sparse product, so that sampling
+        # and writing bundles never load scipy.
+        import scipy.sparse as sp
         return sp.csr_matrix((self.vals, (self.rows, self.cols)),
                              shape=self.shape)
 
@@ -211,24 +214,40 @@ def propagation_operator(g: Graph) -> SparseMatrix:
 # Single-JSON bundle
 # ---------------------------------------------------------------------------
 
-def bundle_dict(g: Graph) -> dict:
-    return {
-        "n": g.n,
-        "d": g.d,
-        "C": g.C,
-        "features": g.X.tolist(),
-        "edges": g.edges.tolist(),
-        "labels": g.y.tolist(),
-        "splits": {name: g.mask(name).tolist() for name in MASK_NAMES},
-    }
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def save_bundle(g: Graph, path) -> None:
-    # json.dumps takes the C encoder; json.dump streams through the
-    # pure-Python one. The bytes are the same.
-    text = json.dumps(bundle_dict(g), sort_keys=True, separators=(",", ":"))
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+def _array_json(arr: np.ndarray, memo: dict) -> str:
+    if id(arr) not in memo:
+        memo[id(arr)] = (arr, json.dumps(arr.tolist(), separators=(",", ":")))
+    return memo[id(arr)][1]
+
+
+def save_bundle(g: Graph, path, memo: dict | None = None) -> None:
+    """Write ``g`` as its compact sorted-key JSON document, joined from
+    one fragment per field. Bundles that share arrays can pass one
+    ``memo`` dict: it encodes each array once and holds it, so no id is
+    reused. Its arrays must not change while it is in use."""
+    memo = {} if memo is None else memo
+    splits = ",".join(f'"{name}":{_array_json(g.mask(name), memo)}'
+                      for name in sorted(MASK_NAMES))
+    fields = {"n": str(g.n), "d": str(g.d), "C": str(g.C),
+              "features": _array_json(g.X, memo),
+              "edges": _array_json(g.edges, memo),
+              "labels": _array_json(g.y, memo),
+              "splits": "{" + splits + "}"}
+    text = ",".join(f'"{key}":{fields[key]}' for key in sorted(fields))
+    write_atomic(path, ("{" + text + "}\n").encode())
 
 
 def _int_list(value) -> bool:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import Graph, SparseMatrix
+from .graph import Graph, SparseMatrix, write_atomic
 
 SIGMA_FLOOR = 1e-6
 
@@ -229,10 +229,9 @@ def save_checkpoint(model: TideModel, path, config_dict: dict | None = None) -> 
                    for n, p in model.params.items()],
     }
     flat = np.concatenate([p.values.reshape(-1) for p in model.params.values()])
-    flat.astype("<f8").tofile(path)
-    with open(path.with_name(path.name + ".json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_atomic(path, flat.astype("<f8").tobytes())
+    write_atomic(path.with_name(path.name + ".json"),
+                 (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode())
 
 
 def load_checkpoint(path) -> TideModel:

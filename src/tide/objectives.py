@@ -77,7 +77,9 @@ def fit_critic(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     likelihood; it does not ascend the bound. For a linear-Gaussian q
     that fit is ridge least squares of s2 on a = s1 - s1_mean,
     P = (a^T a + lambda I)^-1 a^T s2, and the estimate at P is
-    tr(s2^T a P) / (n sqrt(h)) >= 0.
+    tr(s2^T a P) / (n sqrt(h)) >= 0, but only on the samples P was fitted
+    to. Training reads each critic one step late, on the next epoch's
+    samples, so a logged ``pmi_*`` can read slightly negative.
     """
     n = s1.shape[0]
     a = s1 - s1.mean(0)

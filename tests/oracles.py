@@ -126,3 +126,15 @@ def csbm_all_pairs(params):
              "val": order[n_train:n_train + n_val],
              "test_id": order[n_train + n_val:]}
     return X, edges, y, masks
+
+
+def bundle_doc(g):
+    """The JSON document a bundle of ``g`` holds, field by field."""
+    return {
+        "n": g.n, "d": g.d, "C": g.C,
+        "features": [[float(v) for v in row] for row in g.X],
+        "edges": [[int(u), int(v)] for u, v in g.edges],
+        "labels": [int(v) for v in g.y],
+        "splits": {name: [int(i) for i in g.masks.get(name, [])]
+                   for name in ("train", "val", "test_id", "test_ood")},
+    }

@@ -1,11 +1,14 @@
 """End-to-end command-line contract: files in, files out, exit codes."""
 
+import hashlib
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import tide.shift
 from tide.cli import main
 
 
@@ -55,6 +58,68 @@ def test_generate_is_deterministic(tmp_path):
     for name in sorted(p.name for p in (tmp_path / "a").glob("*.json")):
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes()
+
+
+GENERATE_SHA256 = {
+    "csbm_id.json":
+        "a017d265f14e19720e190487a16cd7c46854bddada318dcb468c8acca6555f65",
+    "csbm_structure_0.3.json":
+        "0e5961e0c2b8bb83292440ad852c5fc428104b4e13d2e40b35753050d5491bde",
+    "csbm_feature_0.5.json":
+        "48b5b3a88601fcef9feac67f68a4f2f01ce7509c327e08379596ae1bdfdcf827",
+    "csbm_label_2.json":
+        "1c09202d55c73c388ceefc185c96f5005b822fdb71150e2ca674cbfc3a423e75",
+}
+GENERATE_ALL_KINDS = ("generate", "--n", "60", "--classes", "3", "--dim", "4",
+                      "--p-in", "0.2", "--p-out", "0.03", "--mu-sep", "2.0",
+                      "--seed", "5", "--shift", "structure:0.3",
+                      "--shift", "feature:0.5", "--shift", "label:2")
+
+
+def test_generate_bundle_bytes_are_pinned(tmp_path):
+    """Every bundle of a generate with all three shift kinds keeps the
+    sha256 it had before the writer shared encodings between bundles."""
+    assert run_cli(*GENERATE_ALL_KINDS, "--out-dir", tmp_path) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert written == GENERATE_SHA256
+
+
+def test_generate_repeated_shift_exits_one_and_writes_nothing(tmp_path,
+                                                              capsys):
+    """Two equal --shift tokens would draw two bundles for one path."""
+    out = tmp_path / "out"
+    code = run_cli("generate", "--n", "40", "--classes", "2", "--dim", "4",
+                   "--shift", "structure:0.3", "--shift", "feature:0.5",
+                   "--shift", "structure:0.3", "--out-dir", out)
+    assert code == 1
+    assert "structure:0.3 is given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_failure_while_encoding_keeps_written_bundles_whole(
+        tmp_path, monkeypatch):
+    """The second bundle fails while its features are encoded: the first
+    stays byte-identical and no partial or temporary file is left."""
+    class Unencodable(np.ndarray):
+        def tolist(self):
+            raise RuntimeError("cannot encode")
+
+    args = ("generate", "--n", "40", "--classes", "2", "--dim", "4",
+            "--shift", "feature:0.5")
+    assert run_cli(*args, "--out-dir", tmp_path / "clean") == 0
+    apply_shift = tide.shift.apply_shift
+
+    def unencodable_shift(g, spec):
+        shifted = apply_shift(g, spec)
+        return replace(shifted, X=shifted.X.view(Unencodable))
+
+    monkeypatch.setattr(tide.shift, "apply_shift", unencodable_shift)
+    with pytest.raises(RuntimeError, match="cannot encode"):
+        run_cli(*args, "--out-dir", tmp_path / "failed")
+    assert [p.name for p in (tmp_path / "failed").iterdir()] == ["csbm_id.json"]
+    assert (tmp_path / "failed" / "csbm_id.json").read_bytes() \
+        == (tmp_path / "clean" / "csbm_id.json").read_bytes()
 
 
 def test_generate_rejects_holding_out_every_class(tmp_path, capsys):

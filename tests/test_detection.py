@@ -251,27 +251,39 @@ def test_histogram_degenerate_range():
     assert sum(hist["ood_counts"]) == 2
 
 
-def test_package_import_leaves_scipy_stats_unloaded():
-    """The metrics need numpy only, so no tide process pays for
-    importing scipy.stats."""
+_PACKAGE = "import tide.cli, tide.experiment, tide.gradcheck\n"
+_GENERATE = (_PACKAGE
+             + "import tempfile\n"
+             "tide.experiment.make_fixture('joint', 0)\n"
+             "with tempfile.TemporaryDirectory() as out:\n"
+             "    assert tide.cli.main(['generate', '--n', '40', '--classes', "
+             "'3', '--dim', '4', '--shift', 'structure:0.3', '--shift', "
+             "'feature:0.5', '--shift', 'label:1', '--out-dir', out]) == 0\n")
+_SCORE = ("from tide.experiment import make_fixture\n"
+          "from tide.model import build_model, joint_logits_at_mean\n"
+          "g, _ = make_fixture('joint', 0)\n"
+          "joint_logits_at_mean(build_model(g.d, 8, g.C, 0), g)\n")
+
+
+@pytest.mark.parametrize("code, module, loaded", [
+    # The metrics need numpy only.
+    pytest.param(_PACKAGE, "scipy.stats", False, id="scipy.stats"),
+    # Softplus and its sigmoid are numpy expressions.
+    pytest.param(_PACKAGE, "scipy.special", False, id="scipy.special"),
+    # Sampling and writing bundles build no sparse operator.
+    pytest.param(_GENERATE, "scipy.sparse", False, id="generate-no-sparse"),
+    # The cli pins BLAS threads from TIDE_THREADS before numpy loads.
+    pytest.param("import tide.cli\n", "numpy", False, id="cli-no-numpy"),
+    # Control: the first sparse product does load scipy.sparse.
+    pytest.param(_SCORE, "scipy.sparse", True, id="scoring-loads-sparse"),
+])
+def test_import_guard(code, module, loaded):
+    """A fresh interpreter that runs ``code`` has ``module`` loaded
+    exactly when ``loaded`` says so."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = os.environ | {"PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
-    code = ("import sys, tide.cli, tide.experiment, tide.gradcheck; "
-            "print('scipy.stats' in sys.modules)")
+    code = f"import sys\n{code}print({module!r} in sys.modules)\n"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
-
-
-def test_package_import_leaves_scipy_special_unloaded():
-    """Softplus and its sigmoid are numpy expressions, so no tide
-    process pays for importing scipy.special."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = os.environ | {"PYTHONPATH": os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")])}
-    code = ("import sys, tide.cli, tide.experiment, tide.gradcheck; "
-            "print('scipy.special' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.splitlines()[-1] == str(loaded)

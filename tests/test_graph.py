@@ -1,5 +1,7 @@
 import json
+import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from tide.graph import (Graph, GraphError, GraphFormatError, canonical_edges,
                         load_bundle, make_graph, save_bundle,
                         sym_normalized_adjacency)
 from conftest import random_graph
+import oracles
 
 
 def write_bundle(tmp_path, features, edges, labels, splits):
@@ -43,27 +46,67 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match=r"g\.json: .*line 2"):
             load_bundle(path)
 
-    def test_round_trip_identical(self, tmp_path, rng):
+
+class TestBundle:
+    def test_round_trip(self, tmp_path, rng):
         g = random_graph(rng, n=9, d=3)
         path = tmp_path / "g.json"
         save_bundle(g, path)
         h = load_bundle(path)
-        assert g.n == h.n and g.d == h.d and g.C == h.C
-        np.testing.assert_array_equal(g.edges, h.edges)
-        np.testing.assert_array_equal(g.y, h.y)
-        np.testing.assert_allclose(g.X, h.X, rtol=0, atol=0)
-        for name in g.masks:
-            np.testing.assert_array_equal(g.mask(name), h.mask(name))
-
-
-class TestBundle:
-    def test_round_trip(self, tmp_path, rng):
-        g = random_graph(rng, n=7, d=2)
-        path = tmp_path / "g.json"
-        save_bundle(g, path)
-        h = load_bundle(path)
+        assert (g.n, g.d, g.C) == (h.n, h.d, h.C)
         np.testing.assert_array_equal(g.X, h.X)
         np.testing.assert_array_equal(g.edges, h.edges)
+        np.testing.assert_array_equal(g.y, h.y)
+        assert set(g.masks) <= set(h.masks)
+        for name in h.masks:
+            np.testing.assert_array_equal(g.mask(name), h.mask(name))
+
+    @pytest.mark.parametrize("case", ["random", "edgeless"])
+    def test_bytes_are_sorted_compact_json_of_the_document(self, case,
+                                                           tmp_path, rng):
+        if case == "random":
+            g = random_graph(rng, n=9, d=3)
+        else:  # no edges, empty val/test_ood masks, awkward float reprs
+            g = make_graph([[1e-05, 1e+16], [-0.0, 2.5]], [], [0, 1],
+                           masks={"train": [0], "test_id": [1]})
+        path = tmp_path / "g.json"
+        save_bundle(g, path)
+        assert path.read_text() == json.dumps(
+            oracles.bundle_doc(g), sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_shared_memo_encodes_a_shared_array_once(self, tmp_path, rng,
+                                                      monkeypatch):
+        g = make_graph(rng.normal(size=(6, 2)), [[0, 1], [2, 3]],
+                       [0, 1, 0, 1, 0, 1],
+                       masks={"train": [0, 1], "val": [2], "test_id": [3],
+                              "test_ood": [4, 5]})
+        twin = replace(g, edges=np.array([[1, 4]]))   # shares every other array
+        expected = [json.dumps(oracles.bundle_doc(h), sort_keys=True,
+                               separators=(",", ":")) + "\n" for h in (g, twin)]
+        encoded = []
+        dumps = json.dumps
+        monkeypatch.setattr(json, "dumps",
+                            lambda obj, **kw: encoded.append(obj) or dumps(obj, **kw))
+        memo = {}
+        save_bundle(g, tmp_path / "g.json", memo)
+        assert len(encoded) == 7                      # X, edges, y, 4 masks
+        save_bundle(twin, tmp_path / "twin.json", memo)
+        assert encoded[7:] == [[[1, 4]]]
+        assert [(tmp_path / f).read_text() for f in ("g.json", "twin.json")] \
+            == expected
+
+    def test_failed_write_keeps_old_file_and_leaves_no_temporary(
+            self, tmp_path, rng, monkeypatch):
+        path = tmp_path / "g.json"
+        path.write_text("old")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            save_bundle(random_graph(rng, n=5), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+        assert path.read_text() == "old"
 
     def test_save_is_deterministic(self, tmp_path, rng):
         g = random_graph(rng, n=7, d=2)

@@ -1,6 +1,7 @@
 """Encoders, heads, parameter bookkeeping, and checkpoints."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -261,6 +262,38 @@ def test_checkpoint_trailing_bytes_rejected_before_reading(tmp_path, model,
     monkeypatch.setattr(np, "fromfile", no_read)
     with pytest.raises(ModelError, match="bytes"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["blob", "manifest"])
+def test_failed_checkpoint_write_leaves_whole_files_only(tmp_path, model,
+                                                         monkeypatch, failing):
+    """Blob and manifest are each renamed into place: a failure leaves
+    each file whole, old or new, and no temporary file behind."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path, {"seed": 0})
+    old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    other = tmp_path / "other"
+    other.mkdir()
+    save_checkpoint(build_model(d=2, hidden=HID, C=3, seed=1), other / "m.ckpt",
+                    {"seed": 1})
+    new = {p.name: p.read_bytes() for p in other.iterdir()}
+
+    replace, calls = os.replace, []
+
+    def flaky(src, dst):
+        calls.append(dst)
+        if len(calls) == failing + 1:
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", flaky)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(build_model(d=2, hidden=HID, C=3, seed=1), path,
+                        {"seed": 1})
+    found = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    assert sorted(found) == ["m.ckpt", "m.ckpt.json"]
+    assert found["m.ckpt"] == (new if failing else old)["m.ckpt"]
+    assert found["m.ckpt.json"] == old["m.ckpt.json"]
 
 
 def test_joint_logits_at_mean_deterministic(rng):
