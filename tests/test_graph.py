@@ -46,20 +46,27 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match=r"g\.json: .*line 2"):
             load_bundle(path)
 
-
-class TestBundle:
-    def test_round_trip(self, tmp_path, rng):
+    def test_round_trip_identical(self, tmp_path, rng):
         g = random_graph(rng, n=9, d=3)
         path = tmp_path / "g.json"
         save_bundle(g, path)
         h = load_bundle(path)
-        assert (g.n, g.d, g.C) == (h.n, h.d, h.C)
-        np.testing.assert_array_equal(g.X, h.X)
+        assert g.n == h.n and g.d == h.d and g.C == h.C
         np.testing.assert_array_equal(g.edges, h.edges)
         np.testing.assert_array_equal(g.y, h.y)
-        assert set(g.masks) <= set(h.masks)
-        for name in h.masks:
+        np.testing.assert_allclose(g.X, h.X, rtol=0, atol=0)
+        for name in g.masks:
             np.testing.assert_array_equal(g.mask(name), h.mask(name))
+
+
+class TestBundle:
+    def test_round_trip(self, tmp_path, rng):
+        g = random_graph(rng, n=7, d=2)
+        path = tmp_path / "g.json"
+        save_bundle(g, path)
+        h = load_bundle(path)
+        np.testing.assert_array_equal(g.X, h.X)
+        np.testing.assert_array_equal(g.edges, h.edges)
 
     @pytest.mark.parametrize("case", ["random", "edgeless"])
     def test_bytes_are_sorted_compact_json_of_the_document(self, case,
