@@ -196,6 +196,10 @@ def cmd_generate(args) -> int:
     repeated = [t for i, t in enumerate(args.shift) if paths[i] in paths[:i]]
     if repeated:
         raise CliError(f"--shift {repeated[0]} is given twice")
+    specs = [_parse_shift(token, args.classes, args.seed, i)
+             for i, token in enumerate(args.shift)]
+    for spec in specs:
+        spec.validate(C=args.classes)
 
     params = CsbmParams(n=args.n, C=args.classes, d=args.dim,
                         p_in=args.p_in, p_out=args.p_out, mu_sep=args.mu_sep,
@@ -207,19 +211,15 @@ def cmd_generate(args) -> int:
     memo = {}  # twins share arrays with g; each is encoded once
     save_bundle(g, id_path, memo)
 
-    kinds = []
-    for i, (token, path) in enumerate(zip(args.shift, paths)):
-        spec = _parse_shift(token, g.C, args.seed, i)
-        spec.validate(C=g.C)
+    for spec, path in zip(specs, paths):
         if spec.kind == "label":
             shifted = label_leave_out_split(g, spec.ood_classes)
         else:
             shifted = as_ood_bundle(apply_shift(g, spec))
         save_bundle(shifted, path, memo)
-        kinds.append(spec.kind)
 
     print(f"generated n={g.n} edges={g.num_edges} C={g.C} "
-          f"shifts={kinds}")
+          f"shifts={[spec.kind for spec in specs]}")
     for path in [id_path, *paths]:
         print(f"  wrote {path}")
     return 0
@@ -277,7 +277,7 @@ def cmd_eval(args) -> int:
 
     from .detection import (HIST_BINS, histogram_data, score_splits,
                             softmax_rows, write_scores_csv)
-    from .graph import load_bundle
+    from .graph import load_bundle, write_atomic
     from .model import load_checkpoint
 
     model = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
@@ -298,9 +298,8 @@ def cmd_eval(args) -> int:
     doc = report.to_dict()
     doc["raw"] = s.report_raw.to_dict()
     doc["propagation"] = {"alpha": config.prop_alpha, "k": config.prop_k}
-    with open(outdir / "report.json", "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_atomic(outdir / "report.json",
+                 (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode())
 
     test_id, test_ood = g_id.mask("test_id"), g_ood.mask("test_ood")
     write_scores_csv(outdir / "scores.csv",
@@ -316,9 +315,8 @@ def cmd_eval(args) -> int:
         "energy_prop": histogram_data(s.prop[~s.is_ood], s.prop[s.is_ood]),
         "confidence": histogram_data(conf[~s.is_ood], conf[s.is_ood]),
     }
-    with open(outdir / "hist.json", "w") as fh:
-        json.dump(hist, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_atomic(outdir / "hist.json",
+                 (json.dumps(hist, sort_keys=True, indent=1) + "\n").encode())
 
     print(f"auroc={report.auroc:.4f} aupr={report.aupr:.4f} "
           f"fpr95={report.fpr95:.4f} id_acc={report.id_accuracy:.4f} "
@@ -384,7 +382,8 @@ def _dispatch(args) -> int:
                     trainer.ConfigError, model.ModelError)
     numeric_errors = (autodiff.NumericsError, autodiff.DomainError,
                       autodiff.ShapeError, autodiff.TapeError,
-                      trainer.TrainingError, detection.MetricError)
+                      autodiff.ScopeError, trainer.TrainingError,
+                      detection.MetricError)
     try:
         return args.func(args)
     except numeric_errors as err:

@@ -16,15 +16,14 @@ largest OOD score with k = ceil(0.95 * n_ood).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-# Re-exported: tidebench's layer map and the tests find it here.
-from .graph import Graph, SparseMatrix, propagation_operator  # noqa: F401
+# propagation_operator is re-exported for tidebench's layer map and tests.
+from .graph import Graph, SparseMatrix, propagation_operator, write_atomic  # noqa: F401
 from .model import TideModel, joint_logits_at_mean
 
 # Bins of every histogram in eval's hist.json.
@@ -234,11 +233,11 @@ def score_splits(model: TideModel, g_id: Graph, g_ood: Graph,
 # ---------------------------------------------------------------------------
 
 def write_scores_csv(path, node_ids, scores, is_ood, predicted, labels) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "score", "is_ood", "predicted", "label"])
-        for nid, s, o, p, lab in zip(node_ids, scores, is_ood, predicted, labels):
-            writer.writerow([int(nid), repr(float(s)), int(o), int(p), int(lab)])
+    """One CSV row per node; no field needs quoting, rows end in CRLF."""
+    lines = ["node_id,score,is_ood,predicted,label"] + [
+        f"{int(nid)},{float(s)!r},{int(o)},{int(p)},{int(lab)}"
+        for nid, s, o, p, lab in zip(node_ids, scores, is_ood, predicted, labels)]
+    write_atomic(path, ("\r\n".join(lines) + "\r\n").encode())
 
 
 def histogram_data(id_values: np.ndarray, ood_values: np.ndarray) -> dict:

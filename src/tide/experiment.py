@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .detection import predictive_entropy, score_splits
-from .graph import Graph
+from .graph import Graph, write_atomic
 from .shift import CsbmParams, ShiftSpec, apply_shift, as_ood_bundle, gen_csbm
 from .trainer import TideConfig, TrainResult, train_tide
 
@@ -153,10 +153,9 @@ def _fmt(x) -> str:
 
 
 def write_compare_csv(path, rows: list[dict]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(COMPARE_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in COMPARE_COLUMNS) + "\n")
+    lines = [",".join(COMPARE_COLUMNS)]
+    lines += [",".join(_fmt(row[c]) for c in COMPARE_COLUMNS) for row in rows]
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def write_compare_markdown(path, rows: list[dict], modes: list[str]) -> None:
@@ -171,16 +170,15 @@ def write_compare_markdown(path, rows: list[dict], modes: list[str]) -> None:
         for col in cols:
             cells.append(f"{rec[f'{col}_mean']:.4f} +/- {rec[f'{col}_std']:.4f}")
         lines.append("| " + " | ".join(cells) + " |")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def write_summary_json(path, rows: list[dict], modes: list[str],
                        fixture: str) -> None:
     doc = {"fixture": fixture, "modes": list(modes),
            "per_run": rows, "summary": summarize(rows, modes)}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_atomic(path, (json.dumps(doc, sort_keys=True, indent=1)
+                        + "\n").encode())
 
 
 def run_benchmark_suite(fixture: str, modes: list[str], seeds: list[int],

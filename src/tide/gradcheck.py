@@ -16,10 +16,11 @@ differences would check another function.)
 ``check_gradients_params`` checks every component against every
 parameter: it perturbs each of the model's 920 parameter entries once
 per direction and reads all six components off those two forwards,
-2 x 920 untaped forwards plus one taped forward per component, well
-under the 30 s budget. A component gets exactly 0 on a parameter it
-never reads, so the audit also shows that no term leaks gradient into
-a network it is not routed to.
+each rebuilding only what reads the entry's network and taking the
+rest from one untaped forward at the probe point. A check per
+parameter shows that scoping exact, so no term, audited or not, reads
+a network ``TERMS`` does not route it to; and a component gets exactly
+0 on a parameter it never reads, so no audited term leaks gradient.
 
 The margin thresholds sit inside the initial energy range, so both
 hinges have active rows at the probe point: ID energies above t_id and
@@ -61,13 +62,16 @@ def gradient_check_report(seed: int = 0, h: float = 1e-5) -> dict[str, float]:
     with no_grad():
         critics = fit_critics(
             forward_components(model, g, config, eps, zero, exposure)[1])
+        base = forward_components(model, g, config, eps, critics, exposure)
+    network = {name: net for net in ("z", "v", "q", "recon")
+               for name in model.names_in(net)}
 
-    def components() -> dict[str, Tensor]:
-        comps = forward_components(model, g, config, eps, critics,
-                                   exposure)[0]
+    def components(name: str | None) -> dict[str, Tensor]:
+        comps = forward_components(
+            model, g, config, eps, critics, exposure,
+            None if name is None else (*base, network[name]))[0]
         return {"cross_entropy": comps["ce_z"], "kl": comps["kl_z"],
-                "club": comps["pmi_zv"],
-                "recon": comps["cind"],
+                "club": comps["pmi_zv"], "recon": comps["cind"],
                 "energy_reg": comps["energy_reg"],
                 "tide_total": tide_total(comps, config)[0]}
 

@@ -258,7 +258,7 @@ def energy_margin(logits_z: Tensor, model: TideModel, g: Graph,
 def forward_components(model: TideModel, g: Graph, config: TideConfig,
                        eps: dict[str, np.ndarray],
                        critics: dict[str, np.ndarray],
-                       exposure: Graph | None = None
+                       exposure: Graph | None = None, base: tuple | None = None
                        ) -> tuple[dict[str, Tensor], dict[str, Tensor]]:
     """One training forward: the loss terms of ``config.objective_mode``.
 
@@ -272,12 +272,24 @@ def forward_components(model: TideModel, g: Graph, config: TideConfig,
     ``exposure`` is the energy margin's OOD graph. Returns the
     components, all ``TERMS`` keys, and each built network's ``branch``
     outputs (posterior, sample, logits).
+
+    ``base``, which training never passes, scopes the forward for the
+    gradient audit: ``(comps, outs, net)``, a forward's result at these
+    parameters but for those of ``net`` ("z", "v", "q" or "recon").
+    Only what reads ``net`` is rebuilt: its branch and bottleneck terms,
+    ``cind`` (for "z" or "recon"), each ``pmi_*`` pair containing it
+    and ``energy_reg`` (for "z"); the rest is the base's.
     """
     mode = config.objective_mode
     groups = MODE_GROUPS[mode]
     train = g.mask("train")
-    comps, outs = {}, {}
-    for tag in [t for t in NETWORKS if t in groups]:
+    comps, outs, moved = ({}, {}, None) if base is None else (
+        dict(base[0]), dict(base[1]), base[2])
+
+    def reads(*nets: str) -> bool:
+        return moved is None or moved in nets
+
+    for tag in [t for t in NETWORKS if t in groups and reads(t)]:
         dist, _, logits = outs[tag] = branch(model, g, tag, eps.get(tag))
         with _component(f"vib_{tag}"):
             if mode == "sl":
@@ -285,15 +297,15 @@ def forward_components(model: TideModel, g: Graph, config: TideConfig,
             else:
                 comps[f"ce_{tag}"], comps[f"kl_{tag}"] = vib_loss(
                     logits, g.y, train, dist)
-    if "recon" in groups:
+    if "recon" in groups and reads("z", "recon"):
         with _component("cind"):
             comps["cind"] = recon_cind_loss(outs["z"][1], Tensor(g.X), model)
     if mode == "tide":
-        for pair in CRITIC_PAIRS:
+        for pair in [p for p in CRITIC_PAIRS if reads(*p)]:
             with _component(f"pmi_{pair}"):
                 comps[f"pmi_{pair}"] = club_estimate(
                     outs[pair[0]][1], outs[pair[1]][1], critics[pair])
-    if exposure is not None:
+    if exposure is not None and reads("z"):
         with _component("energy_reg"):
             comps["energy_reg"] = energy_margin(outs["z"][2], model, g, config,
                                                 exposure, eps.get("z_exposure"))

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import tide.autodiff as ad
-from tide.autodiff import (DomainError, NumericsError, ShapeError, TapeError,
-                           Tensor, backward, check_gradients_params)
+from tide.autodiff import (DomainError, NumericsError, ScopeError,
+                           ShapeError, TapeError, Tensor, backward,
+                           check_gradients_params)
 from oracles import fd_gradient
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False,
@@ -504,6 +505,40 @@ def test_shared_sweep_equals_separate_sweeps_and_evaluates_once():
                                        params)
         assert alone == {comp: errors[comp]}
         assert max(errors[comp].values()) < 1e-6
+
+
+def test_scoped_sweep_is_checked_against_full_evaluations():
+    """``fn(name)`` may reuse what does not read ``name``: exact scoping
+    gives the unscoped sweep's errors, and a scoped evaluation that
+    misses a read raises ``ScopeError`` naming the parameter and the
+    component, with the parameter restored."""
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    y = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+    params = {"x": x, "y": y}
+
+    def full():
+        xy = ad.matmul(x, y)
+        return {"sq": ad.tsum(ad.mul(xy, xy)), "soft": ad.tmean(ad.softplus(x))}
+
+    with ad.no_grad():
+        soft = full()["soft"]
+
+    def scoped_to(skipped):
+        def fn(name):
+            comps = full()
+            if name == skipped:
+                comps["soft"] = soft
+            return comps
+        return fn
+
+    assert check_gradients_params(scoped_to("y"), params) \
+        == check_gradients_params(full, params)
+    start = x.values.copy()
+    with pytest.raises(ScopeError, match="scoped evaluation for x misses a "
+                                         "read: component soft differs"):
+        check_gradients_params(scoped_to("x"), params)
+    assert (x.values == start).all()
 
 
 def test_numerics_error_in_a_probe_names_parameter_and_entry():

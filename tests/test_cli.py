@@ -1,9 +1,11 @@
 """End-to-end command-line contract: files in, files out, exit codes."""
 
+import errno
 import hashlib
 import json
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,12 +124,17 @@ def test_generate_failure_while_encoding_keeps_written_bundles_whole(
         == (tmp_path / "clean" / "csbm_id.json").read_bytes()
 
 
-def test_generate_rejects_holding_out_every_class(tmp_path, capsys):
-    code = run_cli("generate", "--kind", "csbm", "--n", "40",
-                   "--classes", "3", "--dim", "4", "--p-in", "0.3",
-                   "--p-out", "0.05", "--mu-sep", "1.5",
-                   "--shift", "label:all", "--out-dir", tmp_path)
+@pytest.mark.parametrize("token", ["label:all", "bogus:0.1", "structure:7"])
+def test_generate_bad_shift_exits_one_and_writes_nothing(token, tmp_path):
+    """Every shift token is parsed and validated before any sampling:
+    holding out every class, an unknown kind and an intensity above 1
+    each exit 1 and write nothing."""
+    out = tmp_path / "out"
+    code = run_cli("generate", "--n", "40", "--classes", "3", "--dim", "4",
+                   "--shift", "feature:0.5", "--shift", token,
+                   "--out-dir", out)
     assert code == 1
+    assert not out.exists()
 
 
 def test_generate_overflowing_features_exits_one(tmp_path, capsys):
@@ -530,6 +537,56 @@ def test_compare_bad_run_fails_before_training_and_writes_nothing(
     assert not out.exists()
 
 
+EVAL_OUTPUTS = ("report.json", "hist.json", "scores.csv")
+COMPARE_OUTPUTS = ("compare.csv", "compare.md", "summary.json")
+
+
+def _fail_writes_to(name, monkeypatch):
+    """Every write to a file whose name contains ``name`` (its
+    temporary twin too) fails as on a full disk."""
+    real_open = open
+
+    class Full:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def full_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return Full(fh) if "w" in mode and name in Path(file).name else fh
+
+    monkeypatch.setattr("builtins.open", full_open)
+
+
+@pytest.mark.parametrize("name", EVAL_OUTPUTS + COMPARE_OUTPUTS)
+def test_failed_output_write_keeps_previous_file_whole(
+        name, bundles, trained, tmp_path, monkeypatch, capsys):
+    """A rerun whose write of ``name`` fails exits 1 and leaves the first
+    run's file byte-identical, with no temporary file beside it."""
+    id_bundle, ood_bundle = bundles
+    argv = (("eval", "--checkpoint", trained / "model.ckpt", "--data",
+             id_bundle, "--ood-data", ood_bundle) if name in EVAL_OUTPUTS
+            else ("compare", "--modes", "sl", "--seeds", "0", "--epochs", "1"))
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", out) == 0
+    before = (out / name).read_bytes()
+    listing = sorted(p.name for p in out.iterdir())
+    _fail_writes_to(name, monkeypatch)
+    assert run_cli(*argv, "--out", out) == 1
+    monkeypatch.undo()
+    assert "No space left on device" in capsys.readouterr().err
+    assert (out / name).read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == listing
+
+
 @pytest.mark.parametrize("command", ["train", "compare"])
 def test_out_under_a_regular_file_fails_before_training(
         command, bundles, tmp_path, monkeypatch, capsys):
@@ -574,6 +631,51 @@ def test_check_grad_passes_at_default_threshold(capsys):
 
 def test_check_grad_reports_failure_exit_two(capsys):
     assert run_cli("check-grad", "--seed", "0", "--threshold", "1e-12") == 2
+
+
+def _off_tape_read(monkeypatch):
+    """The feature encoder's mu plus a constant computed from the joint
+    head's weights: their audited gradients miss its effect."""
+    import tide.autodiff as ad
+    from tide.model import LatentDistribution, encode_feature
+
+    def planted(X, model):
+        dist = encode_feature(X, model)
+        shift = float(model["z_head.W"].values.sum())
+        return LatentDistribution(ad.add(dist.mu, shift), dist.sigma)
+
+    monkeypatch.setattr("tide.trainer.encode_feature", planted)
+
+
+def _on_tape_read(monkeypatch):
+    """The feature head's logits scaled by the joint head's weights'
+    sum through the tape: every audited gradient is right, but the
+    feature network's cross-entropy now trains the joint network,
+    against ``TERMS``."""
+    import tide.autodiff as ad
+    from tide.model import predict_logits
+
+    def planted(sample, A_norm, model, which):
+        logits = predict_logits(sample, A_norm, model, which)
+        if which != "v":
+            return logits
+        return ad.mul(logits, ad.tsum(model["z_head.W"]))
+
+    monkeypatch.setattr("tide.trainer.predict_logits", planted)
+
+
+@pytest.mark.parametrize("plant", [_off_tape_read, _on_tape_read],
+                         ids=["off-tape", "on-tape"])
+def test_check_grad_fails_on_a_cross_network_read(plant, monkeypatch,
+                                                  capsys):
+    """A read of z_head.W planted in a feature-network term. The probes
+    of z_head.W, scoped to the joint network, miss it, so the scoping
+    check fails with exit 2 naming the parameter and the component."""
+    plant(monkeypatch)
+    assert run_cli("check-grad", "--seed", "0") == 2
+    assert capsys.readouterr().err.startswith(
+        "tide: error: scoped evaluation for z_head.W misses a read: "
+        "component tide_total differs")
 
 
 @pytest.mark.parametrize("flag,value", [

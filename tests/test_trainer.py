@@ -215,6 +215,45 @@ def test_every_forward_component_is_a_weighted_term(mode, exposed,
                                                  "total_q"}
 
 
+@pytest.mark.parametrize("net, rebuilt", [
+    ("z", {"ce_z", "kl_z", "cind", "pmi_zv", "pmi_zq", "energy_reg"}),
+    ("v", {"ce_v", "kl_v", "pmi_zv", "pmi_vq"}),
+    ("q", {"ce_q", "kl_q", "pmi_zq", "pmi_vq"}),
+    ("recon", {"cind"}),
+])
+def test_scoped_forward_equals_full_forward_bit_for_bit(net, rebuilt):
+    """With only ``net``'s parameters moved, the forward scoped to it
+    rebuilds just the components that read it and takes every other one
+    from the base, and each component and branch output equals the full
+    forward's bit for bit."""
+    g = fixture_graph()
+    exposure = apply_feature_shift(g, ShiftSpec("feature", intensity=0.8,
+                                                seed=8))
+    config = TideConfig(hidden=8, epochs=0, t_id=-1.2, t_ood=-1.0)
+    model = build_model(g.d, config.hidden, g.C, 0)
+    rng = np.random.default_rng(3)
+    eps = {tag: rng.standard_normal((g.n, config.hidden))
+           for tag in NOISE_STREAM}
+    critics = {pair: rng.normal(size=(config.hidden, config.hidden))
+               for pair in CRITIC_PAIRS}
+    with ad.no_grad():
+        base = forward_components(model, g, config, eps, critics, exposure)
+        for name in model.names_in(net):
+            model[name].values += rng.normal(scale=0.1, size=model[name].shape)
+        full = forward_components(model, g, config, eps, critics, exposure)
+        scoped = forward_components(model, g, config, eps, critics, exposure,
+                                    (*base, net))
+    assert list(scoped[0]) == list(full[0]) == list(TERMS)
+    for key, t in full[0].items():
+        assert scoped[0][key].values.tobytes() == t.values.tobytes(), key
+        assert (scoped[0][key] is base[0][key]) == (key not in rebuilt), key
+    for tag, (dist, sample, logits) in full[1].items():
+        s_dist, s_sample, s_logits = scoped[1][tag]
+        for a, b in ((s_dist.mu, dist.mu), (s_dist.sigma, dist.sigma),
+                     (s_sample, sample), (s_logits, logits)):
+            assert a.values.tobytes() == b.values.tobytes(), tag
+
+
 def test_train_ce_halves_from_first_epoch():
     g = fixture_graph()
     result = train_tide(g, TideConfig(objective_mode="tide", epochs=60))
@@ -419,35 +458,48 @@ def test_gradient_audit_probes_both_margin_hinges(monkeypatch):
     assert nearest > h
 
 
-def test_gradient_audit_reads_every_component_off_one_forward(monkeypatch):
-    """One untaped ``forward_components`` call to fit the critics, one
-    per component on the tape, then two per parameter entry of the probe
-    model, each read by every component that probes that parameter."""
+def _audit_forwards(monkeypatch):
+    """Run the seed-0 audit and return, per ``forward_components`` call
+    of gradcheck, the network it was scoped to (None: a full forward)."""
     import tide.gradcheck as gc
-    calls = []
+    scopes = []
     real = gc.forward_components
 
-    def spy(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
+    def spy(*args):
+        scopes.append(args[6][2] if len(args) > 6 and args[6] else None)
+        return real(*args)
 
     monkeypatch.setattr(gc, "forward_components", spy)
-    report = gradient_check_report(seed=0)
+    return gradient_check_report(seed=0), scopes
+
+
+def test_gradient_audit_reads_every_component_off_one_forward(monkeypatch):
+    """Full forwards: one untaped to fit the critics, one untaped as the
+    base of the scoped ones, one per component on the tape and one per
+    parameter for its scoping check. Scoped to the parameter's network:
+    two per parameter entry of the probe model, each read by every
+    component, and one per parameter for its scoping check."""
+    import tide.gradcheck as gc
+    report, scopes = _audit_forwards(monkeypatch)
     model = build_model(gc.PROBE_D, gc.PROBE_HIDDEN, gc.PROBE_C, 0)
     entries = sum(p.values.size for p in model.params.values())
-    assert entries == 920 and len(report) == 6
-    assert len(calls) == 1 + 2 * entries + len(report)
+    assert entries == 920 and len(model.params) == 28 and len(report) == 6
+    assert scopes.count(None) == 1 + 1 + len(report) + len(model.params)
+    for net in ("z", "v", "q", "recon"):
+        names = model.names_in(net)
+        assert scopes.count(net) == sum(
+            2 * model[name].values.size + 1 for name in names)
+    assert len(scopes) == 2 + len(report) + 2 * entries + 2 * len(model.params)
 
 
 def test_gradient_audit_computes_each_ce_and_kl_once_per_forward(monkeypatch):
     """The audit reads the joint network's CE and KL off the training
-    forward rather than recomputing them: every tide-mode forward
-    computes the three networks' CE and KL once each, and nothing else
-    does."""
-    import tide.gradcheck as gc
+    forward rather than recomputing them: every full tide-mode forward
+    computes the three networks' CE and KL once each, one scoped to a
+    network computes that network's once (none for "recon"), and
+    nothing else does."""
     import tide.objectives as obj
-    counts = dict.fromkeys(("forward", "cross_entropy", "kl_standard_normal"),
-                           0)
+    counts = dict.fromkeys(("cross_entropy", "kl_standard_normal"), 0)
 
     def counted(name, fn):
         def spy(*args, **kwargs):
@@ -455,18 +507,19 @@ def test_gradient_audit_computes_each_ce_and_kl_once_per_forward(monkeypatch):
             return fn(*args, **kwargs)
         return spy
 
-    for name in ("cross_entropy", "kl_standard_normal"):
+    for name in counts:
         real = getattr(obj, name)
         spy = counted(name, real)
         for key, module in list(sys.modules.items()):
             if key.startswith("tide.") and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, spy)
-    monkeypatch.setattr(gc, "forward_components",
-                        counted("forward", gc.forward_components))
-    gradient_check_report(seed=0)
-    assert counts["forward"] == 1 + 2 * 920 + 6
-    assert counts["cross_entropy"] == 3 * counts["forward"]
-    assert counts["kl_standard_normal"] == 3 * counts["forward"]
+    _, scopes = _audit_forwards(monkeypatch)
+    expected = sum(3 if net is None else int(net != "recon") for net in scopes)
+    # 36 full forwards; z, v and q hold 272, 291 and 240 entries in 7, 10
+    # and 7 parameters. Unscoped probes would make 3 * 1847 = 5541 each.
+    assert expected == 3 * 36 + 2 * (272 + 291 + 240) + (7 + 10 + 7)
+    assert counts["cross_entropy"] == expected
+    assert counts["kl_standard_normal"] == expected
 
 
 def test_gradient_audit_probe_failure_names_parameter_and_entry(monkeypatch):
@@ -502,14 +555,16 @@ def test_gradient_audit_loss_term_failure_names_parameter_entry_and_term(
         monkeypatch):
     """An overflow inside a loss term during a probe keeps its type, so
     the sweep still names the perturbed parameter and entry, and the
-    term's name survives beside them. The 40th call is the first of the
-    seventh probe forward: 3 calls for the critic fit, 18 for the taped
-    forwards, 18 for the first three entries' six probe forwards."""
+    term's name survives beside them. The 37th call is the first of the
+    seventh probe forward: 3 calls each for the critic fit and the base
+    forward, 18 for the taped forwards, 12 for the first three entries'
+    six probe forwards, which are scoped to the joint network and so
+    estimate only the two pairs that contain it."""
     calls = []
 
     def spy(*args):
         calls.append(None)
-        if len(calls) == 40:
+        if len(calls) == 37:
             ad.mul([[1e200]], [[1e200]])
         return club_estimate(*args)
 
