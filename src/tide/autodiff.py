@@ -7,6 +7,18 @@ input requires a gradient, so a constant operand (the features, a
 detached sample) costs nothing in the backward pass. Gradients are
 ``backward``'s return value, one array per named parameter; a tensor
 holds no gradient state.
+
+A tape entry holds no tensor. It names its output and each input that
+requires a gradient by slot, an integer drawn once from a module
+counter and never reused, and keeps only the gradient functions of
+those inputs, each of which saves just the arrays it reads: ``relu``
+its output (positive exactly where its mask is), ``spmm`` the
+operator, ``add``, ``sub``, ``transpose``
+and the reductions a shape. So an intermediate array lives only while
+a Python variable or a gradient function holds it: an spmm input or a
+relu pre-activation is freed as soon as the forward moves on, and
+``backward`` frees each entry's arrays once it has used them.
+
 Everything is a 2-D float64 matrix; there is no broadcasting beyond
 numpy's (size-1 axes), no GPU, and no higher-order gradients. The
 primitive set is exactly what the encoders and losses in this package
@@ -40,6 +52,7 @@ from __future__ import annotations
 
 import contextlib
 import inspect
+import itertools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -81,13 +94,16 @@ class Tensor:
 
     Tensors created with ``requires_grad=True`` are leaves; ops produce
     intermediates whose ``requires_grad`` is the OR of their inputs'.
+    ``slot`` names a tensor that requires a gradient on the tape (None
+    for a constant).
     """
 
-    __slots__ = ("values", "requires_grad")
+    __slots__ = ("values", "requires_grad", "slot")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = _as_matrix(values)
         self.requires_grad = bool(requires_grad)
+        self.slot = next(_SLOTS) if self.requires_grad else None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -110,15 +126,20 @@ def _as_tensor(x) -> Tensor:
 
 
 class _TapeEntry:
+    """One recorded op: its output's slot, and per input the input's slot
+    and its gradient function (upstream g -> d/d(input)), both None for
+    an input that requires no gradient."""
+
     __slots__ = ("out", "inputs", "grad_fns")
 
-    def __init__(self, out: Tensor, inputs: Sequence[Tensor],
-                 grad_fns: Sequence[Callable[[np.ndarray], np.ndarray]]):
+    def __init__(self, out: int, inputs: tuple[int | None, ...],
+                 grad_fns: tuple[Callable[[np.ndarray], np.ndarray] | None, ...]):
         self.out = out
         self.inputs = inputs
-        self.grad_fns = grad_fns  # one per input: upstream g -> d/d(input)
+        self.grad_fns = grad_fns
 
 
+_SLOTS = itertools.count()
 _TAPE: list[_TapeEntry] = []
 _RECORDING = True
 
@@ -145,17 +166,27 @@ def no_grad():
 
 def _record(op: str, out_values: np.ndarray, inputs: Sequence[Tensor],
             grad_fns) -> Tensor:
-    """Wrap a primitive's output, which is already a 2-D float64 array."""
+    """Wrap a primitive's output, which is already a 2-D float64 array.
+
+    The entry keeps no tensor, and drops the gradient functions of the
+    inputs that require no gradient with whatever arrays they saved.
+    """
     if np.count_nonzero(np.isfinite(out_values)) != out_values.size:
         raise NumericsError(f"{op} produced non-finite values")
     out = object.__new__(Tensor)
     out.values = out_values
     out.requires_grad = False
+    out.slot = None
     if _RECORDING:
         for t in inputs:
             if t.requires_grad:
                 out.requires_grad = True
-                _TAPE.append(_TapeEntry(out, inputs, grad_fns))
+                out.slot = next(_SLOTS)
+                slots = tuple([u.slot for u in inputs])  # None: a constant
+                if None in slots:
+                    grad_fns = tuple([None if slot is None else fn
+                                      for slot, fn in zip(slots, grad_fns)])
+                _TAPE.append(_TapeEntry(out.slot, slots, grad_fns))
                 break
     return out
 
@@ -208,20 +239,21 @@ def mul(a, b) -> Tensor:
     sa, sb = a.values.shape, b.values.shape
     if not _broadcastable(sa, sb):
         raise ShapeError(f"mul shape mismatch: {sa} vs {sb}")
-    out = a.values * b.values
+    av, bv = a.values, b.values
+    out = av * bv
     return _record("mul", out, (a, b),
-                   (lambda g: _unbroadcast(g * b.values, sa),
-                    lambda g: _unbroadcast(g * a.values, sb)))
+                   (lambda g: _unbroadcast(g * bv, sa),
+                    lambda g: _unbroadcast(g * av, sb)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.values.shape[1] != b.values.shape[0]:
-        raise ShapeError(
-            f"matmul shape mismatch: {a.values.shape} @ {b.values.shape}")
-    out = a.values @ b.values
+    av, bv = a.values, b.values
+    if av.shape[1] != bv.shape[0]:
+        raise ShapeError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
+    out = av @ bv
     return _record("matmul", out, (a, b),
-                   (lambda g: g @ b.values.T, lambda g: a.values.T @ g))
+                   (lambda g: g @ bv.T, lambda g: av.T @ g))
 
 
 def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
@@ -231,13 +263,14 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     gradients bit for bit.
     """
     x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
-    sx, sw, sb = x.values.shape, W.values.shape, b.values.shape
+    xv, wv = x.values, W.values
+    sx, sw, sb = xv.shape, wv.shape, b.values.shape
     if sx[1] != sw[0] or sb != (1, sw[1]):
         raise ShapeError(f"linear shape mismatch: {sx} @ {sw} + {sb}")
-    out = x.values @ W.values
+    out = xv @ wv
     out += b.values
     return _record("linear", out, (x, W, b),
-                   (lambda g: g @ W.values.T, lambda g: x.values.T @ g,
+                   (lambda g: g @ wv.T, lambda g: xv.T @ g,
                     lambda g: _unbroadcast(g, sb)))
 
 
@@ -258,17 +291,17 @@ def spmm(sp, x: Tensor) -> Tensor:
 
 def log(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    if (a.values <= 0.0).any():
+    x = a.values
+    if (x <= 0.0).any():
         raise DomainError("log of non-positive value")
-    out = np.log(a.values)
-    return _record("log", out, (a,), (lambda g: g / a.values,))
+    return _record("log", np.log(x), (a,), (lambda g: g / x,))
 
 
 def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     x = a.values
-    out = np.maximum(x, 0.0)
-    return _record("relu", out, (a,), (lambda g: g * (x > 0.0),))
+    out = np.maximum(x, 0.0)  # 0 exactly where x <= 0: the mask, from out
+    return _record("relu", out, (a,), (lambda g: g * (out > 0.0),))
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -285,12 +318,13 @@ def softplus(a: Tensor) -> Tensor:
 def row_logsumexp(a: Tensor) -> Tensor:
     """Per-row log sum exp with max-subtraction, result n x 1."""
     a = _as_tensor(a)
-    m = a.values.max(axis=1, keepdims=True)
-    out = m + np.log(np.exp(a.values - m).sum(axis=1, keepdims=True))
+    x = a.values
+    m = x.max(axis=1, keepdims=True)
+    out = m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
 
     # The gradient is the row softmax, reusing the forward.
     return _record("row_logsumexp", out, (a,),
-                   (lambda g: g * np.exp(a.values - out),))
+                   (lambda g: g * np.exp(x - out),))
 
 
 def softmax_cross_entropy(a: Tensor, onehot: np.ndarray) -> Tensor:
@@ -430,35 +464,38 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     """d(loss)/d(p) for each named leaf ``p`` in ``params``.
 
     Only the gradient functions of inputs that require a gradient run,
-    and the tape is consumed. Intermediate gradients live in a local
-    table, each dropped once its tape entry has used it. A leaf the loss
-    never reaches gets zeros. The caller owns every returned array:
-    changing one in place cannot change another.
+    and the tape is consumed entry by entry, last first. Intermediate
+    gradients live in a local table, each dropped once its tape entry
+    has used it. A leaf the loss never reaches gets zeros. The caller
+    owns every returned array: changing one in place cannot change
+    another.
     """
     if loss.values.size != 1:
         raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not _TAPE:
         raise TapeError("backward called with an empty tape")
 
-    # Keyed by id(): the tape and ``params`` keep every keyed tensor alive.
-    grads = {id(loss): np.ones((1, 1))}
-    for entry in reversed(_TAPE):
-        g = grads.pop(id(entry.out), None)
+    # Keyed by slot, which no other tensor ever takes. Each entry is
+    # popped before its gradient functions run, so the arrays they saved
+    # are freed as the pass goes.
+    grads = {} if loss.slot is None else {loss.slot: np.ones((1, 1))}
+    while _TAPE:
+        entry = _TAPE.pop()
+        g = grads.pop(entry.out, None)
         if g is None:
             continue  # this output never fed the loss
-        for t, grad_fn in zip(entry.inputs, entry.grad_fns):
-            if not t.requires_grad:
+        for slot, grad_fn in zip(entry.inputs, entry.grad_fns):
+            if slot is None:
                 continue
             contrib = grad_fn(g)
-            prev = grads.get(id(t))
+            prev = grads.get(slot)
             # Out of place: a contribution may be another tensor's
             # gradient array (add hands one g to both inputs).
-            grads[id(t)] = contrib if prev is None else prev + contrib
-    clear_tape()
+            grads[slot] = contrib if prev is None else prev + contrib
     out: dict[str, np.ndarray] = {}
     owned = set()
     for name, p in params.items():
-        g = grads.get(id(p))
+        g = grads.get(p.slot)
         if g is None:
             g = np.zeros(p.shape)
         elif g.base is not None or id(g) in owned:

@@ -277,7 +277,7 @@ def cmd_eval(args) -> int:
 
     from .detection import (HIST_BINS, histogram_data, score_splits,
                             softmax_rows, write_scores_csv)
-    from .graph import load_bundle, write_atomic
+    from .graph import AtomicFiles, load_bundle
     from .model import load_checkpoint
 
     model = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
@@ -298,16 +298,7 @@ def cmd_eval(args) -> int:
     doc = report.to_dict()
     doc["raw"] = s.report_raw.to_dict()
     doc["propagation"] = {"alpha": config.prop_alpha, "k": config.prop_k}
-    write_atomic(outdir / "report.json",
-                 (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode())
-
     test_id, test_ood = g_id.mask("test_id"), g_ood.mask("test_ood")
-    write_scores_csv(outdir / "scores.csv",
-                     node_ids=np.concatenate([test_id, test_ood]),
-                     scores=s.prop, is_ood=s.is_ood,
-                     predicted=s.logits.argmax(axis=1),
-                     labels=np.concatenate([g_id.y[test_id], g_ood.y[test_ood]]))
-
     conf = softmax_rows(s.logits).max(axis=1)
     hist = {
         "bins": HIST_BINS,
@@ -315,8 +306,18 @@ def cmd_eval(args) -> int:
         "energy_prop": histogram_data(s.prop[~s.is_ood], s.prop[s.is_ood]),
         "confidence": histogram_data(conf[~s.is_ood], conf[s.is_ood]),
     }
-    write_atomic(outdir / "hist.json",
-                 (json.dumps(hist, sort_keys=True, indent=1) + "\n").encode())
+    # The three files replace a previous run's together or not at all.
+    with AtomicFiles() as files:
+        files.write(outdir / "report.json",
+                    (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode())
+        write_scores_csv(files, outdir / "scores.csv",
+                         node_ids=np.concatenate([test_id, test_ood]),
+                         scores=s.prop, is_ood=s.is_ood,
+                         predicted=s.logits.argmax(axis=1),
+                         labels=np.concatenate([g_id.y[test_id],
+                                                g_ood.y[test_ood]]))
+        files.write(outdir / "hist.json",
+                    (json.dumps(hist, sort_keys=True, indent=1) + "\n").encode())
 
     print(f"auroc={report.auroc:.4f} aupr={report.aupr:.4f} "
           f"fpr95={report.fpr95:.4f} id_acc={report.id_accuracy:.4f} "

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 # propagation_operator is re-exported for tidebench's layer map and tests.
-from .graph import Graph, SparseMatrix, propagation_operator, write_atomic  # noqa: F401
+from .graph import AtomicFiles, Graph, SparseMatrix, propagation_operator  # noqa: F401
 from .model import TideModel, joint_logits_at_mean
 
 # Bins of every histogram in eval's hist.json.
@@ -232,12 +232,14 @@ def score_splits(model: TideModel, g_id: Graph, g_ood: Graph,
 # Score dumps
 # ---------------------------------------------------------------------------
 
-def write_scores_csv(path, node_ids, scores, is_ood, predicted, labels) -> None:
-    """One CSV row per node; no field needs quoting, rows end in CRLF."""
+def write_scores_csv(files: AtomicFiles, path, node_ids, scores, is_ood,
+                     predicted, labels) -> None:
+    """One CSV row per node, written through ``files``; no field needs
+    quoting, rows end in CRLF."""
     lines = ["node_id,score,is_ood,predicted,label"] + [
         f"{int(nid)},{float(s)!r},{int(o)},{int(p)},{int(lab)}"
         for nid, s, o, p, lab in zip(node_ids, scores, is_ood, predicted, labels)]
-    write_atomic(path, ("\r\n".join(lines) + "\r\n").encode())
+    files.write(path, ("\r\n".join(lines) + "\r\n").encode())
 
 
 def histogram_data(id_values: np.ndarray, ood_values: np.ndarray) -> dict:

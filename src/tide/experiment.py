@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .detection import predictive_entropy, score_splits
-from .graph import Graph, write_atomic
+from .graph import AtomicFiles, Graph
 from .shift import CsbmParams, ShiftSpec, apply_shift, as_ood_bundle, gen_csbm
 from .trainer import TideConfig, TrainResult, train_tide
 
@@ -152,13 +152,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_compare_csv(path, rows: list[dict]) -> None:
+def write_compare_csv(files: AtomicFiles, path, rows: list[dict]) -> None:
     lines = [",".join(COMPARE_COLUMNS)]
     lines += [",".join(_fmt(row[c]) for c in COMPARE_COLUMNS) for row in rows]
-    write_atomic(path, ("\n".join(lines) + "\n").encode())
+    files.write(path, ("\n".join(lines) + "\n").encode())
 
 
-def write_compare_markdown(path, rows: list[dict], modes: list[str]) -> None:
+def write_compare_markdown(files: AtomicFiles, path, rows: list[dict],
+                           modes: list[str]) -> None:
     """Mean +/- std table, one row per mode, prop metrics only."""
     stats = summarize(rows, modes)
     cols = ("auroc_prop", "aupr_prop", "fpr95_prop", "id_acc")
@@ -170,15 +171,15 @@ def write_compare_markdown(path, rows: list[dict], modes: list[str]) -> None:
         for col in cols:
             cells.append(f"{rec[f'{col}_mean']:.4f} +/- {rec[f'{col}_std']:.4f}")
         lines.append("| " + " | ".join(cells) + " |")
-    write_atomic(path, ("\n".join(lines) + "\n").encode())
+    files.write(path, ("\n".join(lines) + "\n").encode())
 
 
-def write_summary_json(path, rows: list[dict], modes: list[str],
-                       fixture: str) -> None:
+def write_summary_json(files: AtomicFiles, path, rows: list[dict],
+                       modes: list[str], fixture: str) -> None:
     doc = {"fixture": fixture, "modes": list(modes),
            "per_run": rows, "summary": summarize(rows, modes)}
-    write_atomic(path, (json.dumps(doc, sort_keys=True, indent=1)
-                        + "\n").encode())
+    files.write(path, (json.dumps(doc, sort_keys=True, indent=1)
+                       + "\n").encode())
 
 
 def run_benchmark_suite(fixture: str, modes: list[str], seeds: list[int],
@@ -186,12 +187,14 @@ def run_benchmark_suite(fixture: str, modes: list[str], seeds: list[int],
     """Run the comparison and drop compare.csv / compare.md / summary.json.
 
     ``outdir`` is created only once the rows exist, so a run that fails
-    leaves nothing behind.
+    leaves nothing behind, and the three files replace a previous run's
+    together or not at all.
     """
     rows = run_comparison(fixture, modes, seeds, epochs)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_compare_csv(outdir / "compare.csv", rows)
-    write_compare_markdown(outdir / "compare.md", rows, modes)
-    write_summary_json(outdir / "summary.json", rows, modes, fixture)
+    with AtomicFiles() as files:
+        write_compare_csv(files, outdir / "compare.csv", rows)
+        write_compare_markdown(files, outdir / "compare.md", rows, modes)
+        write_summary_json(files, outdir / "summary.json", rows, modes, fixture)
     return rows

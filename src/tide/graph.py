@@ -214,17 +214,42 @@ def propagation_operator(g: Graph) -> SparseMatrix:
 # Single-JSON bundle
 # ---------------------------------------------------------------------------
 
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to a temporary file beside ``path``, then rename it."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
+class AtomicFiles:
+    """Files that replace their targets together, as a ``with`` block.
+
+    ``write`` puts each file's bytes in a temporary beside it. A block
+    that ends cleanly renames every temporary over its file; one that
+    raises removes them all and replaces nothing, so no file is replaced
+    unless every file was written whole.
+    """
+
+    def __init__(self):
+        self._pending: dict[Path, Path] = {}  # file -> its temporary
+
+    def write(self, path, data: bytes) -> None:
+        path = Path(path)
+        tmp = self._pending[path] = path.with_name(
+            f".{path.name}.{os.getpid()}.tmp")
         with open(tmp, "wb") as fh:
             fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+
+    def __enter__(self) -> "AtomicFiles":
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        try:
+            if exc_type is None:
+                for path, tmp in self._pending.items():
+                    os.replace(tmp, path)
+        finally:
+            for tmp in self._pending.values():
+                tmp.unlink(missing_ok=True)  # a renamed one is gone already
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it."""
+    with AtomicFiles() as files:
+        files.write(path, data)
 
 
 def _array_json(arr: np.ndarray, memo: dict) -> str:

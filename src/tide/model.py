@@ -3,7 +3,9 @@
 Joint encoder: 2-layer GCN over (X, A). Feature encoder: 2-layer MLP
 over X alone. Structure encoder: 2-layer GCN over a constant all-ones
 column, so it can only see A. Each ends in linear mu / sigma heads
-(sigma through a softplus with a 1e-6 floor). On top sit a prediction
+(sigma through a softplus with a 1e-6 floor); a pass that reads only
+the joint posterior's mean (sl training, inference) builds no joint
+sigma head. On top sit a prediction
 head per network (graph-convolutional for the joint and structure
 networks, row-wise linear for the feature network) and an MLP that
 reconstructs X from joint samples.
@@ -41,13 +43,14 @@ class ModelError(ValueError):
 
 @dataclass
 class LatentDistribution:
-    """Per-node Gaussian posterior; sigma is strictly positive."""
+    """Per-node Gaussian posterior; sigma is strictly positive, or None
+    when the encoder ran for the mean alone."""
 
     mu: Tensor
-    sigma: Tensor
+    sigma: Tensor | None
 
     def __post_init__(self):
-        if self.mu.shape != self.sigma.shape:
+        if self.sigma is not None and self.mu.shape != self.sigma.shape:
             raise ModelError(
                 f"mu/sigma shape mismatch: {self.mu.shape} vs {self.sigma.shape}")
 
@@ -140,18 +143,25 @@ def gcn_layer(H: Tensor, A_norm: SparseMatrix, W: Tensor) -> Tensor:
     return ad.relu(ad.spmm(A_norm, ad.matmul(H, W)))
 
 
-def _sigma_head(h2: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    return ad.add(ad.softplus(ad.linear(h2, W, b)), SIGMA_FLOOR)
+def _posterior(h2: Tensor, model: TideModel, net: str, sigma: bool = True
+               ) -> LatentDistribution:
+    """Network ``net``'s mu head on ``h2`` and, if ``sigma``, its sigma
+    head (linear, softplus, floor)."""
+    mu = ad.linear(h2, model[f"{net}_enc.mu.W"], model[f"{net}_enc.mu.b"])
+    if not sigma:
+        return LatentDistribution(mu, None)
+    pre = ad.linear(h2, model[f"{net}_enc.sigma.W"], model[f"{net}_enc.sigma.b"])
+    return LatentDistribution(mu, ad.add(ad.softplus(pre), SIGMA_FLOOR))
 
 
-def encode_joint(X: Tensor, A_norm: SparseMatrix, model: TideModel) -> LatentDistribution:
+def encode_joint(X: Tensor, A_norm: SparseMatrix, model: TideModel,
+                 sigma: bool = True) -> LatentDistribution:
+    """Joint posterior; ``sigma=False`` builds the mean alone (sigma None)."""
     if X.shape[1] != model.d:
         raise ModelError(f"feature width {X.shape[1]} != model d={model.d}")
     h1 = gcn_layer(X, A_norm, model["z_enc.gcn1.W"])
     h2 = gcn_layer(h1, A_norm, model["z_enc.gcn2.W"])
-    mu = ad.linear(h2, model["z_enc.mu.W"], model["z_enc.mu.b"])
-    sigma = _sigma_head(h2, model["z_enc.sigma.W"], model["z_enc.sigma.b"])
-    return LatentDistribution(mu, sigma)
+    return _posterior(h2, model, "z", sigma)
 
 
 def encode_feature(X: Tensor, model: TideModel) -> LatentDistribution:
@@ -159,9 +169,7 @@ def encode_feature(X: Tensor, model: TideModel) -> LatentDistribution:
         raise ModelError(f"feature width {X.shape[1]} != model d={model.d}")
     h1 = ad.relu(ad.linear(X, model["v_enc.fc1.W"], model["v_enc.fc1.b"]))
     h2 = ad.relu(ad.linear(h1, model["v_enc.fc2.W"], model["v_enc.fc2.b"]))
-    mu = ad.linear(h2, model["v_enc.mu.W"], model["v_enc.mu.b"])
-    sigma = _sigma_head(h2, model["v_enc.sigma.W"], model["v_enc.sigma.b"])
-    return LatentDistribution(mu, sigma)
+    return _posterior(h2, model, "v")
 
 
 def encode_structure(A_norm: SparseMatrix, model: TideModel) -> LatentDistribution:
@@ -169,9 +177,7 @@ def encode_structure(A_norm: SparseMatrix, model: TideModel) -> LatentDistributi
     ones = Tensor(np.ones((A_norm.n, 1)))
     h1 = gcn_layer(ones, A_norm, model["q_enc.gcn1.W"])
     h2 = gcn_layer(h1, A_norm, model["q_enc.gcn2.W"])
-    mu = ad.linear(h2, model["q_enc.mu.W"], model["q_enc.mu.b"])
-    sigma = _sigma_head(h2, model["q_enc.sigma.W"], model["q_enc.sigma.b"])
-    return LatentDistribution(mu, sigma)
+    return _posterior(h2, model, "q")
 
 
 def reparameterize(dist: LatentDistribution, noise: np.ndarray) -> Tensor:
@@ -198,7 +204,7 @@ def reconstruct(sample: Tensor, model: TideModel) -> Tensor:
 def joint_logits_at_mean(model: TideModel, g: Graph) -> np.ndarray:
     """Deterministic inference logits: mu through the joint classifier."""
     with ad.no_grad():
-        dist = encode_joint(Tensor(g.X), g.adjacency, model)
+        dist = encode_joint(Tensor(g.X), g.adjacency, model, sigma=False)
         logits = predict_logits(dist.mu, g.adjacency, model, "z")
     return logits.values
 

@@ -4,7 +4,7 @@
 ``forward_components``, the training forward, runs it for each network
 the objective trains (``MODE_GROUPS``) and adds that network's
 bottleneck terms, its cross-entropy and KL (sl: the cross-entropy
-alone, on the posterior mean), then the couplings.
+alone, on the posterior mean, with no sigma head), then the couplings.
 ``objectives.TERMS`` weighs and routes every term, and each epoch's log
 records each one. ``energy_margin`` runs ``branch`` on the exposure
 graph. The gradient audit reads every component it checks off
@@ -46,7 +46,7 @@ from .model import (NOISE_STREAM, LatentDistribution, TideModel, build_model,
                     component_rng, encode_feature, encode_joint,
                     encode_structure, joint_logits_at_mean, predict_logits,
                     reparameterize)
-from .objectives import (TERMS, club_estimate, cross_entropy,
+from .objectives import (CRITIC_RIDGE, TERMS, club_estimate, cross_entropy,
                          energy_reg_loss, fit_critic, recon_cind_loss,
                          tide_total, vib_loss)
 
@@ -228,9 +228,12 @@ def branch(model: TideModel, g: Graph, tag: str, eps: np.ndarray | None = None
            ) -> tuple[LatentDistribution, Tensor, Tensor]:
     """Network ``tag``'s ("z", "v" or "q") forward on ``g``: its
     posterior, a sample (the posterior mean when ``eps`` is None, else
-    reparameterized with noise ``eps``) and its head's logits."""
+    reparameterized with noise ``eps``) and its head's logits. With no
+    ``eps`` the joint network builds no sigma head (its posterior's
+    sigma is None): every caller that reads a KL draws noise."""
     if tag == "z":
-        dist = encode_joint(Tensor(g.X), g.adjacency, model)
+        dist = encode_joint(Tensor(g.X), g.adjacency, model,
+                            sigma=eps is not None)
     elif tag == "v":
         dist = encode_feature(Tensor(g.X), model)
     else:
@@ -314,9 +317,15 @@ def forward_components(model: TideModel, g: Graph, config: TideConfig,
 
 def fit_critics(outs: dict) -> dict[str, np.ndarray]:
     """Each pair's critic fitted to a tide forward's detached samples;
-    ``outs`` is ``forward_components``' second result."""
-    return {pair: fit_critic(outs[pair[0]][1].values, outs[pair[1]][1].values)
-            for pair in CRITIC_PAIRS}
+    ``outs`` is ``forward_components``' second result. ``zv`` and ``zq``
+    share z's centring and ridge Gram, formed once here in
+    ``fit_critic``'s arithmetic order, so each equals ``fit_critic``'s
+    own result."""
+    z, v, q = (outs[tag][1].values for tag in "zvq")
+    a = z - z.mean(0)
+    gram = a.T @ a + CRITIC_RIDGE * z.shape[0] * np.eye(a.shape[1])
+    return {"zv": np.linalg.solve(gram, a.T @ v),
+            "zq": np.linalg.solve(gram, a.T @ q), "vq": fit_critic(v, q)}
 
 
 def _mean_path_logits(model: TideModel, g: Graph, z_out) -> np.ndarray:

@@ -1,4 +1,5 @@
 import sys
+import types
 from pathlib import Path
 
 # tide.cli imports only the standard library at load time, so the BLAS
@@ -13,6 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from tide.autodiff import Tensor  # noqa: E402
 from tide.graph import make_graph  # noqa: E402
 
 # The suite owns this process and trains in it, so it keeps the training
@@ -48,3 +50,21 @@ def random_graph(rng, n=None, d=2, p=0.3):
     X = rng.normal(size=(n, d))
     y = rng.integers(0, 2, size=n)
     return make_graph(X, edges, y, masks={"train": list(range(n))}, C=2)
+
+
+def tensors_held_by(entry) -> list:
+    """Tensors a tape entry reaches through its fields and the closures
+    of its gradient functions."""
+    found, stack = [], [entry.out, entry.inputs, entry.grad_fns]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, Tensor):
+            found.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+    return found

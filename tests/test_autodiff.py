@@ -4,6 +4,7 @@ import ast
 import itertools
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import tide.autodiff as ad
 from tide.autodiff import (DomainError, NumericsError, ScopeError,
                            ShapeError, TapeError, Tensor, backward,
                            check_gradients_params)
+from conftest import tensors_held_by
 from oracles import fd_gradient
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False,
@@ -128,6 +130,70 @@ def test_backward_frees_each_intermediate_gradient_once_used():
     np.testing.assert_allclose(grads["x"], np.full(x.shape, 0.99 ** 40),
                                rtol=1e-12)
     assert peak < 4 * block, f"peak {peak / block:.1f} gradients"
+
+
+def test_backward_frees_each_entrys_saved_arrays_once_used():
+    """By the time backward reaches the first op, the arrays the later
+    ops' gradient functions saved are gone."""
+    x = Tensor(np.ones((3, 4)), requires_grad=True)
+    ad.clear_tape()
+    saved = []
+    y = x
+    for k in range(5):
+        factor = np.full((3, 4), 1.0 + k)  # only mul's gradient keeps it
+        saved.append(weakref.ref(factor))
+        y = ad.mul(y, factor)
+    del factor
+    loss = ad.tsum(y)
+    first = ad._TAPE[0]
+    grad_fn = first.grad_fns[0]
+
+    def check_then_run(g):
+        assert [ref() is None for ref in saved] == [False] + [True] * 4
+        return grad_fn(g)
+
+    first.grad_fns = (check_then_run, None)
+    del first
+    grads = backward(loss, {"x": x})
+    np.testing.assert_array_equal(grads["x"], np.full((3, 4), 120.0))
+    assert ad.tape_size() == 0
+
+
+def test_gradients_hold_when_dropped_tensors_free_their_ids():
+    """Intermediates and dead branches are dropped mid-forward, so new
+    tensors take their ids; the gradients still match the
+    central-difference oracle, because the tape keys by slot."""
+    rng = np.random.default_rng(12)
+    arrays = {"x": rng.normal(size=(5, 4)), "w": rng.normal(size=(4, 4)) * 0.6,
+              "b": rng.normal(size=(1, 4)) * 0.1}
+
+    def forward_np(x, w, b):
+        h = x
+        for _ in range(8):
+            h = np.maximum(h @ w + b, 0.0) + h * 0.5
+        return (h * h).sum()
+
+    leaves = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+    ad.clear_tape()
+    ids, made = set(), 0
+    h = leaves["x"]
+    for _ in range(8):
+        dead = ad.softplus(ad.matmul(h, leaves["w"]))  # never reaches the loss
+        ids.add(id(dead))
+        del dead
+        h = ad.add(ad.relu(ad.linear(h, leaves["w"], leaves["b"])),
+                   ad.mul(h, 0.5))
+        ids.add(id(h))
+        made += 2
+    assert len(ids) < made  # ids were reused
+    grads = backward(ad.tsum(ad.mul(h, h)), leaves)
+    for name, arr in arrays.items():
+        def loss_at(flat, name=name):
+            moved = dict(arrays, **{name: flat.reshape(arr.shape)})
+            return forward_np(**moved)
+        np.testing.assert_allclose(grads[name].reshape(-1),
+                                   fd_gradient(loss_at, arr.reshape(-1)),
+                                   rtol=1e-6, atol=1e-7)
 
 
 def test_backward_rejects_nonscalar_loss():
@@ -722,10 +788,18 @@ def test_output_tensor_invariants(name):
         if any(flags):
             assert ad.tape_size() >= 1
             entry = ad._TAPE[-1]
-            assert entry.out is out
-            assert all(any(t is x for x in entry.inputs) for t in inputs)
+            # The entry names its output and each input that requires a
+            # gradient by slot, keeps exactly those inputs' gradient
+            # functions, and holds no tensor.
+            assert type(out.slot) is int and entry.out == out.slot
+            assert entry.inputs == tuple(t.slot if f else None
+                                         for t, f in zip(inputs, flags))
+            assert out.slot not in entry.inputs
+            assert [fn is not None for fn in entry.grad_fns] == list(flags)
+            assert tensors_held_by(entry) == []
         else:
             assert ad.tape_size() == 0
+            assert out.slot is None
 
         assert out.shape == out.values.shape
         assert repr(out) == (f"Tensor(shape={out.values.shape}, "

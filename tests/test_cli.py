@@ -569,22 +569,32 @@ def _fail_writes_to(name, monkeypatch):
 @pytest.mark.parametrize("name", EVAL_OUTPUTS + COMPARE_OUTPUTS)
 def test_failed_output_write_keeps_previous_file_whole(
         name, bundles, trained, tmp_path, monkeypatch, capsys):
-    """A rerun whose write of ``name`` fails exits 1 and leaves the first
-    run's file byte-identical, with no temporary file beside it."""
+    """A rerun with other inputs whose write of ``name`` fails exits 1
+    and leaves all three of the first run's files byte-identical, with
+    no temporary file beside them: the outputs are replaced together."""
     id_bundle, ood_bundle = bundles
-    argv = (("eval", "--checkpoint", trained / "model.ckpt", "--data",
-             id_bundle, "--ood-data", ood_bundle) if name in EVAL_OUTPUTS
-            else ("compare", "--modes", "sl", "--seeds", "0", "--epochs", "1"))
-    out = tmp_path / "out"
-    assert run_cli(*argv, "--out", out) == 0
-    before = (out / name).read_bytes()
-    listing = sorted(p.name for p in out.iterdir())
+    if name in EVAL_OUTPUTS:
+        names = EVAL_OUTPUTS
+        first = ("eval", "--checkpoint", trained / "model.ckpt", "--data",
+                 id_bundle, "--ood-data", ood_bundle)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"prop_alpha": 0.9}))
+        second = (*first, "--config", config)
+    else:
+        names = COMPARE_OUTPUTS
+        first, second = (("compare", "--modes", "sl", "--seeds", seed,
+                          "--epochs", "1") for seed in "01")
+    out, other = tmp_path / "out", tmp_path / "other"
+    assert run_cli(*first, "--out", out) == 0
+    assert run_cli(*second, "--out", other) == 0
+    before = {n: (out / n).read_bytes() for n in names}
+    assert all((other / n).read_bytes() != before[n] for n in names)
     _fail_writes_to(name, monkeypatch)
-    assert run_cli(*argv, "--out", out) == 1
+    assert run_cli(*second, "--out", out) == 1
     monkeypatch.undo()
     assert "No space left on device" in capsys.readouterr().err
-    assert (out / name).read_bytes() == before
-    assert sorted(p.name for p in out.iterdir()) == listing
+    assert {n: (out / n).read_bytes() for n in names} == before
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
 
 
 @pytest.mark.parametrize("command", ["train", "compare"])

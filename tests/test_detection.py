@@ -21,7 +21,7 @@ from tide.detection import (MetricError, aupr_score, auroc_score,
                             energy_score, evaluate, fpr_at_95_tpr,
                             histogram_data, predictive_entropy,
                             propagate_energy, softmax_rows, write_scores_csv)
-from tide.graph import make_graph
+from tide.graph import AtomicFiles, make_graph
 from conftest import random_graph
 import oracles
 
@@ -226,8 +226,9 @@ def test_evaluate_needs_both_populations():
 
 def test_write_scores_csv_layout(tmp_path):
     path = tmp_path / "scores.csv"
-    write_scores_csv(path, node_ids=[4, 9], scores=[0.5, -1.0],
-                     is_ood=[False, True], predicted=[1, 0], labels=[1, 2])
+    with AtomicFiles() as files:
+        write_scores_csv(files, path, node_ids=[4, 9], scores=[0.5, -1.0],
+                         is_ood=[False, True], predicted=[1, 0], labels=[1, 2])
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["node_id", "score", "is_ood", "predicted", "label"]

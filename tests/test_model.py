@@ -1,7 +1,9 @@
 """Encoders, heads, parameter bookkeeping, and checkpoints."""
 
+import gc
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -52,6 +54,34 @@ def test_gcn_layer_relu_clamps(two_clique):
     A = sym_normalized_adjacency(two_clique)
     out = gcn_layer(Tensor([[-1.0], [-3.0]]), A, Tensor([[1.0]]))
     assert out.values.tolist() == [[0.0], [0.0]]
+
+
+def test_recorded_gcn_layer_frees_what_no_gradient_reads(monkeypatch, rng):
+    """spmm saves only its operator and relu only its output, so once the
+    layer returns, the matmul output and the relu pre-activation are
+    gone while their three entries are still on the tape."""
+    made = {}
+
+    def keep_ref(op):
+        def run(*args):
+            out = op(*args)
+            made[op.__name__] = weakref.ref(out.values)
+            return out
+        return run
+
+    for name in ("matmul", "spmm"):
+        monkeypatch.setattr(ad, name, keep_ref(getattr(ad, name)))
+    g = random_graph(rng, n=12, d=3)
+    A = sym_normalized_adjacency(g)
+    W = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    ad.clear_tape()
+    out = gcn_layer(Tensor(g.X), A, W)
+    gc.collect()
+    assert ad.tape_size() == 3
+    assert made["matmul"]() is None and made["spmm"]() is None
+    grads = ad.backward(ad.tsum(out), {"W": W})
+    expected = A.csr_t @ (A.csr @ (g.X @ W.values) > 0.0).astype(float)
+    np.testing.assert_array_equal(grads["W"], g.X.T @ expected)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,13 +18,14 @@ from tide.model import (NOISE_STREAM, build_model, component_rng,
                         config_sha256, encode_feature, joint_logits_at_mean,
                         predict_logits, reparameterize)
 from tide.objectives import (TERMS, club_estimate, cross_entropy,
-                             energy_reg_loss, vib_loss)
+                             energy_reg_loss, fit_critic, vib_loss)
 from tide.shift import (CsbmParams, ShiftSpec, apply_feature_shift,
                         apply_shift, as_ood_bundle, gen_csbm)
 from tide.trainer import (CRITIC_PAIRS, OBJECTIVE_MODES, AdamState,
                           ConfigError, TideConfig, TrainingError, adam_step,
-                          branch, forward_components, train_tide,
+                          branch, fit_critics, forward_components, train_tide,
                           write_train_log)
+from conftest import tensors_held_by
 
 FIXTURE = CsbmParams(n=120, C=3, d=8, p_in=0.15, p_out=0.02, mu_sep=2.0,
                      seed=0, train_frac=0.4, val_frac=0.2)
@@ -185,6 +187,75 @@ def test_mean_branch_is_eval_path_and_sl_is_plain_cross_entropy():
                                   {}, {})
     assert set(comps) == {"ce_z"}
     assert comps["ce_z"].item() == cross_entropy(logits, g.y, g.mask("train")).item()
+    ad.clear_tape()
+
+
+def _tape_ops() -> Counter:
+    """How many entries on the tape each primitive recorded."""
+    return Counter(next(fn for fn in entry.grad_fns if fn is not None)
+                   .__qualname__.split(".")[0] for entry in ad._TAPE)
+
+
+@pytest.mark.parametrize("mode", ["sl", "ib"])
+def test_sl_epoch_and_mean_logits_build_no_sigma_head(mode, monkeypatch):
+    """sl reads no KL and no sample, so its epoch's tape, exposure pass
+    included, holds no softplus, and ``joint_logits_at_mean`` runs none;
+    ib's tape holds the joint sigma head twice (ID and exposure)."""
+    g = fixture_graph()
+    exposure = apply_feature_shift(g, ShiftSpec("feature", intensity=0.8,
+                                                seed=8))
+    tapes = []
+
+    def spy(loss, params):
+        tapes.append(_tape_ops())
+        return backward(loss, params)
+
+    backward = ad.backward
+    monkeypatch.setattr(ad, "backward", spy)
+    train_tide(g, TideConfig(objective_mode=mode, epochs=1, hidden=8),
+               exposure_graph=exposure)
+    assert len(tapes) == 1 and tapes[0]["linear"] > 0
+    assert tapes[0]["softplus"] == (0 if mode == "sl" else 2)
+    calls = []
+    softplus = ad.softplus
+    monkeypatch.setattr(ad, "softplus", lambda a: calls.append(a) or softplus(a))
+    joint_logits_at_mean(build_model(g.d, 8, g.C, seed=0), g)
+    assert calls == []
+
+
+def test_fit_critics_equal_per_pair_fit_critic_byte_for_byte():
+    g = fixture_graph()
+    config = TideConfig(hidden=8)
+    model = build_model(g.d, config.hidden, g.C, 0)
+    rng = np.random.default_rng(4)
+    eps = {tag: rng.standard_normal((g.n, config.hidden)) for tag in "zvq"}
+    zero = dict.fromkeys(CRITIC_PAIRS, np.zeros((config.hidden,) * 2))
+    with ad.no_grad():
+        outs = forward_components(model, g, config, eps, zero)[1]
+    critics = fit_critics(outs)
+    assert list(critics) == list(CRITIC_PAIRS)
+    for pair, critic in critics.items():
+        alone = fit_critic(outs[pair[0]][1].values, outs[pair[1]][1].values)
+        assert critic.tobytes() == alone.tobytes(), pair
+
+
+def test_recorded_training_forward_holds_no_tensor_on_the_tape():
+    """Every entry of a tide forward with its energy margin names tensors
+    by slot only, so the tape keeps no intermediate alive by itself."""
+    g = fixture_graph()
+    exposure = apply_feature_shift(g, ShiftSpec("feature", intensity=0.8,
+                                                seed=8))
+    config = TideConfig(hidden=8, t_id=-1.2, t_ood=-1.0)
+    model = build_model(g.d, config.hidden, g.C, 0)
+    rng = np.random.default_rng(5)
+    eps = {tag: rng.standard_normal(((exposure if tag == "z_exposure" else g).n,
+                                     config.hidden)) for tag in NOISE_STREAM}
+    critics = {pair: rng.normal(size=(config.hidden, config.hidden))
+               for pair in CRITIC_PAIRS}
+    ad.clear_tape()
+    comps = forward_components(model, g, config, eps, critics, exposure)[0]
+    assert set(comps) == set(TERMS) and ad.tape_size() > 100
+    assert [e for e in ad._TAPE if tensors_held_by(e)] == []
     ad.clear_tape()
 
 
