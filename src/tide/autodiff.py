@@ -51,7 +51,6 @@ ops.
 from __future__ import annotations
 
 import contextlib
-import inspect
 import itertools
 from typing import Callable, Sequence
 
@@ -509,7 +508,7 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
 # Finite-difference verification
 # ---------------------------------------------------------------------------
 
-def check_gradients_params(fn: Callable[..., dict[str, Tensor]],
+def check_gradients_params(fn: Callable[[str | None], dict[str, Tensor]],
                            params: dict[str, Tensor],
                            h: float = 1e-5) -> dict[str, dict[str, float]]:
     """Central-difference check of every named scalar component.
@@ -522,29 +521,27 @@ def check_gradients_params(fn: Callable[..., dict[str, Tensor]],
     never reads gets zeros from ``backward`` and equal perturbed values,
     so its error is exactly 0.
 
-    ``fn`` runs once per component on the tape, for the analytic
-    gradient. Then each entry of each parameter, in ``params`` order, is
-    perturbed by +h and -h, and every component is read off those two
-    evaluations: 2 * (entries in ``params``) untaped calls, so keep the
-    model small. A ``NumericsError`` in a perturbed evaluation is
-    re-raised naming the parameter and the entry.
+    ``fn(None)`` is a full evaluation; it runs once per component on
+    the tape, for the analytic gradient. Then each entry of each
+    parameter, in ``params`` order, is perturbed by +h and -h, and every
+    component is read off those two untaped evaluations ``fn(name)``,
+    ``name`` being the parameter moved, so keep the model small. A
+    ``NumericsError`` in a perturbed evaluation is re-raised naming the
+    parameter and the entry.
 
-    ``fn`` takes no argument, or one: then the taped calls are
-    ``fn(None)``, a full evaluation, and the perturbed ones ``fn(name)``,
-    which may recompute only what reads ``name``, the one parameter
-    moved. That scoping must be exact: after each parameter's sweep all
-    its entries move at once, entry i by (i + 1) * h so no two effects
-    cancel, and each component of ``fn(name)`` must equal ``fn(None)``'s
-    bit for bit, else a ``ScopeError`` names parameter and component.
+    ``fn(name)`` may recompute only what reads ``name``, but that
+    scoping must be exact: after each parameter's sweep all its entries
+    move at once, entry i by (i + 1) * h so no two effects cancel, and
+    each component of ``fn(name)`` must equal ``fn(None)``'s bit for
+    bit, else a ``ScopeError`` names parameter and component. A ``fn``
+    that ignores its argument always passes this check.
     """
-    scoped = bool(inspect.signature(fn).parameters)
-    call = fn if scoped else lambda name: fn()
     clear_tape()
-    out = call(None)
+    out = fn(None)
     analytic = {}
     for comp in list(out):
         if analytic:  # backward consumed the previous forward's tape
-            out = call(None)
+            out = fn(None)
         analytic[comp] = backward(out[comp], params)
 
     found: dict[str, dict[str, float]] = {comp: {} for comp in analytic}
@@ -556,10 +553,10 @@ def check_gradients_params(fn: Callable[..., dict[str, Tensor]],
                 orig = flat[i]
                 try:
                     flat[i] = orig + h
-                    out = call(name)
+                    out = fn(name)
                     f_plus = [out[c].item() for c in analytic]
                     flat[i] = orig - h
-                    out = call(name)
+                    out = fn(name)
                     f_minus = [out[c].item() for c in analytic]
                 except NumericsError as err:
                     raise NumericsError(f"non-finite value probing {name} "
@@ -572,8 +569,6 @@ def check_gradients_params(fn: Callable[..., dict[str, Tensor]],
                 diff = diff.reshape(p.shape)
                 rel = np.abs(analytic[comp][name] - diff) / (np.abs(diff) + 1e-8)
                 found[comp][name] = float(rel.max()) if rel.size else 0.0
-            if not scoped:
-                continue
             orig = flat.copy()
             try:
                 flat += h * np.arange(1, flat.size + 1)

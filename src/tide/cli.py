@@ -247,7 +247,6 @@ def cmd_train(args) -> int:
             overrides[field_name] = value
     if overrides:
         config = replace(config, **overrides)
-    config.validate()
     outdir = _check_out_dir(args.out)
 
     g = load_bundle(_require_file(args.data, "data bundle"))

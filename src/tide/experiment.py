@@ -72,9 +72,7 @@ def make_fixture(kind: str, seed: int) -> tuple[Graph, Graph]:
 
 def bench_config(mode: str, seed: int, epochs: int = BENCH_EPOCHS
                  ) -> TideConfig:
-    config = TideConfig(objective_mode=mode, seed=seed, epochs=epochs)
-    config.validate()
-    return config
+    return TideConfig(objective_mode=mode, seed=seed, epochs=epochs)
 
 
 @dataclass

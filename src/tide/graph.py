@@ -164,12 +164,11 @@ def canonical_edges(pairs: np.ndarray, n: int) -> np.ndarray:
 
 
 def make_graph(X, edges, y, masks=None, C: int | None = None) -> Graph:
-    """Validated constructor; canonicalizes edges and copies all arrays."""
+    """Canonicalizes edges, copies all arrays and builds the ``Graph``,
+    whose constructor validates them."""
     X = np.array(X, dtype=np.float64, ndmin=2)
     y = np.asarray(y, dtype=np.int64).copy()
     n, d = X.shape
-    if y.shape != (n,):
-        raise GraphError(f"labels length {y.shape} inconsistent with n={n}")
     edges = canonical_edges(np.asarray(edges), n) if np.asarray(edges).size \
         else np.empty((0, 2), dtype=np.int64)
     if C is None:

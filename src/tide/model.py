@@ -43,16 +43,12 @@ class ModelError(ValueError):
 
 @dataclass
 class LatentDistribution:
-    """Per-node Gaussian posterior; sigma is strictly positive, or None
-    when the encoder ran for the mean alone."""
+    """Per-node Gaussian posterior; sigma is strictly positive and shaped
+    like mu, or None when the encoder ran for the mean alone. The ops
+    reading both (``gaussian_kl``, ``scale_shift``) check the shapes."""
 
     mu: Tensor
     sigma: Tensor | None
-
-    def __post_init__(self):
-        if self.sigma is not None and self.mu.shape != self.sigma.shape:
-            raise ModelError(
-                f"mu/sigma shape mismatch: {self.mu.shape} vs {self.sigma.shape}")
 
     def rows(self, idx) -> "LatentDistribution":
         return LatentDistribution(ad.gather_rows(self.mu, idx),
@@ -126,11 +122,16 @@ def build_model(d: int, hidden: int, C: int, seed: int) -> TideModel:
     if min(d, hidden, C) < 1:
         raise ModelError(f"bad dims d={d}, hidden={hidden}, C={C}")
     params: dict[str, Tensor] = {}
-    for group, layout in param_layout(d, hidden, C).items():
-        rng = component_rng(seed, INIT_STREAM[group])
-        for name, shape in layout:
-            arr = np.zeros(shape) if name.endswith(".b") else glorot(rng, *shape)
-            params[name] = Tensor(arr, requires_grad=True)
+    try:
+        for group, layout in param_layout(d, hidden, C).items():
+            rng = component_rng(seed, INIT_STREAM[group])
+            for name, shape in layout:
+                arr = (np.zeros(shape) if name.endswith(".b")
+                       else glorot(rng, *shape))
+                params[name] = Tensor(arr, requires_grad=True)
+    except (ValueError, MemoryError) as err:  # numpy refused an allocation
+        raise ModelError(f"cannot allocate a model with d={d}, "
+                         f"hidden={hidden}, C={C}: {err}") from err
     return TideModel(d, hidden, C, seed, params)
 
 

@@ -138,13 +138,16 @@ def gen_csbm(params: CsbmParams) -> Graph:
     rng = np.random.default_rng(params.seed)
     n, C, d = params.n, params.C, params.d
 
-    y = rng.integers(0, C, size=n)
-
-    # Orthonormal class directions from a QR factorization.
-    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    with np.errstate(over="ignore"):
-        means = (params.mu_sep / np.sqrt(2.0)) * basis[:, :C].T   # C x d
-        X = means[y] + params.noise * rng.standard_normal((n, d))
+    try:
+        y = rng.integers(0, C, size=n)
+        # Orthonormal class directions from a QR factorization.
+        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        with np.errstate(over="ignore"):
+            means = (params.mu_sep / np.sqrt(2.0)) * basis[:, :C].T   # C x d
+            X = means[y] + params.noise * rng.standard_normal((n, d))
+    except (ValueError, MemoryError) as err:  # numpy refused an allocation
+        raise ShiftError(f"cannot allocate a graph with n={n}, d={d}, "
+                         f"C={C}: {err}") from err
     if not np.isfinite(X).all():
         raise ShiftError(f"sampled features overflow: lower noise={params.noise} "
                          f"or mu_sep={params.mu_sep}")

@@ -46,9 +46,8 @@ from .model import (NOISE_STREAM, LatentDistribution, TideModel, build_model,
                     component_rng, encode_feature, encode_joint,
                     encode_structure, joint_logits_at_mean, predict_logits,
                     reparameterize)
-from .objectives import (CRITIC_RIDGE, TERMS, club_estimate, cross_entropy,
-                         energy_reg_loss, fit_critic, recon_cind_loss,
-                         tide_total, vib_loss)
+from .objectives import (TERMS, club_estimate, cross_entropy, energy_reg_loss,
+                         fit_critic, recon_cind_loss, tide_total, vib_loss)
 
 # Parameter groups each objective trains: the training forward builds
 # only these branches and Adam steps only these groups. In sl/ib/ib_cind
@@ -107,19 +106,18 @@ class TideConfig:
     objective_mode: str = "tide"
 
     def __post_init__(self):
-        # An int given for a float field is stored as that float, so
-        # equal configs serialize, and hash, equal.
+        """Reject a bad value, whichever way the config was built: the
+        constructor, ``from_dict`` or ``dataclasses.replace``."""
         for f in fields(self):
             value = getattr(self, f.name)
+            # An int given for a float field is stored as that float, so
+            # equal configs serialize, and hash, equal.
             if f.type == "float" and type(value) is int:
                 try:
-                    object.__setattr__(self, f.name, float(value))
+                    value = float(value)
                 except OverflowError:
                     raise ConfigError(f"{f.name} must be finite") from None
-
-    def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
+                object.__setattr__(self, f.name, value)
             if not _has_type(value, f.type):
                 raise ConfigError(
                     f"{f.name} must be of type {f.type}, got {value!r}")
@@ -155,9 +153,7 @@ class TideConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**doc)
-        cfg.validate()
-        return cfg
+        return cls(**doc)
 
     @classmethod
     def load(cls, path) -> "TideConfig":
@@ -316,16 +312,10 @@ def forward_components(model: TideModel, g: Graph, config: TideConfig,
 
 
 def fit_critics(outs: dict) -> dict[str, np.ndarray]:
-    """Each pair's critic fitted to a tide forward's detached samples;
-    ``outs`` is ``forward_components``' second result. ``zv`` and ``zq``
-    share z's centring and ridge Gram, formed once here in
-    ``fit_critic``'s arithmetic order, so each equals ``fit_critic``'s
-    own result."""
-    z, v, q = (outs[tag][1].values for tag in "zvq")
-    a = z - z.mean(0)
-    gram = a.T @ a + CRITIC_RIDGE * z.shape[0] * np.eye(a.shape[1])
-    return {"zv": np.linalg.solve(gram, a.T @ v),
-            "zq": np.linalg.solve(gram, a.T @ q), "vq": fit_critic(v, q)}
+    """Each pair's ``fit_critic`` on a tide forward's detached samples;
+    ``outs`` is ``forward_components``' second result."""
+    return {pair: fit_critic(outs[pair[0]][1].values, outs[pair[1]][1].values)
+            for pair in CRITIC_PAIRS}
 
 
 def _mean_path_logits(model: TideModel, g: Graph, z_out) -> np.ndarray:
@@ -352,7 +342,6 @@ def train_tide(g: Graph, config: TideConfig,
     the final parameters are kept. Each log record's ``wall_time_s``
     spans its epoch's forward, backward, step and (tide) critic refit.
     """
-    config.validate()
     mode = config.objective_mode
     train_mask = g.mask("train")
     if train_mask.size == 0:

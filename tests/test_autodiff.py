@@ -25,7 +25,7 @@ finite = st.floats(min_value=-10, max_value=10, allow_nan=False,
 
 def check_scalar(fn, params):
     """``check_gradients_params`` for one scalar loss: error per parameter."""
-    return check_gradients_params(lambda: {"loss": fn()}, params)["loss"]
+    return check_gradients_params(lambda name: {"loss": fn()}, params)["loss"]
 
 
 def small_matrix(rows=(1, 4), cols=(1, 4), elements=finite):
@@ -555,20 +555,22 @@ def test_shared_sweep_equals_separate_sweeps_and_evaluates_once():
     params = {"x": x, "y": y}
     calls = []
 
-    def components():
-        calls.append(None)
+    def components(name):
+        calls.append(name)
         xy = ad.matmul(x, y)
         return {"sq": ad.tsum(ad.mul(xy, xy)), "soft": ad.tmean(ad.softplus(x))}
 
     errors = check_gradients_params(components, params)
-    # One taped forward per component, then two per entry of x and y.
-    assert len(calls) == 2 + 2 * (x.values.size + y.values.size)
+    # One taped forward per component, then two per entry of x and y,
+    # then one scope-check pair per parameter.
+    assert calls == [None] * 2 + ["x"] * 2 * x.values.size + ["x", None] \
+        + ["y"] * 2 * y.values.size + ["y", None]
     assert list(errors) == ["sq", "soft"]
     assert list(errors["sq"]) == list(errors["soft"]) == ["x", "y"]
     assert errors["soft"]["y"] == 0.0
     for comp in errors:
-        alone = check_gradients_params(lambda: {comp: components()[comp]},
-                                       params)
+        alone = check_gradients_params(
+            lambda name: {comp: components(name)[comp]}, params)
         assert alone == {comp: errors[comp]}
         assert max(errors[comp].values()) < 1e-6
 
@@ -583,16 +585,16 @@ def test_scoped_sweep_is_checked_against_full_evaluations():
     y = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
     params = {"x": x, "y": y}
 
-    def full():
+    def full(name):
         xy = ad.matmul(x, y)
         return {"sq": ad.tsum(ad.mul(xy, xy)), "soft": ad.tmean(ad.softplus(x))}
 
     with ad.no_grad():
-        soft = full()["soft"]
+        soft = full(None)["soft"]
 
     def scoped_to(skipped):
         def fn(name):
-            comps = full()
+            comps = full(name)
             if name == skipped:
                 comps["soft"] = soft
             return comps
@@ -611,7 +613,7 @@ def test_numerics_error_in_a_probe_names_parameter_and_entry():
     x = Tensor(np.zeros((2, 2)), requires_grad=True)
     w = Tensor(np.zeros((1, 3)), requires_grad=True)
 
-    def components():
+    def components(name):
         if w.values[0, 2] != 0.0:
             ad.mul([[1e200]], [[1e200]])
         return {"f": ad.add(ad.tsum(x), ad.tsum(w))}

@@ -149,6 +149,16 @@ def test_generate_overflowing_features_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_oversized_dim_exits_one(tmp_path, capsys):
+    """numpy refuses a d x d draw this large before allocating it."""
+    out = tmp_path / "out"
+    code = run_cli("generate", "--n", "40", "--classes", "2",
+                   "--dim", "10000000000", "--out-dir", out)
+    assert code == 1
+    assert "d=10000000000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_prints_summary_and_paths(tmp_path, capsys):
     assert run_cli("generate", "--kind", "csbm", "--n", "30",
                    "--classes", "2", "--dim", "4", "--p-in", "0.3",
@@ -339,6 +349,18 @@ def test_train_config_value_of_wrong_type_exits_one(bundles, tmp_path,
                        "--config", cfg)
         assert code == 1, text
         assert named in capsys.readouterr().err, text
+
+
+def test_train_oversized_hidden_exits_one(bundles, tmp_path, capsys):
+    """numpy refuses a d x hidden weight this large before allocating it."""
+    id_bundle, _ = bundles
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"hidden": 1000000000000000000, "epochs": 1}')
+    out = tmp_path / "r"
+    code = run_cli("train", "--data", id_bundle, "--out", out, "--config", cfg)
+    assert code == 1
+    assert "hidden=1000000000000000000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

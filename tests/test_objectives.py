@@ -127,7 +127,7 @@ def test_every_terms_weight_must_be_nonnegative(field):
     """Weights are config fields, so the config rejects a negative one
     before any loss is built."""
     with pytest.raises(ConfigError, match=f"{field} must be >= 0"):
-        TideConfig(**{field: -0.1}).validate()
+        TideConfig(**{field: -0.1})
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +188,8 @@ def test_club_gradients_match_central_differences():
               "p": rng.normal(size=(4, 3))}
     leaves = {k: Tensor(v, requires_grad=True) for k, v in leaves.items()}
     errors = ad.check_gradients_params(
-        lambda: {"club": club_estimate(leaves["s1"], leaves["s2"],
-                                       leaves["p"])},
+        lambda name: {"club": club_estimate(leaves["s1"], leaves["s2"],
+                                            leaves["p"])},
         leaves)["club"]
     assert set(errors) == {"s1", "s2", "p"}
     assert max(errors.values()) < 1e-6, errors
@@ -286,8 +286,8 @@ def test_energy_reg_gradients_match_central_differences():
     x_id = Tensor(e_id.values.copy(), requires_grad=True)
     x_ood = Tensor(e_ood.values.copy(), requires_grad=True)
     errors = ad.check_gradients_params(
-        lambda: {"id": energy_reg_loss(x_id, e_ood, -4.0, -3.0),
-                 "ood": energy_reg_loss(e_id, x_ood, -4.0, -3.0)},
+        lambda name: {"id": energy_reg_loss(x_id, e_ood, -4.0, -3.0),
+                      "ood": energy_reg_loss(e_id, x_ood, -4.0, -3.0)},
         {"x_id": x_id, "x_ood": x_ood})
     assert max(errors["id"]["x_id"], errors["ood"]["x_ood"]) < 1e-6
     assert errors["id"]["x_ood"] == errors["ood"]["x_id"] == 0.0

@@ -41,7 +41,7 @@ def fixture_graph(seed=0):
 
 class TestConfig:
     def test_defaults_validate(self):
-        TideConfig().validate()
+        TideConfig()
 
     @pytest.mark.parametrize("kw", [
         {"objective_mode": "vib"},
@@ -64,7 +64,21 @@ class TestConfig:
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ConfigError):
-            TideConfig(**kw).validate()
+            TideConfig(**kw)
+
+    @pytest.mark.parametrize("build", [
+        lambda kw: TideConfig(**kw),
+        TideConfig.from_dict,
+        lambda kw: dataclasses.replace(TideConfig(), **kw),
+    ], ids=["constructor", "from_dict", "replace"])
+    def test_every_way_of_building_rejects_a_bad_value(self, build):
+        """``replace`` is how ``tide train`` applies its flag overrides."""
+        for kw in ({"epochs": -1}, {"lr": float("nan")}, {"hidden": 2.0},
+                   {"objective_mode": "vib"}):
+            with pytest.raises(ConfigError):
+                build(kw)
+        lr = build({"lr": 1}).lr
+        assert lr == 1.0 and type(lr) is float
 
     def test_round_trips_through_dict(self):
         cfg = TideConfig(beta_v=0.01, seed=3, objective_mode="ib_cind")
