@@ -65,7 +65,12 @@ def _keep_heap_mapped() -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract here is 1."""
+    """argparse exits 2 on usage errors; the contract here is 1. A flag
+    must be spelled in full: a prefix of another flag is an error, not
+    that flag (``--out`` is not ``--out-dir``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -3,7 +3,8 @@
 Scores are oriented "higher means more OOD" everywhere: the energy
 -logsumexp(logits) is large for uncertain nodes. The energy
 (``energy_tensor``) and its propagation over ``g.propagation``
-(``propagate_energy_tensor``) are defined here once: the trainer's
+(``propagate_energy_tensor``) are defined here once, each one fused
+autodiff op (``neg_row_logsumexp``, ``propagate``): the trainer's
 energy margin runs them on the tape, and ``energy_score``/
 ``propagate_energy`` run them on constant tensors, so nothing is taped.
 ``score_splits`` is the one scoring path of eval and compare.
@@ -60,15 +61,13 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def energy_tensor(logits: Tensor) -> Tensor:
     """Per-node energy e_i = -log sum_c exp(logit_ic), stabilized, n x 1."""
-    return ad.mul(ad.row_logsumexp(logits), -1.0)
+    return ad.neg_row_logsumexp(logits)
 
 
 def propagate_energy_tensor(e: Tensor, prop_op: SparseMatrix,
                             alpha: float, k: int) -> Tensor:
     """k rounds of e <- alpha*e + (1-alpha) * neighbor-mean(e)."""
-    for _ in range(int(k)):
-        e = ad.add(ad.mul(e, alpha), ad.mul(ad.spmm(prop_op, e), 1.0 - alpha))
-    return e
+    return ad.propagate(e, prop_op, alpha, k)
 
 
 def energy_score(logits: np.ndarray) -> EnergyScores:

@@ -10,9 +10,12 @@ at evaluation.
 The loss functions build on the autodiff primitives and return 1x1
 tensors (``vib_loss`` a pair of them), so they compose into one fused
 backward pass; ``fit_critic`` works on detached arrays, off the tape.
-``TERMS`` is the single place that knows each term's weight, beta
-included, and which networks it feeds; ``tide_total`` alone applies
-the weights, fusing and routing by it.
+Each term ends in one fused tape entry (``softmax_cross_entropy``,
+``gaussian_kl``, ``mse``, ``centred_bilinear`` for the dependence
+estimate, ``squared_hinges`` for the margin). ``TERMS`` is the single
+place that knows each term's weight, beta included, and which networks
+it feeds; ``tide_total`` alone applies the weights, fusing and routing
+by it, in one ``weighted_sum`` entry.
 """
 
 from __future__ import annotations
@@ -98,18 +101,16 @@ def club_estimate(s1: Tensor, s2: Tensor, p) -> Tensor:
     cross-covariance form, sum(M * p) / (n sqrt(h)) with
     M = (s1 - s1_mean)^T s2: one n-row product in the forward and two in
     the backward (for s1 and s2); everything else works on the small M.
-    Centring keeps it invariant to adding a constant row to either set.
-    Zero when ``p`` is zero or one side is constant.
+    It is one tape entry, ``centred_bilinear``. Centring keeps it
+    invariant to adding a constant row to either set. Zero when ``p`` is
+    zero or one side is constant.
     """
     if s1.shape[0] != s2.shape[0]:
         raise LossError(f"sample count mismatch: {s1.shape} vs {s2.shape}")
     n = s1.shape[0]
     if n == 0:
         raise LossError("club_estimate: no samples")
-    h = s2.shape[1]
-    s1_mean = ad.matmul(Tensor(np.full((1, n), 1.0 / n)), s1)
-    M = ad.matmul(ad.transpose(ad.sub(s1, s1_mean)), s2)
-    return ad.mul(ad.tsum(ad.mul(M, p)), 1.0 / (n * np.sqrt(h)))
+    return ad.centred_bilinear(s1, s2, p)
 
 
 def recon_cind_loss(z_sample: Tensor, X: Tensor, model: TideModel) -> Tensor:
@@ -129,10 +130,7 @@ def energy_reg_loss(e_id: Tensor, e_ood: Tensor, t_id: float, t_ood: float
         raise LossError(f"t_id={t_id} must not exceed t_ood={t_ood}")
     if e_id.shape[0] == 0 or e_ood.shape[0] == 0:
         raise LossError("energy_reg_loss: empty score set")
-    id_hinge = ad.relu(ad.sub(e_id, t_id))
-    ood_hinge = ad.relu(ad.sub(t_ood, e_ood))
-    return ad.add(ad.tmean(ad.mul(id_hinge, id_hinge)),
-                  ad.tmean(ad.mul(ood_hinge, ood_hinge)))
+    return ad.squared_hinges(e_id, e_ood, t_id, t_ood)
 
 
 # Each loss term's weight (a config field; None weighs 1) and the
@@ -169,7 +167,8 @@ def tide_total(components: dict[str, Tensor], config
     value, then ``total_z``/``total_v``/``total_q``, the routed
     per-network totals (all to minimize).
     """
-    fused: Tensor | None = None
+    terms: list[Tensor] = []
+    weights: list[float] = []
     breakdown: dict[str, float] = {}
     totals = dict.fromkeys("zvq", 0.0)
     for name, (field, nets) in TERMS.items():
@@ -178,11 +177,10 @@ def tide_total(components: dict[str, Tensor], config
         breakdown[name] = float(t.item()) if t is not None else 0.0
         for net in nets:
             totals[net] += w * breakdown[name]
-        if t is None or w == 0.0:
-            continue
-        term = ad.mul(t, w) if w != 1.0 else t
-        fused = term if fused is None else ad.add(fused, term)
-    if fused is None:
+        if t is not None and w != 0.0:
+            terms.append(t)
+            weights.append(w)
+    if not terms:
         raise LossError("tide_total: no loss components")
     breakdown.update({f"total_{net}": total for net, total in totals.items()})
-    return fused, breakdown
+    return ad.weighted_sum(terms, weights), breakdown

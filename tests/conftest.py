@@ -55,10 +55,25 @@ def random_graph(rng, n=None, d=2, p=0.3):
 def tensors_held_by(entry) -> list:
     """Tensors a tape entry reaches through its fields and the closures
     of its gradient functions."""
-    found, stack = [], [entry.out, entry.inputs, entry.grad_fns]
+    return held_by(entry, Tensor)
+
+
+def arrays_held_by(entry) -> list:
+    """Arrays a tape entry reaches through its fields and the closures
+    of its gradient functions."""
+    return held_by(entry, np.ndarray)
+
+
+def held_by(entry, kind) -> list:
+    """Objects of type ``kind`` a tape entry reaches through its fields
+    and the closures of its gradient functions, each once."""
+    found, seen, stack = [], set(), [entry.out, entry.inputs, entry.grad_fns]
     while stack:
         obj = stack.pop()
-        if isinstance(obj, Tensor):
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, kind):
             found.append(obj)
         elif isinstance(obj, (tuple, list)):
             stack.extend(obj)

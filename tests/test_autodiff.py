@@ -16,7 +16,7 @@ import tide.autodiff as ad
 from tide.autodiff import (DomainError, NumericsError, ScopeError,
                            ShapeError, TapeError, Tensor, backward,
                            check_gradients_params)
-from conftest import tensors_held_by
+from conftest import arrays_held_by, tensors_held_by
 from oracles import fd_gradient
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False,
@@ -295,6 +295,17 @@ PRIMITIVES = {
     "softmax_cross_entropy": lambda x: ad.softmax_cross_entropy(
         x, np.eye(x.shape[1])[np.arange(x.shape[0]) % x.shape[1]]),
     "gaussian_kl": lambda x: ad.gaussian_kl(x, ad.softplus(x)),
+    "weighted_sum": lambda x: ad.weighted_sum(
+        [ad.tsum(x), ad.tmean(ad.mul(x, x)), ad.tsum(x)], [0.5, 1.0, 2.0]),
+    "centred_bilinear": lambda x: ad.centred_bilinear(
+        x, ad.mul(x, x), ad.transpose(x)),
+    "neg_row_logsumexp": lambda x: ad.tsum(
+        ad.mul(ad.neg_row_logsumexp(x), np.arange(3.0).reshape(3, 1))),
+    "propagate": lambda x: ad.tsum(
+        ad.mul(ad.propagate(x, _spmat(x.shape[0]), 0.4, 2), x)),
+    # The thresholds sit away from every |x| >= 0.3, so off the kinks.
+    "squared_hinges": lambda x: ad.squared_hinges(x, ad.mul(x, 0.5),
+                                                  0.1, 0.1),
 }
 
 
@@ -421,6 +432,21 @@ def test_softplus_matches_logaddexp_and_sigmoid():
         assert np.abs(grad - 1.0 / (1.0 + np.exp(-x))).max() <= 4e-15
 
 
+def test_softplus_saves_only_what_its_gradient_reads():
+    """The entry keeps one array of x's shape, x - softplus(x), which is
+    neither x nor the output, and the gradient keeps its bits."""
+    x = Tensor(np.random.default_rng(6).normal(size=(6, 4)) * 3.0,
+               requires_grad=True)
+    ad.clear_tape()
+    out = ad.softplus(x)
+    held = arrays_held_by(ad._TAPE[-1])
+    assert [a.shape for a in held] == [x.shape]
+    assert held[0] is not x.values and held[0] is not out.values
+    grad = backward(ad.tsum(out), {"x": x})["x"]
+    ones = np.full(x.shape, 1.0)
+    assert grad.tobytes() == (ones * np.exp(x.values - out.values)).tobytes()
+
+
 def test_gather_rows_backward_accumulates_repeated_rows():
     x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
     weights = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
@@ -466,13 +492,16 @@ def _kl_chain(mu, sigma):
     return ad.mul(ad.tsum(inner), -0.5 / mu.shape[0])
 
 
-def _bytes_of(loss_of, leaves):
+def _bytes_of(loss_of, leaves, constant=()):
     """Forward bytes and returned-gradient bytes of ``loss_of`` over
-    fresh leaf copies of ``leaves``."""
-    params = {k: Tensor(v.copy(), requires_grad=True) for k, v in leaves.items()}
+    fresh leaf copies of ``leaves``, those named in ``constant`` taking
+    no gradient."""
+    params = {k: Tensor(v.copy(), requires_grad=k not in constant)
+              for k, v in leaves.items()}
     ad.clear_tape()
     out, loss = loss_of(**params)
-    grads = backward(loss, params)
+    grads = backward(loss, {k: t for k, t in params.items()
+                            if k not in constant})
     return out.values.tobytes(), {k: g.tobytes() for k, g in grads.items()}
 
 
@@ -531,6 +560,167 @@ def test_gaussian_kl_matches_chain_bits(seed):
             == _bytes_of(loss_of(_kl_chain), leaves))
 
 
+def _weighted_chain(terms, weights):
+    fused = None
+    for t, w in zip(terms, weights):
+        term = ad.mul(t, w) if w != 1.0 else t
+        fused = term if fused is None else ad.add(fused, term)
+    return fused
+
+
+def _club_chain(s1, s2, p):
+    n, h = s1.shape[0], s2.shape[1]
+    s1_mean = ad.matmul(Tensor(np.full((1, n), 1.0 / n)), s1)
+    M = ad.matmul(ad.transpose(ad.sub(s1, s1_mean)), s2)
+    return ad.mul(ad.tsum(ad.mul(M, p)), 1.0 / (n * np.sqrt(h)))
+
+
+def _energy_chain(a):
+    return ad.mul(ad.row_logsumexp(a), -1.0)
+
+
+def _propagate_chain(e, sp, alpha, k):
+    for _ in range(k):
+        e = ad.add(ad.mul(e, alpha), ad.mul(ad.spmm(sp, e), 1.0 - alpha))
+    return e
+
+
+def _hinge_chain(e_id, e_ood, t_id, t_ood):
+    id_hinge = ad.relu(ad.sub(e_id, t_id))
+    ood_hinge = ad.relu(ad.sub(t_ood, e_ood))
+    return ad.add(ad.tmean(ad.mul(id_hinge, id_hinge)),
+                  ad.tmean(ad.mul(ood_hinge, ood_hinge)))
+
+
+@pytest.mark.parametrize("constant", [(), ("b",)], ids=["leaves", "b_const"])
+def test_weighted_sum_matches_mul_add_chain_bits(constant):
+    """Weights of 1 and others, and one term given three times, so its
+    contributions must be added in the chain's order."""
+    rng = np.random.default_rng(15)
+    leaves = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=(4, 3))}
+    weights = [1.0, 1e-3, 0.7, 1.0, 0.1, 1e-2]
+
+    def loss_of(op):
+        def run(a, b):
+            ta, tb = ad.tsum(ad.mul(a, a)), ad.tmean(ad.mul(b, 0.3))
+            out = op([ta, tb, ta, ad.tsum(ad.mul(a, b)), ta, tb], weights)
+            return out, ad.mul(out, 0.37)
+        return run
+
+    assert (_bytes_of(loss_of(ad.weighted_sum), leaves, constant)
+            == _bytes_of(loss_of(_weighted_chain), leaves, constant))
+
+
+def test_weighted_sum_of_one_term():
+    t = ad.tsum(Tensor(np.ones((2, 2)), requires_grad=True))
+    assert ad.weighted_sum([t], [1.0]) is t
+    size = ad.tape_size()
+    assert ad.weighted_sum([t], [0.5]).item() == 2.0
+    assert ad.tape_size() == size + 1
+
+
+@pytest.mark.parametrize("constant,same", [
+    ((), False), (("s1",), False), (("s2",), False), (("p",), False),
+    ((), True)], ids=["leaves", "s1_const", "s2_const", "p_const", "s1_is_s2"])
+def test_centred_bilinear_matches_club_chain_bits(constant, same):
+    rng = np.random.default_rng(16)
+    leaves = {"s1": rng.normal(size=(9, 4)), "s2": rng.normal(size=(9, 4)),
+              "p": rng.normal(size=(4, 4))}
+
+    def loss_of(op):
+        def run(s1, s2, p):
+            out = op(s1, s1 if same else s2, p)
+            return out, ad.mul(out, 0.37)
+        return run
+
+    assert (_bytes_of(loss_of(ad.centred_bilinear), leaves, constant)
+            == _bytes_of(loss_of(_club_chain), leaves, constant))
+
+
+def test_centred_bilinear_matches_club_chain_bits_on_shared_samples():
+    """The training layout: z is s1 of the zv and zq estimates, so its
+    running gradient already holds zq's terms when zv's arrive, and v is
+    zv's s2 and vq's s1."""
+    rng = np.random.default_rng(20)
+    leaves = {net: rng.normal(size=(9, 4)) for net in "zvq"}
+    critics = [rng.normal(size=(4, 4)) for _ in range(3)]
+
+    def loss_of(op):
+        def run(z, v, q):
+            pmi = [op(z, v, critics[0]), op(z, q, critics[1]),
+                   op(v, q, critics[2])]
+            out = _weighted_chain(pmi, [0.01, 0.02, 0.03])
+            return out, out
+        return run
+
+    assert (_bytes_of(loss_of(ad.centred_bilinear), leaves)
+            == _bytes_of(loss_of(_club_chain), leaves))
+
+
+def test_neg_row_logsumexp_matches_chain_bits():
+    rng = np.random.default_rng(17)
+    leaves = {"a": rng.normal(size=(11, 3)) * 3.0}
+    weights = rng.normal(size=(11, 1))
+
+    def loss_of(op):
+        def run(a):
+            out = op(a)
+            return out, ad.tsum(ad.mul(out, weights))
+        return run
+
+    assert (_bytes_of(loss_of(ad.neg_row_logsumexp), leaves)
+            == _bytes_of(loss_of(_energy_chain), leaves))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.5, 0.3])
+def test_propagate_matches_chain_bits(alpha, k):
+    """e has a second consumer, recorded after the propagation, so its
+    gradient is already running when the first round's arrive."""
+    rng = np.random.default_rng([k, 18])
+    sp = _spmat(8)
+    leaves = {"e": rng.normal(size=(8, 1))}
+    w1, w2 = rng.normal(size=(8, 1)), rng.normal(size=(8, 1))
+
+    def loss_of(op):
+        def run(e):
+            out = op(e, sp, alpha, k)
+            return out, ad.add(ad.tsum(ad.mul(out, w1)),
+                               ad.tsum(ad.mul(e, w2)))
+        return run
+
+    assert (_bytes_of(loss_of(ad.propagate), leaves)
+            == _bytes_of(loss_of(_propagate_chain), leaves))
+
+
+def test_propagate_zero_rounds_is_the_input():
+    e = Tensor(np.ones((3, 1)), requires_grad=True)
+    assert ad.propagate(e, _spmat(3), 0.5, 0) is e
+
+
+@pytest.mark.parametrize("case", ["leaves", "e_id_const", "e_ood_const",
+                                  "same"])
+def test_squared_hinges_match_chain_bits(case):
+    """Each hinge is active on some rows and idle on others, and e_id
+    has a second consumer, recorded after the hinges, so its gradient
+    is already running when theirs arrive."""
+    rng = np.random.default_rng(19)
+    leaves = {"e_id": rng.normal(size=(7, 1)) - 4.0,
+              "e_ood": rng.normal(size=(5, 1)) - 3.0}
+    constant = {"e_id_const": ("e_id",), "e_ood_const": ("e_ood",)}.get(
+        case, ())
+    w = rng.normal(size=(7, 1))
+
+    def loss_of(op):
+        def run(e_id, e_ood):
+            out = op(e_id, e_id if case == "same" else e_ood, -4.0, -3.0)
+            return out, ad.add(ad.mul(out, 0.37), ad.tsum(ad.mul(e_id, w)))
+        return run
+
+    assert (_bytes_of(loss_of(ad.squared_hinges), leaves, constant)
+            == _bytes_of(loss_of(_hinge_chain), leaves, constant))
+
+
 def test_fused_primitive_shape_errors_name_the_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 2\) @ \(2, 3\) \+ \(2, 3\)"):
         ad.linear(np.ones((2, 2)), np.ones((2, 3)), np.ones((2, 3)))
@@ -540,6 +730,14 @@ def test_fused_primitive_shape_errors_name_the_shapes():
         ad.gaussian_kl(np.ones((2, 2)), np.ones((2, 1)))
     with pytest.raises(DomainError):
         ad.gaussian_kl(np.ones((1, 2)), np.array([[1.0, 0.0]]))
+    with pytest.raises(ShapeError, match=r"1x1 terms, got \(1, 2\)"):
+        ad.weighted_sum([np.ones((1, 1)), np.ones((1, 2))], [1.0, 1.0])
+    with pytest.raises(ShapeError, match="2 terms and 1 weights"):
+        ad.weighted_sum([np.ones((1, 1))] * 2, [1.0])
+    with pytest.raises(ShapeError, match=r"\(3, 2\), \(3, 4\), \(4, 2\)"):
+        ad.centred_bilinear(np.ones((3, 2)), np.ones((3, 4)), np.ones((4, 2)))
+    with pytest.raises(ShapeError, match=r"\(3, 3\) @ \(2, 1\)"):
+        ad.propagate(np.ones((2, 1)), _spmat(3), 0.5, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +878,14 @@ OVERFLOWS = {
                               lambda: ad.softmax_cross_entropy(
                                   [[BIG, -BIG]], np.array([[0.0, 1.0]]))),
     "gaussian_kl": ("gaussian_kl", lambda: ad.gaussian_kl([[1e200]], [[1.0]])),
+    "weighted_sum": ("weighted_sum", lambda: ad.weighted_sum(
+        [[[BIG]], [[BIG]]], [1.0, 1.0])),
+    "centred_bilinear": ("centred_bilinear", lambda: ad.centred_bilinear(
+        [[BIG], [-BIG]], [[BIG], [-BIG]], [[1.0]])),
+    "propagate": ("propagate", lambda: ad.propagate(
+        np.full((2, 1), BIG), _row_of_ones(2), 0.5, 1)),
+    "squared_hinges": ("squared_hinges", lambda: ad.squared_hinges(
+        [[BIG]], [[0.0]], 0.0, 1.0)),
 }
 
 
@@ -743,7 +949,9 @@ def test_broadcast_gradients_match_central_differences(op, sa, sb):
         assert max(errors.values()) < 1e-6, (left, right, errors)
 
 
-# name -> (primitive over Tensor inputs, the inputs' shapes)
+# name -> (primitive over Tensor inputs, the inputs' shapes[, the
+# argument each recorded input is, where that is not one per argument
+# in order])
 OUTPUT_CASES = {
     "add": (ad.add, [(3, 2), (1, 2)]),
     "sub": (ad.sub, [(3, 2), (3, 1)]),
@@ -766,6 +974,16 @@ OUTPUT_CASES = {
     "softmax_cross_entropy": (
         lambda a: ad.softmax_cross_entropy(a, np.eye(2)[[0, 1, 1]]), [(3, 2)]),
     "gaussian_kl": (ad.gaussian_kl, [(3, 2), (3, 2)]),
+    "weighted_sum": (lambda a, b, c: ad.weighted_sum([a, b, c],
+                                                     [0.5, 1.0, 2.0]),
+                     [(1, 1), (1, 1), (1, 1)], (2, 1, 0)),
+    "centred_bilinear": (ad.centred_bilinear, [(3, 2), (3, 4), (2, 4)],
+                         (2, 1, 0, 0)),
+    "neg_row_logsumexp": (ad.neg_row_logsumexp, [(3, 2)]),
+    "propagate": (lambda e: ad.propagate(e, _spmat(3), 0.4, 2), [(3, 1)],
+                  (0, 0)),
+    "squared_hinges": (lambda a, b: ad.squared_hinges(a, b, 1.0, 1.5),
+                       [(3, 1), (2, 1)], (1, 0)),
 }
 
 
@@ -777,7 +995,8 @@ def _inputs(shapes, flags):
 
 @pytest.mark.parametrize("name", sorted(OUTPUT_CASES))
 def test_output_tensor_invariants(name):
-    fn, shapes = OUTPUT_CASES[name]
+    fn, shapes, *order = OUTPUT_CASES[name]
+    order = order[0] if order else range(len(shapes))
     for flags in itertools.product((False, True), repeat=len(shapes)):
         inputs = _inputs(shapes, flags)
         ad.clear_tape()
@@ -794,10 +1013,11 @@ def test_output_tensor_invariants(name):
             # gradient by slot, keeps exactly those inputs' gradient
             # functions, and holds no tensor.
             assert type(out.slot) is int and entry.out == out.slot
-            assert entry.inputs == tuple(t.slot if f else None
-                                         for t, f in zip(inputs, flags))
+            assert entry.inputs == tuple(
+                inputs[i].slot if flags[i] else None for i in order)
             assert out.slot not in entry.inputs
-            assert [fn is not None for fn in entry.grad_fns] == list(flags)
+            assert ([fn is not None for fn in entry.grad_fns]
+                    == [flags[i] for i in order])
             assert tensors_held_by(entry) == []
         else:
             assert ad.tape_size() == 0

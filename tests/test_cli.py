@@ -741,6 +741,24 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert run_cli("transmogrify") == 1
 
 
+def test_generate_flag_prefix_is_usage_error(tmp_path, monkeypatch, capsys):
+    """``--out`` is a prefix of generate's ``--out-dir``, not that flag:
+    the command exits 1 with usage and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("generate", "--n", "20", "--classes", "2", "--dim", "2",
+                   "--out", "g.json") == 1
+    assert "usage:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_flag_prefix_is_usage_error(bundles, tmp_path, capsys):
+    id_bundle, _ = bundles
+    assert run_cli("train", "--data", id_bundle, "--ou", tmp_path / "d",
+                   "--epochs", "1") == 1
+    assert "usage:" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_bad_flag_value_is_usage_error(capsys):
     assert run_cli("generate", "--kind", "csbm", "--n", "not-a-number",
                    "--out-dir", "/tmp/ignored") == 1

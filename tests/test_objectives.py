@@ -342,6 +342,30 @@ def test_tide_total_without_components_rejected():
         tide_total({}, TideConfig())
 
 
+def test_tide_total_over_every_term_records_one_entry(monkeypatch):
+    """All eleven weighted terms fuse into one tape entry, whose gradient
+    hands each term its weight."""
+    recorded = []
+    real = ad._record
+
+    def spy(op, *args):
+        recorded.append(op)
+        return real(op, *args)
+
+    cfg = TideConfig(alpha1=0.1, alpha2=0.2, alpha3=0.3, lambda_cind=0.5,
+                     lambda_oe=2.0)
+    comps = {name: Tensor([[i + 1.0]], requires_grad=True)
+             for i, name in enumerate(TERMS)}
+    ad.clear_tape()
+    monkeypatch.setattr(ad, "_record", spy)
+    fused, _ = tide_total(comps, cfg)
+    assert recorded == ["weighted_sum"] and ad.tape_size() == 1
+    grads = ad.backward(fused, comps)
+    for name, (field, _) in TERMS.items():
+        w = 1.0 if field is None else getattr(cfg, field)
+        assert grads[name].tolist() == [[w]], name
+
+
 def test_cind_gradient_stays_out_of_feature_and_structure_nets(rng):
     """Reconstruction loss must touch only the joint encoder + decoder."""
     g = random_graph(rng, n=6, d=3)

@@ -268,7 +268,7 @@ def test_recorded_training_forward_holds_no_tensor_on_the_tape():
                for pair in CRITIC_PAIRS}
     ad.clear_tape()
     comps = forward_components(model, g, config, eps, critics, exposure)[0]
-    assert set(comps) == set(TERMS) and ad.tape_size() > 100
+    assert set(comps) == set(TERMS) and ad.tape_size() == 78
     assert [e for e in ad._TAPE if tensors_held_by(e)] == []
     ad.clear_tape()
 
@@ -541,6 +541,24 @@ def test_gradient_audit_probes_both_margin_hinges(monkeypatch):
     nearest = min(min(np.abs(e_id - t_id).min(), np.abs(e_ood - t_ood).min())
                   for e_id, e_ood, t_id, t_ood in calls)
     assert nearest > h
+
+
+def test_gradient_audit_records_at_most_50k_ops(monkeypatch):
+    """On the audit's small blocks each op's fixed cost outweighs its
+    arithmetic, so the number of ops it runs, taped or not, is its
+    budget: one tape entry per fused loss term keeps it under 50,000
+    (114,438 when the weighted total, the dependence estimate and the
+    energy margin were chains of elementary ops)."""
+    calls = []
+    real = ad._record
+
+    def spy(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(ad, "_record", spy)
+    gradient_check_report(seed=0)
+    assert len(calls) <= 50_000
 
 
 def _audit_forwards(monkeypatch):
