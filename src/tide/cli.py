@@ -44,26 +44,6 @@ def _cap_threads() -> None:
         os.environ[var] = str(count)
 
 
-def _keep_heap_mapped() -> None:
-    """Let malloc reuse freed training temporaries instead of unmapping them.
-
-    An epoch frees and reallocates the same multi-MB arrays. With glibc's
-    defaults each is a fresh mmap whose pages fault in again every epoch;
-    a 32 MiB mmap threshold (M_MMAP_THRESHOLD, -3) and a 256 MiB trim
-    threshold (M_TRIM_THRESHOLD, -1) keep them in the heap. Without
-    glibc's mallopt this does nothing.
-    """
-    import ctypes
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(-3, 32 << 20)
-    mallopt(-1, 256 << 20)
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here is 1. A flag
     must be spelled in full: a prefix of another flag is an error, not
@@ -238,7 +218,6 @@ def _load_config(args):
 
 
 def cmd_train(args) -> int:
-    _keep_heap_mapped()
     from .graph import load_bundle
     from .model import save_checkpoint
     from .trainer import train_tide, write_train_log
@@ -331,7 +310,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _keep_heap_mapped()
     from .experiment import BENCH_EPOCHS, run_benchmark_suite
 
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]

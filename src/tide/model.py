@@ -242,12 +242,17 @@ def save_checkpoint(model: TideModel, path, config_dict: dict | None = None) -> 
 
 
 def load_checkpoint(path) -> TideModel:
-    """Read a checkpoint whose manifest declares exactly the parameter
-    names and shapes ``build_model`` lays out for its dims."""
+    """Read a checkpoint whose manifest is valid JSON declaring exactly
+    the parameter names and shapes ``build_model`` lays out for its
+    dims, and whose blob holds that many finite values; anything else
+    raises ``ModelError`` naming the file at fault."""
     path = Path(path)
     manifest_path = path.with_name(path.name + ".json")
     with open(manifest_path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ModelError(f"{manifest_path}: {err}") from err
     found = manifest.get("format") if isinstance(manifest, dict) else None
     if found != CKPT_FORMAT:
         raise ModelError(f"{manifest_path}: checkpoint format {found!r}, "
@@ -270,6 +275,8 @@ def load_checkpoint(path) -> TideModel:
         raise ModelError(f"{path}: has {size} bytes, manifest expects "
                          f"{expected} float64 values ({8 * expected} bytes)")
     flat = np.fromfile(path, dtype="<f8")
+    if not np.isfinite(flat).all():
+        raise ModelError(f"{path}: parameters must be finite")
     model = build_model(*dims)
     offset = 0
     for p in model.params.values():

@@ -15,6 +15,15 @@ branches' parameters. Tide's dependence penalties read fixed critics,
 zero at first; after each step ``fit_critics`` refits them to that
 epoch's detached samples, one step behind, as in CLUB's alternation.
 
+An epoch holds only what its next step reads. The forward keeps of
+each network a ``BranchOut`` (its sample, its head logits and, for the
+joint network, its posterior mean), not its sigma, which dies with its
+KL. Once the step
+and the critic refit are done, the epoch's noise, branches, loss
+tensors and gradients are freed, so between epochs training holds
+only the parameters, the Adam moments, the critics, the best
+snapshot and the log.
+
 Validation reads the next forward: epoch t+1's forward runs on the
 parameters epoch t's steps produced, so its joint branch already holds
 epoch t's validation logits (sl: its own logits on the posterior mean;
@@ -31,10 +40,12 @@ consumes them in a fixed order.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -203,11 +214,36 @@ class TrainResult:
     best_val_acc: float
 
 
-def _accuracy(logits: np.ndarray, y: np.ndarray, mask: np.ndarray) -> float:
+def _accuracy(logits: np.ndarray, y: np.ndarray, mask: np.ndarray
+              ) -> float | None:
+    """Accuracy over the mask rows; None for an empty mask (no val
+    split), so the log stays valid JSON."""
     if mask.size == 0:
-        return float("nan")
+        return None
     preds = logits[mask].argmax(axis=1)
     return float(np.mean(preds == y[mask]))
+
+
+def _keep_heap_mapped() -> None:
+    """Let malloc reuse freed training temporaries instead of returning
+    them to the system.
+
+    Each epoch frees its arrays before the next one allocates them
+    again. With glibc's defaults, memory freed at the top of the heap
+    is trimmed and a large array is a fresh mmap, so those pages fault
+    in again every epoch; a 32 MiB mmap threshold (M_MMAP_THRESHOLD,
+    -3) and a 256 MiB trim threshold (M_TRIM_THRESHOLD, -1) keep them
+    in the heap. The setting is process-wide and only ever set to these
+    values. Without glibc's mallopt this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)
+    mallopt(-1, 256 << 20)
 
 
 @contextlib.contextmanager
@@ -236,6 +272,34 @@ def branch(model: TideModel, g: Graph, tag: str, eps: np.ndarray | None = None
         dist = encode_structure(g.adjacency, model)
     sample = dist.mu if eps is None else reparameterize(dist, eps)
     return dist, sample, predict_logits(sample, g.adjacency, model, tag)
+
+
+class BranchOut(NamedTuple):
+    """What a training forward keeps of one network: its sample (the
+    couplings, the reconstruction and the critic fit read it), its head
+    logits and, for the joint network alone, its posterior mean
+    (validation reads it); None for V and Q. The posterior's sigma dies
+    with the KL that reads it."""
+
+    sample: Tensor
+    logits: Tensor
+    mu: Tensor | None
+
+
+def _bottleneck(model: TideModel, g: Graph, tag: str, mode: str,
+                eps: np.ndarray | None, comps: dict[str, Tensor]
+                ) -> BranchOut:
+    """Network ``tag``'s ``branch`` and its bottleneck terms, written
+    into ``comps``: ``ce_<tag>`` and ``kl_<tag>`` (sl: ``ce_z`` alone,
+    on the posterior mean)."""
+    dist, sample, logits = branch(model, g, tag, eps)
+    with _component(f"vib_{tag}"):
+        if mode == "sl":
+            comps[f"ce_{tag}"] = cross_entropy(logits, g.y, g.mask("train"))
+        else:
+            comps[f"ce_{tag}"], comps[f"kl_{tag}"] = vib_loss(
+                logits, g.y, g.mask("train"), dist)
+    return BranchOut(sample, logits, dist.mu if tag == "z" else None)
 
 
 def energy_margin(logits_z: Tensor, model: TideModel, g: Graph,
@@ -269,8 +333,9 @@ def forward_components(model: TideModel, g: Graph, config: TideConfig,
     ``critics`` maps each ``CRITIC_PAIRS`` pair to the fixed projection
     its dependence penalty reads (tide only; the other modes ignore it);
     ``exposure`` is the energy margin's OOD graph. Returns the
-    components, all ``TERMS`` keys, and each built network's ``branch``
-    outputs (posterior, sample, logits).
+    components, all ``TERMS`` keys, and each built network's
+    ``BranchOut``: what later readers need of it, not its posterior's
+    sigma, which dies with its KL, nor V's and Q's posterior means.
 
     ``base``, which training never passes, scopes the forward for the
     gradient audit: ``(comps, outs, net)``, a forward's result at these
@@ -281,7 +346,6 @@ def forward_components(model: TideModel, g: Graph, config: TideConfig,
     """
     mode = config.objective_mode
     groups = MODE_GROUPS[mode]
-    train = g.mask("train")
     comps, outs, moved = ({}, {}, None) if base is None else (
         dict(base[0]), dict(base[1]), base[2])
 
@@ -289,44 +353,41 @@ def forward_components(model: TideModel, g: Graph, config: TideConfig,
         return moved is None or moved in nets
 
     for tag in [t for t in NETWORKS if t in groups and reads(t)]:
-        dist, _, logits = outs[tag] = branch(model, g, tag, eps.get(tag))
-        with _component(f"vib_{tag}"):
-            if mode == "sl":
-                comps[f"ce_{tag}"] = cross_entropy(logits, g.y, train)
-            else:
-                comps[f"ce_{tag}"], comps[f"kl_{tag}"] = vib_loss(
-                    logits, g.y, train, dist)
+        outs[tag] = _bottleneck(model, g, tag, mode, eps.get(tag), comps)
     if "recon" in groups and reads("z", "recon"):
         with _component("cind"):
-            comps["cind"] = recon_cind_loss(outs["z"][1], Tensor(g.X), model)
+            comps["cind"] = recon_cind_loss(outs["z"].sample, Tensor(g.X),
+                                            model)
     if mode == "tide":
         for pair in [p for p in CRITIC_PAIRS if reads(*p)]:
             with _component(f"pmi_{pair}"):
                 comps[f"pmi_{pair}"] = club_estimate(
-                    outs[pair[0]][1], outs[pair[1]][1], critics[pair])
+                    outs[pair[0]].sample, outs[pair[1]].sample, critics[pair])
     if exposure is not None and reads("z"):
         with _component("energy_reg"):
-            comps["energy_reg"] = energy_margin(outs["z"][2], model, g, config,
-                                                exposure, eps.get("z_exposure"))
+            comps["energy_reg"] = energy_margin(
+                outs["z"].logits, model, g, config, exposure,
+                eps.get("z_exposure"))
     return comps, outs
 
 
 def fit_critics(outs: dict) -> dict[str, np.ndarray]:
     """Each pair's ``fit_critic`` on a tide forward's detached samples;
     ``outs`` is ``forward_components``' second result."""
-    return {pair: fit_critic(outs[pair[0]][1].values, outs[pair[1]][1].values)
+    return {pair: fit_critic(outs[pair[0]].sample.values,
+                             outs[pair[1]].sample.values)
             for pair in CRITIC_PAIRS}
 
 
-def _mean_path_logits(model: TideModel, g: Graph, z_out) -> np.ndarray:
+def _mean_path_logits(model: TideModel, g: Graph, z_out: BranchOut
+                      ) -> np.ndarray:
     """``joint_logits_at_mean`` read off a training forward's joint
     branch: its own logits when it ran on the posterior mean (sl), else
     the head applied to the posterior mean it already computed."""
-    dist, sample, logits = z_out
-    if sample is dist.mu:
-        return logits.values
+    if z_out.sample is z_out.mu:
+        return z_out.logits.values
     with ad.no_grad():
-        return predict_logits(dist.mu, g.adjacency, model, "z").values
+        return predict_logits(z_out.mu, g.adjacency, model, "z").values
 
 
 def train_tide(g: Graph, config: TideConfig,
@@ -351,6 +412,7 @@ def train_tide(g: Graph, config: TideConfig,
     if exposure_graph is not None and exposure_graph.mask("train").size == 0:
         raise GraphError("exposure graph has an empty train split")
 
+    _keep_heap_mapped()
     val_mask = g.mask("val")
     model = build_model(g.d, config.hidden, g.C, config.seed)
     state = AdamState()
@@ -385,8 +447,12 @@ def train_tide(g: Graph, config: TideConfig,
             best_snapshot = model.snapshot()
             best_epoch = record["epoch"]
 
-    for epoch in range(config.epochs):
-        tick = time.perf_counter()
+    def run_epoch(epoch: int) -> dict[str, float]:
+        """One epoch: its noise, forward, the last epoch's validation,
+        backward, Adam step and (tide) critic refit. Returns the loss
+        breakdown; its noise, branches, loss tensors and gradients die
+        here, so none of them is alive when the next forward runs."""
+        nonlocal critics
         ad.clear_tape()
         eps = {tag: rng.standard_normal(noise_shape[tag])
                for tag, rng in noise.items()}
@@ -404,10 +470,14 @@ def train_tide(g: Graph, config: TideConfig,
             grads = ad.backward(fused, trained)
         except (ad.NumericsError, ad.DomainError) as err:
             raise TrainingError(f"epoch {epoch}: backward: {err}") from err
-
         adam_step(trained, grads, state, config.lr)
         if mode == "tide":
             critics = fit_critics(outs)
+        return breakdown
+
+    for epoch in range(config.epochs):
+        tick = time.perf_counter()
+        breakdown = run_epoch(epoch)
         # The next forward fills in val_acc.
         log.append({"epoch": epoch, "loss": breakdown, "val_acc": None,
                     "wall_time_s": time.perf_counter() - tick})
@@ -426,8 +496,10 @@ def train_tide(g: Graph, config: TideConfig,
 
 
 def write_train_log(path, records: list[dict]) -> None:
+    """One strict JSON object per line: a NaN or infinity raises
+    ``ValueError`` rather than being written as a bare token."""
     path = Path(path)
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True))
+            fh.write(json.dumps(rec, sort_keys=True, allow_nan=False))
             fh.write("\n")

@@ -5,7 +5,7 @@ from pathlib import Path
 # tide.cli imports only the standard library at load time, so the BLAS
 # pools are pinned before numpy ever loads; the determinism contract (and
 # the acceptance byte-comparisons) assume single-threaded kernels.
-from tide.cli import _cap_threads, _keep_heap_mapped
+from tide.cli import _cap_threads
 
 _cap_threads()
 
@@ -16,10 +16,6 @@ import pytest  # noqa: E402
 
 from tide.autodiff import Tensor  # noqa: E402
 from tide.graph import make_graph  # noqa: E402
-
-# The suite owns this process and trains in it, so it keeps the training
-# heap mapped the way the training commands do.
-_keep_heap_mapped()
 
 
 @pytest.fixture

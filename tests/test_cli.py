@@ -480,6 +480,68 @@ def test_eval_bad_manifest_exits_one(bundles, trained, tmp_path, capsys,
     assert not (tmp_path / "e" / "report.json").exists()
 
 
+def _copy_checkpoint(trained, tmp_path):
+    """A copy of the trained checkpoint in ``tmp_path``; its path."""
+    ckpt = tmp_path / "model.ckpt"
+    for name in ("model.ckpt", "model.ckpt.json"):
+        (tmp_path / name).write_bytes((trained / name).read_bytes())
+    return ckpt
+
+
+def test_eval_manifest_not_json_exits_one(bundles, trained, tmp_path, capsys):
+    """A manifest that does not parse is named, not just quoted."""
+    id_bundle, ood_bundle = bundles
+    ckpt = _copy_checkpoint(trained, tmp_path)
+    text = (tmp_path / "model.ckpt.json").read_text()
+    (tmp_path / "model.ckpt.json").write_text(text.replace(",", "", 1))
+    code = run_cli("eval", "--checkpoint", ckpt, "--data", id_bundle,
+                   "--ood-data", ood_bundle, "--out", tmp_path / "e")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "model.ckpt.json: Expecting" in err and "Traceback" not in err
+    assert not (tmp_path / "e" / "report.json").exists()
+
+
+def test_eval_non_finite_parameter_exits_one(bundles, trained, tmp_path,
+                                             capsys):
+    """A blob holding a NaN is rejected at load, naming the blob, not
+    deep in the scoring forward."""
+    id_bundle, ood_bundle = bundles
+    ckpt = _copy_checkpoint(trained, tmp_path)
+    flat = np.fromfile(ckpt, dtype="<f8")
+    flat[len(flat) // 2] = np.nan
+    ckpt.write_bytes(flat.tobytes())
+    code = run_cli("eval", "--checkpoint", ckpt, "--data", id_bundle,
+                   "--ood-data", ood_bundle, "--out", tmp_path / "e")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{ckpt}: parameters must be finite" in err
+    assert not (tmp_path / "e" / "report.json").exists()
+
+
+def test_train_log_without_val_split_is_strict_json(tmp_path):
+    """With no ``val`` split there is no validation accuracy: the log
+    writes null, not a bare NaN, and every line parses strictly."""
+    data = tmp_path / "data"
+    assert run_cli("generate", "--kind", "csbm", "--n", "60",
+                   "--classes", "3", "--dim", "5", "--p-in", "0.3",
+                   "--p-out", "0.05", "--mu-sep", "2.0", "--seed", "1",
+                   "--out-dir", data) == 0
+    bundle = data / "csbm_id.json"
+    doc = json.loads(bundle.read_text())
+    doc["splits"]["val"] = []
+    bundle.write_text(json.dumps(doc))
+    assert run_cli("train", "--data", bundle, "--out", tmp_path / "run",
+                   "--epochs", "3", "--objective", "ib") == 0
+
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    lines = (tmp_path / "run" / "train_log.jsonl").read_text().splitlines()
+    records = [json.loads(line, parse_constant=refuse) for line in lines]
+    assert [rec["val_acc"] for rec in records] == [None] * 3
+
+
 def test_eval_checkpoint_class_count_mismatch_exits_one(tmp_path, capsys):
     data = tmp_path / "data"
     assert run_cli("generate", "--kind", "csbm", "--n", "60",

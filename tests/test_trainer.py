@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import sys
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -249,7 +250,8 @@ def test_fit_critics_equal_per_pair_fit_critic_byte_for_byte():
     critics = fit_critics(outs)
     assert list(critics) == list(CRITIC_PAIRS)
     for pair, critic in critics.items():
-        alone = fit_critic(outs[pair[0]][1].values, outs[pair[1]][1].values)
+        alone = fit_critic(outs[pair[0]].sample.values,
+                           outs[pair[1]].sample.values)
         assert critic.tobytes() == alone.tobytes(), pair
 
 
@@ -332,11 +334,59 @@ def test_scoped_forward_equals_full_forward_bit_for_bit(net, rebuilt):
     for key, t in full[0].items():
         assert scoped[0][key].values.tobytes() == t.values.tobytes(), key
         assert (scoped[0][key] is base[0][key]) == (key not in rebuilt), key
-    for tag, (dist, sample, logits) in full[1].items():
-        s_dist, s_sample, s_logits = scoped[1][tag]
-        for a, b in ((s_dist.mu, dist.mu), (s_dist.sigma, dist.sigma),
-                     (s_sample, sample), (s_logits, logits)):
-            assert a.values.tobytes() == b.values.tobytes(), tag
+    for tag, out in full[1].items():
+        assert out._fields == ("sample", "logits", "mu")
+        assert (out.mu is None) == (tag != "z"), tag
+        for a, b in zip(scoped[1][tag], out):
+            assert (a is None) == (b is None), tag
+            if b is not None:
+                assert a.values.tobytes() == b.values.tobytes(), tag
+
+
+def test_epoch_frees_its_samples_sigmas_and_gradients_before_next_forward(
+        monkeypatch):
+    """When epoch t+1's forward starts, no array of epoch t's forward or
+    backward is alive: its samples, its posteriors' sigmas (the exposure
+    pass's included) and its gradients; and a forward's result holds no
+    sigma."""
+    g = fixture_graph()
+    exposure = apply_feature_shift(g, ShiftSpec("feature", intensity=0.8,
+                                                seed=8))
+    calls: list[list] = []  # per forward: weak references to its arrays
+    sigmas: list[list] = []
+    real_backward = ad.backward
+
+    def forward(*args):
+        if calls:
+            alive = [ref for ref in calls[-1] if ref() is not None]
+            assert alive == [], f"forward {len(calls) - 1}: {len(alive)} alive"
+        calls.append([])
+        sigmas.append([])
+        comps, outs = forward_components(*args)
+        # Nothing the forward returns, nor its tape, holds a sigma.
+        assert [ref for ref in sigmas[-1] if ref() is not None] == []
+        calls[-1] += [weakref.ref(out.sample.values) for out in outs.values()]
+        return comps, outs
+
+    def sample(dist, noise):
+        sigmas[-1].append(weakref.ref(dist.sigma.values))
+        return reparameterize(dist, noise)
+
+    def backward(loss, params):
+        grads = real_backward(loss, params)
+        calls[-1] += [weakref.ref(a) for a in grads.values()]
+        return grads
+
+    monkeypatch.setattr("tide.trainer.forward_components", forward)
+    monkeypatch.setattr("tide.trainer.reparameterize", sample)
+    monkeypatch.setattr(ad, "backward", backward)
+    train_tide(g, TideConfig(hidden=8, epochs=3, t_id=-1.2, t_ood=-1.0),
+               exposure_graph=exposure)
+    assert len(calls) == 3
+    # Per epoch four sigmas (the exposure pass draws one), three samples
+    # and a gradient per trained parameter.
+    assert [len(s) for s in sigmas] == [4] * 3
+    assert len(calls[1]) == 3 + len(build_model(g.d, 8, g.C, 0).params)
 
 
 def test_train_ce_halves_from_first_epoch():
