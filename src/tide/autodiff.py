@@ -20,8 +20,16 @@ spmm input or a relu pre-activation is freed as soon as the forward
 moves on, and ``backward`` frees each entry's arrays once it has used
 them.
 
-Everything is a 2-D float64 matrix; there is no broadcasting beyond
-numpy's (size-1 axes), no GPU, and no higher-order gradients. The
+The tape holds 2-D float64 matrices only; there is no broadcasting
+beyond numpy's (size-1 axes), no GPU, and no higher-order gradients.
+Off the tape, every primitive works on the last two axes, so any
+operand may also be a stack of matrices, (..., rows, cols), which the
+others broadcast against: one evaluation then computes each slice with
+the bits of its own 2-D evaluation (``spmm`` and ``propagate`` fold the
+slices into the columns of one sparse product, and every stacked result
+is laid out like its 2-D counterpart, since numpy picks a matrix
+product's kernel from its operands' strides). ``_record`` refuses to
+tape anything else, so training and ``backward`` see matrices only. The
 primitive set is exactly what the encoders and losses in this package
 need, plus central-difference gradient checking: the elementwise and
 reduction ops, ``matmul``/``spmm``/``transpose``, ``gather_rows``, and
@@ -41,18 +49,19 @@ Every op validates its output for NaN/Inf: overflow surfaces as a
 ``NumericsError`` instead of silently poisoning downstream values.
 
 Per-op cost. On the small blocks of the gradient audit (a 10-node
-probe, evaluated about 1,900 times) an op's fixed Python
-cost outweighs its arithmetic, so the primitives keep it small: each
-hands ``_record`` the 2-D float64 array it computed, which becomes the
-output tensor without another conversion; the finiteness test is one
-count of finite entries; shapes are read off ``values``. A tape-off
-``add`` of two 10x8 blocks costs about 2.6 us, of which the numpy
-addition is about 0.5 us (CPython 3.11, numpy 2.4, one thread). The
-fused ops pay that fixed cost once where their chains paid it two to
-seventeen times, and ``check_gradients_params`` evaluates each
-perturbed entry once, recomputing only what reads the moved parameter,
-and reads every component off that one evaluation, so one audit runs
-about 50k ops (49,710 at seed 0).
+probe) an op's fixed Python cost outweighs its arithmetic, so the
+primitives keep it small: each hands ``_record`` the float64 array it
+computed, which becomes the output tensor without another conversion;
+the finiteness test is one count of finite entries; shapes are read off
+``values``. A tape-off ``add`` of two 10x8 blocks costs about 2.6 us,
+of which the numpy addition is about 0.5 us (CPython 3.11, numpy 2.4,
+one thread). The fused ops pay that fixed cost once where their chains
+paid it two to seventeen times, and ``check_gradients_params`` runs one
+evaluation per parameter, on the stack of all its perturbed values,
+recomputing only what reads the moved parameter and reading every
+component off it. So one audit of the 28-parameter, 920-entry probe
+model runs 28 stacked evaluations and 4,166 ops at seed 0, where one
+evaluation per perturbed entry ran 1,840 and 49,710 ops.
 """
 
 from __future__ import annotations
@@ -172,10 +181,12 @@ def no_grad():
 
 def _record(op: str, out_values: np.ndarray, inputs: Sequence[Tensor],
             grad_fns) -> Tensor:
-    """Wrap a primitive's output, which is already a 2-D float64 array.
+    """Wrap a primitive's output, which is already a float64 array.
 
-    The entry keeps no tensor, and drops the gradient functions of the
-    inputs that require no gradient with whatever arrays they saved.
+    An output that an input requiring a gradient reaches is taped, and
+    must be 2-D. The entry keeps no tensor, and drops the gradient
+    functions of the inputs that require no gradient with whatever
+    arrays they saved.
     """
     if np.count_nonzero(np.isfinite(out_values)) != out_values.size:
         raise NumericsError(f"{op} produced non-finite values")
@@ -186,6 +197,9 @@ def _record(op: str, out_values: np.ndarray, inputs: Sequence[Tensor],
     if _RECORDING:
         for t in inputs:
             if t.requires_grad:
+                if out_values.ndim != 2:
+                    raise ShapeError(f"{op}: the tape holds 2-D matrices, "
+                                     f"got shape {out_values.shape}")
                 out.requires_grad = True
                 out.slot = next(_SLOTS)
                 slots = tuple([u.slot for u in inputs])  # None: a constant
@@ -195,6 +209,16 @@ def _record(op: str, out_values: np.ndarray, inputs: Sequence[Tensor],
                 _TAPE.append(_TapeEntry(out.slot, slots, grad_fns))
                 break
     return out
+
+
+def _sum2(x: np.ndarray) -> np.ndarray:
+    """Sum over the last two axes, kept as a 1x1 block per slice."""
+    return x.sum(axis=(-2, -1), keepdims=True)
+
+
+def _size2(x: np.ndarray) -> int:
+    """Entries per (rows, cols) slice."""
+    return x.shape[-2] * x.shape[-1]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -209,9 +233,26 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return out
 
 
-def _broadcastable(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return ((a[0] == b[0] or a[0] == 1 or b[0] == 1)
-            and (a[1] == b[1] or a[1] == 1 or b[1] == 1))
+def _broadcastable(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """numpy's rule: axes aligned from the last, each pair equal or 1."""
+    return all(x == y or x == 1 or y == 1 for x, y in zip(a[::-1], b[::-1]))
+
+
+def _csr_matmul(csr, v: np.ndarray) -> np.ndarray:
+    """``csr @ v`` for each (n, h) slice of ``v`` (..., n, h).
+
+    A stack of slices is folded into the columns of one (n, B*h)
+    operand: scipy's kernel sums each output column over the row's
+    entries in storage order, however many columns there are, so every
+    slice gets the bits of its own product. The result is unfolded
+    C-contiguous, laid out like the 2-D product.
+    """
+    if v.ndim == 2:
+        return csr @ v
+    *lead, n, h = v.shape
+    out = csr @ np.moveaxis(v, -2, 0).reshape(n, -1)
+    return np.ascontiguousarray(np.moveaxis(
+        out.reshape(out.shape[0], *lead, h), 0, -2))
 
 
 def _once(fn: Callable[[np.ndarray], np.ndarray]
@@ -271,7 +312,7 @@ def mul(a, b) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     av, bv = a.values, b.values
-    if av.shape[1] != bv.shape[0]:
+    if av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
     out = av @ bv
     return _record("matmul", out, (a, b),
@@ -285,12 +326,15 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     gradients bit for bit.
     """
     x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
-    xv, wv = x.values, W.values
-    sx, sw, sb = xv.shape, wv.shape, b.values.shape
-    if sx[1] != sw[0] or sb != (1, sw[1]):
+    xv, wv, bv = x.values, W.values, b.values
+    sx, sw, sb = xv.shape, wv.shape, bv.shape
+    if sx[-1] != sw[-2] or sb[-2:] != (1, sw[-1]):
         raise ShapeError(f"linear shape mismatch: {sx} @ {sw} + {sb}")
     out = xv @ wv
-    out += b.values
+    if bv.ndim > out.ndim:  # off the tape, a stack of biases on one product
+        out = out + bv
+    else:  # in place: a fresh output costs about 20% of the op at n=3000
+        out += bv
     return _record("linear", out, (x, W, b),
                    (lambda g: g @ wv.T, lambda g: xv.T @ g,
                     lambda g: _unbroadcast(g, sb)))
@@ -298,16 +342,16 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
 
 def transpose(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    out = a.values.T.copy()
+    out = np.swapaxes(a.values, -1, -2).copy()
     return _record("transpose", out, (a,), (lambda g: g.T,))
 
 
 def spmm(sp, x: Tensor) -> Tensor:
     """Sparse @ dense. ``sp`` is a constant operator with .csr / .csr_t."""
     x = _as_tensor(x)
-    if sp.shape[1] != x.values.shape[0]:
+    if sp.shape[1] != x.values.shape[-2]:
         raise ShapeError(f"spmm shape mismatch: {sp.shape} @ {x.values.shape}")
-    out = sp.csr @ x.values
+    out = _csr_matmul(sp.csr, x.values)
     return _record("spmm", out, (x,), (lambda g: sp.csr_t @ g,))
 
 
@@ -340,8 +384,8 @@ def softplus(a: Tensor) -> Tensor:
 
 def _row_lse(x: np.ndarray) -> np.ndarray:
     """Per-row log sum exp of x with max-subtraction, n x 1."""
-    m = x.max(axis=1, keepdims=True)
-    return m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
+    m = x.max(axis=-1, keepdims=True)
+    return m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
 
 
 def row_logsumexp(a: Tensor) -> Tensor:
@@ -378,12 +422,12 @@ def softmax_cross_entropy(a: Tensor, onehot: np.ndarray) -> Tensor:
     """
     a = _as_tensor(a)
     x = a.values
-    if onehot.shape != x.shape:
+    if onehot.shape != x.shape[-2:]:
         raise ShapeError(f"softmax_cross_entropy shape mismatch: "
                          f"{x.shape} vs {onehot.shape}")
-    n = x.shape[0]
+    n = x.shape[-2]
     lse = _row_lse(x)
-    out = np.array([[(lse - (x * onehot).sum(axis=1, keepdims=True)).sum() / n]])
+    out = _sum2(lse - (x * onehot).sum(axis=-1, keepdims=True)) / n
 
     def bwd(g):
         # The chain's two contributions to a, summed in its order.
@@ -405,12 +449,12 @@ def gaussian_kl(mu: Tensor, sigma: Tensor) -> Tensor:
     mu, sigma = _as_tensor(mu), _as_tensor(sigma)
     m, s = mu.values, sigma.values
     shape = m.shape
-    if s.shape != shape:
+    if s.shape[-2:] != shape[-2:]:
         raise ShapeError(f"gaussian_kl shape mismatch: {shape} vs {s.shape}")
     if (s <= 0.0).any():
         raise DomainError("gaussian_kl: log of non-positive sigma")
-    c = -0.5 / shape[0]
-    out = ((1.0 + 2.0 * np.log(s)) - (m * m + s * s)).sum(keepdims=True) * c
+    c = -0.5 / shape[-2]
+    out = _sum2((1.0 + 2.0 * np.log(s)) - (m * m + s * s)) * c
 
     def d_mu(g):
         t = -np.full(shape, g[0, 0] * c) * m
@@ -432,7 +476,8 @@ def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
     ``mul`` and folds them with ``add``, with the same value and
     gradients bit for bit: each term's gradient is g * w, or g itself.
     The terms are recorded last first, the order in which the chain's
-    backward reaches them.
+    backward reaches them. Off the tape a term may be a stack of 1x1
+    values, which the others broadcast against.
     """
     terms = [_as_tensor(t) for t in terms]
     if not terms or len(terms) != len(weights):
@@ -442,17 +487,14 @@ def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
         return terms[0]
     total = None
     for t, w in zip(terms, weights):
-        if t.values.shape != (1, 1):
+        if t.values.shape[-2:] != (1, 1):
             raise ShapeError(f"weighted_sum needs 1x1 terms, got "
                              f"{t.values.shape}")
-        v = float(t.values[0, 0])
-        if w != 1.0:
-            v *= w
+        v = t.values if w == 1.0 else t.values * w
         total = v if total is None else total + v
     grad_fns = [(lambda g: g) if w == 1.0 else (lambda g, w=w: g * w)
                 for w in reversed(weights)]
-    return _record("weighted_sum", np.array([[total]]), terms[::-1],
-                   grad_fns)
+    return _record("weighted_sum", total, terms[::-1], grad_fns)
 
 
 def centred_bilinear(s1: Tensor, s2: Tensor, p: Tensor) -> Tensor:
@@ -469,16 +511,16 @@ def centred_bilinear(s1: Tensor, s2: Tensor, p: Tensor) -> Tensor:
     """
     s1, s2, p = _as_tensor(s1), _as_tensor(s2), _as_tensor(p)
     x, y, pv = s1.values, s2.values, p.values
-    n, h1 = x.shape
-    h = y.shape[1]
-    if y.shape[0] != n or pv.shape != (h1, h):
+    n, h1 = x.shape[-2:]
+    h = y.shape[-1]
+    if y.shape[-2] != n or pv.shape[-2:] != (h1, h):
         raise ShapeError(f"centred_bilinear shape mismatch: {x.shape}, "
                          f"{y.shape}, {pv.shape}")
     ones = np.full((1, n), 1.0 / n)
-    ct = (x - ones @ x).T.copy()
+    ct = np.swapaxes(x - ones @ x, -1, -2).copy()
     M = ct @ y
     k = 1.0 / (n * np.sqrt(h))
-    out = (M * pv).sum(keepdims=True) * k
+    out = _sum2(M * pv) * k
 
     # d/dM is g k p; the centred samples' gradient is (d/dM @ s2^T)^T.
     centred = _once(lambda g: ((pv * (g[0, 0] * k)) @ y.T).T)
@@ -503,13 +545,13 @@ def propagate(e: Tensor, sp, alpha: float, k: int) -> Tensor:
     k = int(k)
     if k <= 0:
         return e
-    if sp.shape != (e.values.shape[0],) * 2:
+    if sp.shape != (e.values.shape[-2],) * 2:
         raise ShapeError(f"propagate shape mismatch: {sp.shape} @ "
                          f"{e.values.shape}")
     keep = 1.0 - alpha
     v = e.values
     for _ in range(k):
-        v = v * alpha + (sp.csr @ v) * keep
+        v = v * alpha + _csr_matmul(sp.csr, v) * keep
 
     def first_round(g):
         """The gradient reaching the first round's output."""
@@ -537,7 +579,7 @@ def squared_hinges(e_id: Tensor, e_ood: Tensor, t_id: float, t_ood: float
     e_id, e_ood = _as_tensor(e_id), _as_tensor(e_ood)
     hi = np.maximum(e_id.values - t_id, 0.0)
     ho = np.maximum(t_ood - e_ood.values, 0.0)
-    out = np.array([[(hi * hi).sum() / hi.size + (ho * ho).sum() / ho.size]])
+    out = _sum2(hi * hi) / _size2(hi) + _sum2(ho * ho) / _size2(ho)
 
     def d_hinge(g, h):
         t = h * (g[0, 0] / h.size)
@@ -549,7 +591,7 @@ def squared_hinges(e_id: Tensor, e_ood: Tensor, t_id: float, t_ood: float
 
 def row_sum(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    out = a.values.sum(axis=1, keepdims=True)
+    out = a.values.sum(axis=-1, keepdims=True)
     shape = a.values.shape
     return _record("row_sum", out, (a,),
                    (lambda g: np.broadcast_to(g, shape).copy(),))
@@ -557,15 +599,15 @@ def row_sum(a: Tensor) -> Tensor:
 
 def tsum(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    out = a.values.sum(keepdims=True)
+    out = _sum2(a.values)
     shape = a.values.shape
     return _record("sum", out, (a,), (lambda g: np.full(shape, g[0, 0]),))
 
 
 def tmean(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    shape, n = a.values.shape, a.values.size
-    out = np.array([[a.values.sum() / n]])  # np.mean's sum and division
+    shape, n = a.values.shape, _size2(a.values)
+    out = _sum2(a.values) / n  # np.mean's sum and division
     return _record("mean", out, (a,),
                    (lambda g: np.full(shape, g[0, 0] / n),))
 
@@ -573,22 +615,25 @@ def tmean(a: Tensor) -> Tensor:
 def mse(a: Tensor, b: Tensor) -> Tensor:
     """Mean squared error over all entries, 1x1 output."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.values.shape != b.values.shape:
+    if a.values.shape[-2:] != b.values.shape[-2:]:
         raise ShapeError(
             f"mse shape mismatch: {a.values.shape} vs {b.values.shape}")
     diff = a.values - b.values
-    n = diff.size
-    out = np.array([[(diff * diff).sum() / n]])  # np.mean's sum and division
+    n = _size2(diff)
+    out = _sum2(diff * diff) / n  # np.mean's sum and division
     return _record("mse", out, (a, b),
                    (lambda g: (2.0 * g[0, 0] / n) * diff,
                     lambda g: -(2.0 * g[0, 0] / n) * diff))
 
 
 def scale_shift(mu: Tensor, sigma: Tensor, eps: np.ndarray) -> Tensor:
-    """Reparameterization step mu + sigma * eps with eps a fixed draw."""
+    """Reparameterization step mu + sigma * eps with eps a fixed draw.
+
+    All three are one shape, but off the tape ``mu`` and ``sigma`` may
+    be stacks of it."""
     mu, sigma = _as_tensor(mu), _as_tensor(sigma)
     shape = mu.values.shape
-    if shape != sigma.values.shape or shape != eps.shape:
+    if not (shape[-2:] == sigma.values.shape[-2:] == eps.shape):
         raise ShapeError(f"scale_shift shape mismatch: {shape} vs "
                          f"{sigma.values.shape} vs {eps.shape}")
     out = mu.values + sigma.values * eps
@@ -603,10 +648,10 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     if idx.ndim != 1:
         raise ShapeError("gather_rows needs a 1-D index array")
     shape = a.values.shape
-    if idx.size and (idx.min() < 0 or idx.max() >= shape[0]):
+    if idx.size and (idx.min() < 0 or idx.max() >= shape[-2]):
         raise ShapeError(
-            f"gather_rows index out of range for {shape[0]} rows")
-    out = a.values[idx]
+            f"gather_rows index out of range for {shape[-2]} rows")
+    out = np.take(a.values, idx, axis=-2)
 
     def bwd(g):
         full = np.zeros(shape)
@@ -686,15 +731,23 @@ def check_gradients_params(fn: Callable[[str | None], dict[str, Tensor]],
     so its error is exactly 0.
 
     ``fn(None)`` is a full evaluation; it runs once per component on
-    the tape, for the analytic gradient. Then each entry of each
-    parameter, in ``params`` order, is perturbed by +h and -h, and every
-    component is read off those two untaped evaluations ``fn(name)``,
-    ``name`` being the parameter moved, so keep the model small. A
-    ``NumericsError`` in a perturbed evaluation is re-raised naming the
-    parameter and the entry.
+    the tape, for the analytic gradient. Then, per parameter in
+    ``params`` order, one untaped evaluation ``fn(name)``, ``name``
+    being the parameter moved, runs on a stack of its values: slice i
+    moves entry i by +h and slice size + i moves it by -h, so every
+    component is read off that one evaluation as a stack of 1x1 values
+    (or one 1x1 value, if it does not read the parameter). Every
+    primitive works on the last two axes, and each slice's bits equal
+    those of the 2-D evaluation with that one entry moved; ``fn`` itself
+    must read any shape off the last two axes too. The stack
+    holds 2 * size^2 entries per parameter, so keep the model small.
+    A ``NumericsError`` in the stacked evaluation is traced by
+    re-evaluating the parameter's probes one entry at a time, in entry
+    order, and re-raised naming the parameter and the first failing
+    entry.
 
     ``fn(name)`` may recompute only what reads ``name``, but that
-    scoping must be exact: after each parameter's sweep all its entries
+    scoping must be exact: after each parameter's probes all its entries
     move at once, entry i by (i + 1) * h so no two effects cancel, and
     each component of ``fn(name)`` must equal ``fn(None)``'s bit for
     bit, else a ``ScopeError`` names parameter and component. A ``fn``
@@ -711,40 +764,62 @@ def check_gradients_params(fn: Callable[[str | None], dict[str, Tensor]],
     found: dict[str, dict[str, float]] = {comp: {} for comp in analytic}
     with no_grad():
         for name, p in params.items():
-            flat = p.values.reshape(-1)
-            cd = np.empty((len(analytic), flat.size))
-            for i in range(flat.size):
-                orig = flat[i]
-                try:
-                    flat[i] = orig + h
-                    out = fn(name)
-                    f_plus = [out[c].item() for c in analytic]
-                    flat[i] = orig - h
-                    out = fn(name)
-                    f_minus = [out[c].item() for c in analytic]
-                except NumericsError as err:
-                    raise NumericsError(f"non-finite value probing {name} "
-                                        f"entry {i}: {err}") from err
-                finally:
-                    flat[i] = orig
-                for k, (fp, fm) in enumerate(zip(f_plus, f_minus)):
-                    cd[k, i] = (fp - fm) / (2.0 * h)
-            for comp, diff in zip(analytic, cd):
-                diff = diff.reshape(p.shape)
+            orig = p.values
+            size = orig.size
+            flat = orig.reshape(-1)
+            probes = np.repeat(flat[None, :], 2 * size, axis=0)
+            entry = np.arange(size)
+            probes[entry, entry] = flat + h
+            probes[size + entry, entry] = flat - h
+            p.values = probes.reshape(2 * size, *orig.shape)
+            try:
+                out = fn(name)
+            except NumericsError as err:
+                p.values = orig
+                _probe_one_entry_at_a_time(fn, name, orig, h)
+                raise NumericsError(f"non-finite value probing {name}: "
+                                    f"{err}") from err
+            finally:
+                p.values = orig
+            for comp in analytic:
+                moved = np.broadcast_to(out[comp].values.reshape(-1),
+                                        (2 * size,))
+                diff = ((moved[:size] - moved[size:]) / (2.0 * h)
+                        ).reshape(orig.shape)
                 rel = np.abs(analytic[comp][name] - diff) / (np.abs(diff) + 1e-8)
                 found[comp][name] = float(rel.max()) if rel.size else 0.0
-            orig = flat.copy()
+            saved = flat.copy()
             try:
-                flat += h * np.arange(1, flat.size + 1)
+                flat += h * np.arange(1, size + 1)
                 part, full = fn(name), fn(None)
             except NumericsError as err:
                 raise NumericsError(f"non-finite value probing {name} with "
                                     f"every entry moved: {err}") from err
             finally:
-                flat[:] = orig
+                flat[:] = saved
             for comp in analytic:
                 if part[comp].values.tobytes() != full[comp].values.tobytes():
                     raise ScopeError(f"scoped evaluation for {name} misses a "
                                      f"read: component {comp} differs from "
                                      f"the full one with every entry moved")
     return found
+
+
+def _probe_one_entry_at_a_time(fn: Callable[[str | None], dict[str, Tensor]],
+                               name: str, values: np.ndarray, h: float
+                               ) -> None:
+    """Evaluate ``fn(name)`` with each entry of ``values``, the
+    parameter's array, moved by +h and then -h, in entry order, and
+    raise a ``NumericsError`` naming the first entry that fails."""
+    flat = values.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        try:
+            for moved in (orig + h, orig - h):
+                flat[i] = moved
+                fn(name)
+        except NumericsError as err:
+            raise NumericsError(f"non-finite value probing {name} "
+                                f"entry {i}: {err}") from err
+        finally:
+            flat[i] = orig

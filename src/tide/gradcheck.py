@@ -15,12 +15,16 @@ forward would depend on the parameters off the tape, so the
 differences would check another function.)
 ``check_gradients_params`` checks every component against every
 parameter: it perturbs each of the model's 920 parameter entries once
-per direction and reads all six components off those two forwards,
-each rebuilding only what reads the entry's network and taking the
-rest from one untaped forward at the probe point. A check per
-parameter shows that scoping exact, so no term, audited or not, reads
-a network ``TERMS`` does not route it to; and a component gets exactly
-0 on a parameter it never reads, so no audited term leaks gradient.
+per direction and reads all six components off one forward per
+parameter, 28 in all, run on the stack of that parameter's 2 x size
+perturbed values. Each rebuilds only what reads the parameter's network
+(and within it, only the layers from the parameter on are stacked) and
+takes the rest from one untaped forward at the probe point; each of its
+slices has the bits of the 2-D forward with that one entry moved. A
+check per parameter shows that scoping exact, so no term, audited or
+not, reads a network ``TERMS`` does not route it to; and a component
+gets exactly 0 on a parameter it never reads, so no audited term leaks
+gradient.
 
 The margin thresholds sit inside the initial energy range, so both
 hinges have active rows at the probe point: ID energies above t_id and
@@ -30,6 +34,8 @@ step size of a threshold (checked at seed 0 by the test suite).
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -44,8 +50,12 @@ from .trainer import (CRITIC_PAIRS, TideConfig, fit_critics,
 PROBE_N, PROBE_D, PROBE_HIDDEN, PROBE_C = 10, 5, 8, 3
 
 
-def gradient_check_report(seed: int = 0, h: float = 1e-5) -> dict[str, float]:
-    """Max relative gradient error per loss component, worst entry wins."""
+def audit_probe(seed: int) -> tuple[Callable[[str | None], dict[str, Tensor]],
+                                   dict[str, Tensor]]:
+    """The probe problem at ``seed``: its components, as
+    ``check_gradients_params`` reads them (``name`` scopes the forward to
+    that parameter's network; None runs it in full), and the probe
+    model's parameters."""
     g = gen_csbm(CsbmParams(n=PROBE_N, C=PROBE_C, d=PROBE_D, p_in=0.6,
                             p_out=0.15, mu_sep=2.0, noise=1.0, seed=seed))
     exposure = apply_feature_shift(
@@ -73,7 +83,12 @@ def gradient_check_report(seed: int = 0, h: float = 1e-5) -> dict[str, float]:
         return {"cross_entropy": comps["ce_z"], "kl": comps["kl_z"],
                 "club": comps["pmi_zv"], "recon": comps["cind"],
                 "energy_reg": comps["energy_reg"],
-                "tide_total": tide_total(comps, config)[0]}
+                "tide_total": tide_total(comps, config)}
 
-    errors = check_gradients_params(components, model.params, h=h)
+    return components, model.params
+
+
+def gradient_check_report(seed: int = 0, h: float = 1e-5) -> dict[str, float]:
+    """Max relative gradient error per loss component, worst entry wins."""
+    errors = check_gradients_params(*audit_probe(seed), h=h)
     return {name: max(errs.values()) for name, errs in errors.items()}

@@ -158,16 +158,16 @@ def _posterior(h2: Tensor, model: TideModel, net: str, sigma: bool = True
 def encode_joint(X: Tensor, A_norm: SparseMatrix, model: TideModel,
                  sigma: bool = True) -> LatentDistribution:
     """Joint posterior; ``sigma=False`` builds the mean alone (sigma None)."""
-    if X.shape[1] != model.d:
-        raise ModelError(f"feature width {X.shape[1]} != model d={model.d}")
+    if X.shape[-1] != model.d:
+        raise ModelError(f"feature width {X.shape[-1]} != model d={model.d}")
     h1 = gcn_layer(X, A_norm, model["z_enc.gcn1.W"])
     h2 = gcn_layer(h1, A_norm, model["z_enc.gcn2.W"])
     return _posterior(h2, model, "z", sigma)
 
 
 def encode_feature(X: Tensor, model: TideModel) -> LatentDistribution:
-    if X.shape[1] != model.d:
-        raise ModelError(f"feature width {X.shape[1]} != model d={model.d}")
+    if X.shape[-1] != model.d:
+        raise ModelError(f"feature width {X.shape[-1]} != model d={model.d}")
     h1 = ad.relu(ad.linear(X, model["v_enc.fc1.W"], model["v_enc.fc1.b"]))
     h2 = ad.relu(ad.linear(h1, model["v_enc.fc2.W"], model["v_enc.fc2.b"]))
     return _posterior(h2, model, "v")

@@ -14,8 +14,10 @@ Each term ends in one fused tape entry (``softmax_cross_entropy``,
 ``gaussian_kl``, ``mse``, ``centred_bilinear`` for the dependence
 estimate, ``squared_hinges`` for the margin). ``TERMS`` is the single
 place that knows each term's weight, beta included, and which networks
-it feeds; ``tide_total`` alone applies the weights, fusing and routing
-by it, in one ``weighted_sum`` entry.
+it feeds; ``tide_total`` alone applies the weights, fusing every term
+into one ``weighted_sum`` entry whose gradient restrictions do the
+routing. The logged per-term values and routed totals are the
+trainer's.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, mask: np.ndarray) -> Tenso
     if mask.size == 0:
         raise LossError("cross_entropy: empty mask")
     sub = ad.gather_rows(logits, mask)
-    hot = one_hot(np.asarray(labels)[mask], logits.shape[1])
+    hot = one_hot(np.asarray(labels)[mask], logits.shape[-1])
     return ad.softmax_cross_entropy(sub, hot)
 
 
@@ -55,7 +57,7 @@ def kl_standard_normal(dist: LatentDistribution) -> Tensor:
 
     Closed form: -1/2 * sum(1 + log sigma^2 - mu^2 - sigma^2).
     """
-    if dist.mu.shape[0] == 0:
+    if dist.mu.shape[-2] == 0:
         raise LossError("kl_standard_normal: empty distribution")
     return ad.gaussian_kl(dist.mu, dist.sigma)
 
@@ -105,10 +107,9 @@ def club_estimate(s1: Tensor, s2: Tensor, p) -> Tensor:
     invariant to adding a constant row to either set. Zero when ``p`` is
     zero or one side is constant.
     """
-    if s1.shape[0] != s2.shape[0]:
+    if s1.shape[-2] != s2.shape[-2]:
         raise LossError(f"sample count mismatch: {s1.shape} vs {s2.shape}")
-    n = s1.shape[0]
-    if n == 0:
+    if s1.shape[-2] == 0:
         raise LossError("club_estimate: no samples")
     return ad.centred_bilinear(s1, s2, p)
 
@@ -128,7 +129,7 @@ def energy_reg_loss(e_id: Tensor, e_ood: Tensor, t_id: float, t_ood: float
     """
     if t_id > t_ood:
         raise LossError(f"t_id={t_id} must not exceed t_ood={t_ood}")
-    if e_id.shape[0] == 0 or e_ood.shape[0] == 0:
+    if e_id.shape[-2] == 0 or e_ood.shape[-2] == 0:
         raise LossError("energy_reg_loss: empty score set")
     return ad.squared_hinges(e_id, e_ood, t_id, t_ood)
 
@@ -157,30 +158,28 @@ TERMS = {
 }
 
 
-def tide_total(components: dict[str, Tensor], config
-               ) -> tuple[Tensor, dict[str, float]]:
-    """Fuse the components into one backward target and route the totals.
+def term_weight(name: str, config) -> float:
+    """``TERMS`` term ``name``'s weight under ``config``."""
+    field = TERMS[name][0]
+    return 1.0 if field is None else getattr(config, field)
+
+
+def tide_total(components: dict[str, Tensor], config) -> Tensor:
+    """Fuse the components into one backward target, the weighted sum of
+    every ``TERMS`` term present with a nonzero weight.
 
     ``components`` may hold any ``TERMS`` key; a missing one counts as
-    zero, and a zero-weight one is logged but left out of the fused
-    scalar. Returns the fused scalar and the breakdown: each term's
-    value, then ``total_z``/``total_v``/``total_q``, the routed
-    per-network totals (all to minimize).
+    zero. The terms are 1x1 tensors, or off the tape stacks of them,
+    which the others broadcast against.
     """
     terms: list[Tensor] = []
     weights: list[float] = []
-    breakdown: dict[str, float] = {}
-    totals = dict.fromkeys("zvq", 0.0)
-    for name, (field, nets) in TERMS.items():
+    for name in TERMS:
         t = components.get(name)
-        w = 1.0 if field is None else getattr(config, field)
-        breakdown[name] = float(t.item()) if t is not None else 0.0
-        for net in nets:
-            totals[net] += w * breakdown[name]
+        w = term_weight(name, config)
         if t is not None and w != 0.0:
             terms.append(t)
             weights.append(w)
     if not terms:
         raise LossError("tide_total: no loss components")
-    breakdown.update({f"total_{net}": total for net, total in totals.items()})
-    return ad.weighted_sum(terms, weights), breakdown
+    return ad.weighted_sum(terms, weights)

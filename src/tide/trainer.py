@@ -58,7 +58,8 @@ from .model import (NOISE_STREAM, LatentDistribution, TideModel, build_model,
                     encode_structure, joint_logits_at_mean, predict_logits,
                     reparameterize)
 from .objectives import (TERMS, club_estimate, cross_entropy, energy_reg_loss,
-                         fit_critic, recon_cind_loss, tide_total, vib_loss)
+                         fit_critic, recon_cind_loss, term_weight, tide_total,
+                         vib_loss)
 
 # Parameter groups each objective trains: the training forward builds
 # only these branches and Adam steps only these groups. In sl/ib/ib_cind
@@ -379,6 +380,21 @@ def fit_critics(outs: dict) -> dict[str, np.ndarray]:
             for pair in CRITIC_PAIRS}
 
 
+def _loss_breakdown(comps: dict[str, Tensor], config: TideConfig
+                    ) -> dict[str, float]:
+    """An epoch's logged losses: each ``TERMS`` term's value (0 if the
+    mode does not build it), then ``total_z``/``total_v``/``total_q``,
+    the per-network totals ``TERMS`` routes (all to minimize)."""
+    breakdown = {name: comps[name].item() if name in comps else 0.0
+                 for name in TERMS}
+    totals = dict.fromkeys("zvq", 0.0)
+    for name, (_, nets) in TERMS.items():
+        for net in nets:
+            totals[net] += term_weight(name, config) * breakdown[name]
+    breakdown.update({f"total_{net}": total for net, total in totals.items()})
+    return breakdown
+
+
 def _mean_path_logits(model: TideModel, g: Graph, z_out: BranchOut
                       ) -> np.ndarray:
     """``joint_logits_at_mean`` read off a training forward's joint
@@ -461,9 +477,10 @@ def train_tide(g: Graph, config: TideConfig,
                                              exposure_graph)
             if log:
                 validate_last_epoch(_mean_path_logits(model, g, outs["z"]))
-            fused, breakdown = tide_total(comps, config)
+            fused = tide_total(comps, config)
         except (ad.NumericsError, ad.DomainError) as err:
             raise TrainingError(f"epoch {epoch}: forward pass: {err}") from err
+        breakdown = _loss_breakdown(comps, config)
         if not np.isfinite(list(breakdown.values())).all():
             raise TrainingError(f"epoch {epoch}: non-finite loss component")
         try:

@@ -277,23 +277,23 @@ PRIMITIVES = {
     "sub": lambda x: ad.tsum(ad.sub(1.5, x)),
     "mul": lambda x: ad.tsum(ad.mul(x, x)),
     "matmul": lambda x: ad.tsum(ad.matmul(x, ad.transpose(x))),
-    "spmm": lambda x: ad.tsum(ad.spmm(_spmat(x.shape[0]), x)),
+    "spmm": lambda x: ad.tsum(ad.spmm(_spmat(x.shape[-2]), x)),
     "log": lambda x: ad.tsum(ad.log(ad.add(ad.mul(x, x), 1.0))),
     "relu": lambda x: ad.tsum(ad.relu(x)),
     "softplus": lambda x: ad.tsum(ad.softplus(x)),
     "logsumexp": lambda x: ad.tsum(ad.row_logsumexp(x)),
     "row_sum": lambda x: ad.tsum(ad.mul(ad.row_sum(x), ad.row_sum(x))),
     "mean": lambda x: ad.mul(ad.tmean(x), 3.0),
-    "mse": lambda x: ad.mse(x, np.full(x.shape, 0.25)),
+    "mse": lambda x: ad.mse(x, np.full(x.shape[-2:], 0.25)),
     "scale_shift": lambda x: ad.tsum(
-        ad.scale_shift(x, ad.softplus(x), np.full(x.shape, 0.7))),
-    "gather": lambda x: ad.tsum(ad.gather_rows(x, [0, x.shape[0] - 1])),
+        ad.scale_shift(x, ad.softplus(x), np.full(x.shape[-2:], 0.7))),
+    "gather": lambda x: ad.tsum(ad.gather_rows(x, [0, x.shape[-2] - 1])),
     "transpose": lambda x: ad.tsum(
         ad.mul(ad.transpose(x), np.arange(9.0).reshape(3, 3))),
     "linear": lambda x: ad.tsum(
         ad.mul(ad.linear(x, ad.transpose(x), ad.gather_rows(x, [1])), x)),
     "softmax_cross_entropy": lambda x: ad.softmax_cross_entropy(
-        x, np.eye(x.shape[1])[np.arange(x.shape[0]) % x.shape[1]]),
+        x, np.eye(x.shape[-1])[np.arange(x.shape[-2]) % x.shape[-1]]),
     "gaussian_kl": lambda x: ad.gaussian_kl(x, ad.softplus(x)),
     "weighted_sum": lambda x: ad.weighted_sum(
         [ad.tsum(x), ad.tmean(ad.mul(x, x)), ad.tsum(x)], [0.5, 1.0, 2.0]),
@@ -302,7 +302,7 @@ PRIMITIVES = {
     "neg_row_logsumexp": lambda x: ad.tsum(
         ad.mul(ad.neg_row_logsumexp(x), np.arange(3.0).reshape(3, 1))),
     "propagate": lambda x: ad.tsum(
-        ad.mul(ad.propagate(x, _spmat(x.shape[0]), 0.4, 2), x)),
+        ad.mul(ad.propagate(x, _spmat(x.shape[-2]), 0.4, 2), x)),
     # The thresholds sit away from every |x| >= 0.3, so off the kinks.
     "squared_hinges": lambda x: ad.squared_hinges(x, ad.mul(x, 0.5),
                                                   0.1, 0.1),
@@ -759,10 +759,9 @@ def test_shared_sweep_equals_separate_sweeps_and_evaluates_once():
         return {"sq": ad.tsum(ad.mul(xy, xy)), "soft": ad.tmean(ad.softplus(x))}
 
     errors = check_gradients_params(components, params)
-    # One taped forward per component, then two per entry of x and y,
-    # then one scope-check pair per parameter.
-    assert calls == [None] * 2 + ["x"] * 2 * x.values.size + ["x", None] \
-        + ["y"] * 2 * y.values.size + ["y", None]
+    # One taped forward per component, then per parameter one forward
+    # on the stack of its probes and one scope-check pair.
+    assert calls == [None] * 2 + ["x", "x", None] + ["y", "y", None]
     assert list(errors) == ["sq", "soft"]
     assert list(errors["sq"]) == list(errors["soft"]) == ["x", "y"]
     assert errors["soft"]["y"] == 0.0
@@ -812,7 +811,7 @@ def test_numerics_error_in_a_probe_names_parameter_and_entry():
     w = Tensor(np.zeros((1, 3)), requires_grad=True)
 
     def components(name):
-        if w.values[0, 2] != 0.0:
+        if (w.values[..., 0, 2] != 0.0).any():
             ad.mul([[1e200]], [[1e200]])
         return {"f": ad.add(ad.tsum(x), ad.tsum(w))}
 
@@ -1039,6 +1038,42 @@ def test_output_tensor_invariants(name):
         assert ad.tape_size() == 0
         assert np.array_equal(quiet.values, out.values)
     ad.clear_tape()
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_CASES))
+def test_stacked_operand_gives_each_slices_bits(name):
+    """Off the tape any operand may be a stack of matrices: the output
+    is the stack of the 2-D outputs, slice for slice and bit for bit."""
+    fn, shapes, *_ = OUTPUT_CASES[name]
+    rng = np.random.default_rng(10)
+    for j in range(len(shapes)):
+        inputs = _inputs(shapes, [False] * len(shapes))
+        base = inputs[j].values
+        stack = base * rng.uniform(0.9, 1.1, size=(4, *base.shape))
+        with ad.no_grad():
+            inputs[j].values = stack
+            out = fn(*inputs).values
+            assert out.shape[0] == len(stack) and out.ndim == 3
+            for k, values in enumerate(stack):
+                inputs[j].values = values
+                assert out[k].tobytes() == fn(*inputs).values.tobytes(), (j, k)
+
+
+def test_the_tape_refuses_a_stack():
+    """Only 2-D matrices are taped, so backward never meets a stack: an
+    op on a stacked leaf that requires a gradient raises, tapes nothing
+    and leaves recording as it was."""
+    w = Tensor(np.ones((2, 3)), requires_grad=True)
+    w.values = np.ones((4, 2, 3))
+    ad.clear_tape()
+    with pytest.raises(ShapeError, match=r"relu: the tape holds 2-D "
+                                         r"matrices, got shape \(4, 2, 3\)"):
+        ad.relu(w)
+    assert ad.tape_size() == 0
+    with pytest.raises(ShapeError, match="tensors are 2-D"):
+        Tensor(np.ones((4, 2, 3)), requires_grad=True)
+    with ad.no_grad():
+        assert ad.relu(w).values.shape == (4, 2, 3)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (10, 8), (500, 64)])

@@ -723,6 +723,23 @@ def test_check_grad_passes_at_default_threshold(capsys):
     assert capsys.readouterr().out == CHECK_GRAD_SEED_0
 
 
+# README's per-seed table: the club line as printed and the exit code.
+# The failures are round-off at the *.mu.b entries (README).
+CHECK_GRAD_CLUB_BY_SEED = {
+    0: ("9.728e-07", 0), 1: ("2.216e-03", 2), 2: ("2.216e-03", 2),
+    3: ("1.728e-06", 0), 4: ("2.216e-03", 2), 5: ("2.216e-03", 2),
+    6: ("1.109e-03", 2), 7: ("1.109e-03", 2), 8: ("1.109e-03", 2),
+    9: ("2.216e-03", 2), 10: ("1.595e-07", 0), 11: ("1.109e-03", 2),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CHECK_GRAD_CLUB_BY_SEED))
+def test_check_grad_club_and_exit_per_seed_match_readme(seed, capsys):
+    club, code = CHECK_GRAD_CLUB_BY_SEED[seed]
+    assert run_cli("check-grad", "--seed", seed) == code
+    assert f"          club  max rel err {club}\n" in capsys.readouterr().out
+
+
 def test_check_grad_reports_failure_exit_two(capsys):
     assert run_cli("check-grad", "--seed", "0", "--threshold", "1e-12") == 2
 

@@ -12,7 +12,7 @@ from tide.model import LatentDistribution, build_model, encode_joint, reparamete
 from tide.objectives import (TERMS, LossError, club_estimate, cross_entropy,
                              energy_reg_loss, fit_critic, kl_standard_normal,
                              recon_cind_loss, tide_total, vib_loss)
-from tide.trainer import ConfigError, TideConfig
+from tide.trainer import ConfigError, TideConfig, _loss_breakdown
 from conftest import random_graph
 from oracles import club_all_pairs
 
@@ -103,7 +103,8 @@ def test_vib_beta_zero_is_pure_ce():
     mask = np.arange(2)
     d = dist_of(np.ones((2, 2)), np.ones((2, 2)))
     ce, kl = vib_loss(logits, labels, mask, d)
-    fused, br = tide_total({"ce_z": ce, "kl_z": kl}, TideConfig(beta_z=0.0))
+    comps, cfg = {"ce_z": ce, "kl_z": kl}, TideConfig(beta_z=0.0)
+    fused, br = tide_total(comps, cfg), _loss_breakdown(comps, cfg)
     assert fused is ce
     assert br["kl_z"] == kl.item() > 0
     assert br["total_z"] == ce.item()
@@ -117,7 +118,7 @@ def test_vib_composes_ce_plus_beta_kl():
     ce, kl = vib_loss(logits, labels, mask, d)
     assert ce.item() == cross_entropy(logits, labels, mask).item()
     assert kl.item() == kl_standard_normal(d.rows(mask)).item()
-    fused, _ = tide_total({"ce_z": ce, "kl_z": kl}, TideConfig(beta_z=0.001))
+    fused = tide_total({"ce_z": ce, "kl_z": kl}, TideConfig(beta_z=0.001))
     assert fused.item() == pytest.approx(ce.item() + 0.001 * kl.item(),
                                          rel=1e-12)
 
@@ -315,7 +316,7 @@ def test_tide_total_routes_per_network():
              "cind": scalar(4.0), "pmi_zv": scalar(5.0),
              "pmi_zq": scalar(6.0), "pmi_vq": scalar(7.0),
              "energy_reg": scalar(8.0)}
-    fused, br = tide_total(comps, cfg)
+    fused, br = tide_total(comps, cfg), _loss_breakdown(comps, cfg)
     b = cfg.beta_z
     assert cfg.beta_v == cfg.beta_q == b
     assert br["total_z"] == pytest.approx(
@@ -332,7 +333,7 @@ def test_tide_total_zero_couplings_reduce_to_vibs():
                      beta_z=0.5, beta_v=0.25, beta_q=0.125)
     comps = {"ce_z": scalar(1.5), "ce_v": scalar(0.5), "ce_q": scalar(2.0),
              "kl_z": scalar(2.0), "kl_v": scalar(4.0), "kl_q": scalar(8.0)}
-    fused, br = tide_total(comps, cfg)
+    fused, br = tide_total(comps, cfg), _loss_breakdown(comps, cfg)
     assert (br["total_z"], br["total_v"], br["total_q"]) == (2.5, 1.5, 3.0)
     assert fused.item() == pytest.approx(7.0)
 
@@ -358,7 +359,7 @@ def test_tide_total_over_every_term_records_one_entry(monkeypatch):
              for i, name in enumerate(TERMS)}
     ad.clear_tape()
     monkeypatch.setattr(ad, "_record", spy)
-    fused, _ = tide_total(comps, cfg)
+    fused = tide_total(comps, cfg)
     assert recorded == ["weighted_sum"] and ad.tape_size() == 1
     grads = ad.backward(fused, comps)
     for name, (field, _) in TERMS.items():

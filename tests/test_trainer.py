@@ -596,8 +596,10 @@ def test_gradient_audit_probes_both_margin_hinges(monkeypatch):
 def test_gradient_audit_records_at_most_50k_ops(monkeypatch):
     """On the audit's small blocks each op's fixed cost outweighs its
     arithmetic, so the number of ops it runs, taped or not, is its
-    budget: one tape entry per fused loss term keeps it under 50,000
-    (114,438 when the weighted total, the dependence estimate and the
+    budget. One forward per parameter on the stack of its probes, with
+    one tape entry per fused loss term, makes it 4,166 at seed 0
+    (49,710 with two forwards per parameter entry, and 114,438 before
+    that, when the weighted total, the dependence estimate and the
     energy margin were chains of elementary ops)."""
     calls = []
     real = ad._record
@@ -608,7 +610,7 @@ def test_gradient_audit_records_at_most_50k_ops(monkeypatch):
 
     monkeypatch.setattr(ad, "_record", spy)
     gradient_check_report(seed=0)
-    assert len(calls) <= 50_000
+    assert len(calls) <= 4_200
 
 
 def _audit_forwards(monkeypatch):
@@ -630,8 +632,9 @@ def test_gradient_audit_reads_every_component_off_one_forward(monkeypatch):
     """Full forwards: one untaped to fit the critics, one untaped as the
     base of the scoped ones, one per component on the tape and one per
     parameter for its scoping check. Scoped to the parameter's network:
-    two per parameter entry of the probe model, each read by every
-    component, and one per parameter for its scoping check."""
+    per parameter of the probe model, one forward on the stack of its
+    920-entry sweep's probes, read by every component, and one for its
+    scoping check."""
     import tide.gradcheck as gc
     report, scopes = _audit_forwards(monkeypatch)
     model = build_model(gc.PROBE_D, gc.PROBE_HIDDEN, gc.PROBE_C, 0)
@@ -639,10 +642,8 @@ def test_gradient_audit_reads_every_component_off_one_forward(monkeypatch):
     assert entries == 920 and len(model.params) == 28 and len(report) == 6
     assert scopes.count(None) == 1 + 1 + len(report) + len(model.params)
     for net in ("z", "v", "q", "recon"):
-        names = model.names_in(net)
-        assert scopes.count(net) == sum(
-            2 * model[name].values.size + 1 for name in names)
-    assert len(scopes) == 2 + len(report) + 2 * entries + 2 * len(model.params)
+        assert scopes.count(net) == 2 * len(model.names_in(net))
+    assert len(scopes) == 2 + len(report) + 3 * len(model.params)
 
 
 def test_gradient_audit_computes_each_ce_and_kl_once_per_forward(monkeypatch):
@@ -668,16 +669,19 @@ def test_gradient_audit_computes_each_ce_and_kl_once_per_forward(monkeypatch):
                 monkeypatch.setattr(module, name, spy)
     _, scopes = _audit_forwards(monkeypatch)
     expected = sum(3 if net is None else int(net != "recon") for net in scopes)
-    # 36 full forwards; z, v and q hold 272, 291 and 240 entries in 7, 10
-    # and 7 parameters. Unscoped probes would make 3 * 1847 = 5541 each.
-    assert expected == 3 * 36 + 2 * (272 + 291 + 240) + (7 + 10 + 7)
+    # 36 full forwards; z, v and q hold 7, 10 and 7 parameters, each
+    # with a stacked and a scope-check forward. Unscoped forwards would
+    # make 3 * 92 = 276 each.
+    assert expected == 3 * 36 + 2 * (7 + 10 + 7)
     assert counts["cross_entropy"] == expected
     assert counts["kl_standard_normal"] == expected
 
 
 def test_gradient_audit_probe_failure_names_parameter_and_entry(monkeypatch):
     """Overflow in the training forward's cross-entropy while
-    z_head.W[1, 2] (flat entry 5) is perturbed."""
+    z_head.W[1, 2] (flat entry 5) is perturbed: it fails the forward on
+    the stack of z_head.W's probes, and the audit names the entry by
+    re-evaluating them one at a time."""
     import tide.gradcheck as gc
     import tide.objectives as obj
     probed = []
@@ -685,13 +689,13 @@ def test_gradient_audit_probe_failure_names_parameter_and_entry(monkeypatch):
 
     def build_spy(*args):
         model = real_build(*args)
-        W = model["z_head.W"].values
-        probed.append((W, W[1, 2]))
+        W = model["z_head.W"]
+        probed.append((W, W.values[1, 2]))
         return model
 
     def ce_spy(logits, labels, mask):
         W, start = probed[0]
-        if W[1, 2] != start:
+        if (W.values[..., 1, 2] != start).any():
             ad.mul([[1e200]], [[1e200]])
         return real_ce(logits, labels, mask)
 
@@ -708,16 +712,19 @@ def test_gradient_audit_loss_term_failure_names_parameter_entry_and_term(
         monkeypatch):
     """An overflow inside a loss term during a probe keeps its type, so
     the sweep still names the perturbed parameter and entry, and the
-    term's name survives beside them. The 37th call is the first of the
-    seventh probe forward: 3 calls each for the critic fit and the base
-    forward, 18 for the taped forwards, 12 for the first three entries'
-    six probe forwards, which are scoped to the joint network and so
-    estimate only the two pairs that contain it."""
+    term's name survives beside them. The 25th call is the first of the
+    forward on the stack of z_enc.gcn1.W's probes: 3 calls each for the
+    critic fit and the base forward and 18 for the taped forwards
+    precede it, and it is scoped to the joint network, so it estimates
+    only the two pairs that contain it. That failure ends the stacked
+    forward and makes the audit re-evaluate the probes one at a time,
+    and the 38th call is the first of the seventh of them, entry 3's +h
+    probe, after 12 for the first three entries' six probes."""
     calls = []
 
     def spy(*args):
         calls.append(None)
-        if len(calls) == 37:
+        if len(calls) in (25, 38):
             ad.mul([[1e200]], [[1e200]])
         return club_estimate(*args)
 
