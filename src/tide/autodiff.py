@@ -58,10 +58,10 @@ of which the numpy addition is about 0.5 us (CPython 3.11, numpy 2.4,
 one thread). The fused ops pay that fixed cost once where their chains
 paid it two to seventeen times, and ``check_gradients_params`` runs one
 evaluation per parameter, on the stack of all its perturbed values,
-recomputing only what reads the moved parameter and reading every
-component off it. So one audit of the 28-parameter, 920-entry probe
-model runs 28 stacked evaluations and 4,166 ops at seed 0, where one
-evaluation per perturbed entry ran 1,840 and 49,710 ops.
+reading every component off it. So one audit of the 28-parameter,
+920-entry probe model runs 28 stacked evaluations and 2,764 ops at
+seed 0, where one evaluation per perturbed entry ran 1,840 and 49,710
+ops.
 """
 
 from __future__ import annotations
@@ -87,10 +87,6 @@ class NumericsError(ArithmeticError):
 
 class TapeError(RuntimeError):
     """Backward called with an empty tape or a non-scalar loss."""
-
-
-class ScopeError(RuntimeError):
-    """A scoped gradient-check evaluation differed from the full one."""
 
 
 def _as_matrix(values) -> np.ndarray:
@@ -717,7 +713,7 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
 # Finite-difference verification
 # ---------------------------------------------------------------------------
 
-def check_gradients_params(fn: Callable[[str | None], dict[str, Tensor]],
+def check_gradients_params(fn: Callable[[], dict[str, Tensor]],
                            params: dict[str, Tensor],
                            h: float = 1e-5) -> dict[str, dict[str, float]]:
     """Central-difference check of every named scalar component.
@@ -730,35 +726,26 @@ def check_gradients_params(fn: Callable[[str | None], dict[str, Tensor]],
     never reads gets zeros from ``backward`` and equal perturbed values,
     so its error is exactly 0.
 
-    ``fn(None)`` is a full evaluation; it runs once per component on
-    the tape, for the analytic gradient. Then, per parameter in
-    ``params`` order, one untaped evaluation ``fn(name)``, ``name``
-    being the parameter moved, runs on a stack of its values: slice i
-    moves entry i by +h and slice size + i moves it by -h, so every
-    component is read off that one evaluation as a stack of 1x1 values
-    (or one 1x1 value, if it does not read the parameter). Every
-    primitive works on the last two axes, and each slice's bits equal
-    those of the 2-D evaluation with that one entry moved; ``fn`` itself
-    must read any shape off the last two axes too. The stack
-    holds 2 * size^2 entries per parameter, so keep the model small.
-    A ``NumericsError`` in the stacked evaluation is traced by
-    re-evaluating the parameter's probes one entry at a time, in entry
-    order, and re-raised naming the parameter and the first failing
-    entry.
-
-    ``fn(name)`` may recompute only what reads ``name``, but that
-    scoping must be exact: after each parameter's probes all its entries
-    move at once, entry i by (i + 1) * h so no two effects cancel, and
-    each component of ``fn(name)`` must equal ``fn(None)``'s bit for
-    bit, else a ``ScopeError`` names parameter and component. A ``fn``
-    that ignores its argument always passes this check.
+    ``fn()`` runs once per component on the tape, for the analytic
+    gradient. Then, per parameter in ``params`` order, one untaped
+    evaluation runs on a stack of its values: slice i moves entry i by
+    +h and slice size + i moves it by -h, so every component is read off
+    that one evaluation as a stack of 1x1 values (or one 1x1 value, if
+    it does not read the parameter). Every primitive works on the last
+    two axes, and each slice's bits equal those of the 2-D evaluation
+    with that one entry moved; ``fn`` itself must read any shape off the
+    last two axes too. The stack holds 2 * size^2 entries per parameter,
+    so keep the model small. A ``NumericsError`` in the stacked
+    evaluation is traced by re-evaluating the parameter's probes one
+    entry at a time, in entry order, and re-raised naming the parameter
+    and the first failing entry.
     """
     clear_tape()
-    out = fn(None)
+    out = fn()
     analytic = {}
     for comp in list(out):
         if analytic:  # backward consumed the previous forward's tape
-            out = fn(None)
+            out = fn()
         analytic[comp] = backward(out[comp], params)
 
     found: dict[str, dict[str, float]] = {comp: {} for comp in analytic}
@@ -773,7 +760,7 @@ def check_gradients_params(fn: Callable[[str | None], dict[str, Tensor]],
             probes[size + entry, entry] = flat - h
             p.values = probes.reshape(2 * size, *orig.shape)
             try:
-                out = fn(name)
+                out = fn()
             except NumericsError as err:
                 p.values = orig
                 _probe_one_entry_at_a_time(fn, name, orig, h)
@@ -788,36 +775,22 @@ def check_gradients_params(fn: Callable[[str | None], dict[str, Tensor]],
                         ).reshape(orig.shape)
                 rel = np.abs(analytic[comp][name] - diff) / (np.abs(diff) + 1e-8)
                 found[comp][name] = float(rel.max()) if rel.size else 0.0
-            saved = flat.copy()
-            try:
-                flat += h * np.arange(1, size + 1)
-                part, full = fn(name), fn(None)
-            except NumericsError as err:
-                raise NumericsError(f"non-finite value probing {name} with "
-                                    f"every entry moved: {err}") from err
-            finally:
-                flat[:] = saved
-            for comp in analytic:
-                if part[comp].values.tobytes() != full[comp].values.tobytes():
-                    raise ScopeError(f"scoped evaluation for {name} misses a "
-                                     f"read: component {comp} differs from "
-                                     f"the full one with every entry moved")
     return found
 
 
-def _probe_one_entry_at_a_time(fn: Callable[[str | None], dict[str, Tensor]],
+def _probe_one_entry_at_a_time(fn: Callable[[], dict[str, Tensor]],
                                name: str, values: np.ndarray, h: float
                                ) -> None:
-    """Evaluate ``fn(name)`` with each entry of ``values``, the
-    parameter's array, moved by +h and then -h, in entry order, and
-    raise a ``NumericsError`` naming the first entry that fails."""
+    """Evaluate ``fn()`` with each entry of ``values``, parameter
+    ``name``'s array, moved by +h and then -h, in entry order, and raise
+    a ``NumericsError`` naming the first entry that fails."""
     flat = values.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
         try:
             for moved in (orig + h, orig - h):
                 flat[i] = moved
-                fn(name)
+                fn()
         except NumericsError as err:
             raise NumericsError(f"non-finite value probing {name} "
                                 f"entry {i}: {err}") from err

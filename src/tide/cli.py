@@ -365,7 +365,7 @@ def _dispatch(args) -> int:
                     trainer.ConfigError, model.ModelError)
     numeric_errors = (autodiff.NumericsError, autodiff.DomainError,
                       autodiff.ShapeError, autodiff.TapeError,
-                      autodiff.ScopeError, trainer.TrainingError,
+                      trainer.TrainingError,
                       detection.MetricError)
     try:
         return args.func(args)

@@ -15,16 +15,15 @@ forward would depend on the parameters off the tape, so the
 differences would check another function.)
 ``check_gradients_params`` checks every component against every
 parameter: it perturbs each of the model's 920 parameter entries once
-per direction and reads all six components off one forward per
+per direction and reads all six components off one full forward per
 parameter, 28 in all, run on the stack of that parameter's 2 x size
-perturbed values. Each rebuilds only what reads the parameter's network
-(and within it, only the layers from the parameter on are stacked) and
-takes the rest from one untaped forward at the probe point; each of its
-slices has the bits of the 2-D forward with that one entry moved. A
-check per parameter shows that scoping exact, so no term, audited or
-not, reads a network ``TERMS`` does not route it to; and a component
-gets exactly 0 on a parameter it never reads, so no audited term leaks
-gradient.
+perturbed values (the layers before the parameter stay 2-D); each of
+its slices has the bits of the 2-D forward with that one entry moved.
+A component gets exactly 0 on a parameter it never reads, so no
+audited term leaks gradient, and a read of a parameter off the tape
+shows as a central difference the tape's gradient misses. Which
+networks each ``TERMS`` term trains is a property of the source, not
+of the probe: the test suite pins it, term by term.
 
 The margin thresholds sit inside the initial energy range, so both
 hinges have active rows at the probe point: ID energies above t_id and
@@ -50,12 +49,11 @@ from .trainer import (CRITIC_PAIRS, TideConfig, fit_critics,
 PROBE_N, PROBE_D, PROBE_HIDDEN, PROBE_C = 10, 5, 8, 3
 
 
-def audit_probe(seed: int) -> tuple[Callable[[str | None], dict[str, Tensor]],
+def audit_probe(seed: int) -> tuple[Callable[[], dict[str, Tensor]],
                                    dict[str, Tensor]]:
     """The probe problem at ``seed``: its components, as
-    ``check_gradients_params`` reads them (``name`` scopes the forward to
-    that parameter's network; None runs it in full), and the probe
-    model's parameters."""
+    ``check_gradients_params`` reads them, and the probe model's
+    parameters."""
     g = gen_csbm(CsbmParams(n=PROBE_N, C=PROBE_C, d=PROBE_D, p_in=0.6,
                             p_out=0.15, mu_sep=2.0, noise=1.0, seed=seed))
     exposure = apply_feature_shift(
@@ -72,14 +70,9 @@ def audit_probe(seed: int) -> tuple[Callable[[str | None], dict[str, Tensor]],
     with no_grad():
         critics = fit_critics(
             forward_components(model, g, config, eps, zero, exposure)[1])
-        base = forward_components(model, g, config, eps, critics, exposure)
-    network = {name: net for net in ("z", "v", "q", "recon")
-               for name in model.names_in(net)}
 
-    def components(name: str | None) -> dict[str, Tensor]:
-        comps = forward_components(
-            model, g, config, eps, critics, exposure,
-            None if name is None else (*base, network[name]))[0]
+    def components() -> dict[str, Tensor]:
+        comps = forward_components(model, g, config, eps, critics, exposure)[0]
         return {"cross_entropy": comps["ce_z"], "kl": comps["kl_z"],
                 "club": comps["pmi_zv"], "recon": comps["cind"],
                 "energy_reg": comps["energy_reg"],

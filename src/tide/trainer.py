@@ -322,7 +322,7 @@ def energy_margin(logits_z: Tensor, model: TideModel, g: Graph,
 def forward_components(model: TideModel, g: Graph, config: TideConfig,
                        eps: dict[str, np.ndarray],
                        critics: dict[str, np.ndarray],
-                       exposure: Graph | None = None, base: tuple | None = None
+                       exposure: Graph | None = None
                        ) -> tuple[dict[str, Tensor], dict[str, Tensor]]:
     """One training forward: the loss terms of ``config.objective_mode``.
 
@@ -337,34 +337,25 @@ def forward_components(model: TideModel, g: Graph, config: TideConfig,
     components, all ``TERMS`` keys, and each built network's
     ``BranchOut``: what later readers need of it, not its posterior's
     sigma, which dies with its KL, nor V's and Q's posterior means.
-
-    ``base``, which training never passes, scopes the forward for the
-    gradient audit: ``(comps, outs, net)``, a forward's result at these
-    parameters but for those of ``net`` ("z", "v", "q" or "recon").
-    Only what reads ``net`` is rebuilt: its branch and bottleneck terms,
-    ``cind`` (for "z" or "recon"), each ``pmi_*`` pair containing it
-    and ``energy_reg`` (for "z"); the rest is the base's.
+    Training and the gradient audit both run this forward; off the tape
+    a parameter may hold a stack of values, and every result that reads
+    it is then a stack too.
     """
     mode = config.objective_mode
     groups = MODE_GROUPS[mode]
-    comps, outs, moved = ({}, {}, None) if base is None else (
-        dict(base[0]), dict(base[1]), base[2])
-
-    def reads(*nets: str) -> bool:
-        return moved is None or moved in nets
-
-    for tag in [t for t in NETWORKS if t in groups and reads(t)]:
-        outs[tag] = _bottleneck(model, g, tag, mode, eps.get(tag), comps)
-    if "recon" in groups and reads("z", "recon"):
+    comps: dict[str, Tensor] = {}
+    outs = {tag: _bottleneck(model, g, tag, mode, eps.get(tag), comps)
+            for tag in NETWORKS if tag in groups}
+    if "recon" in groups:
         with _component("cind"):
             comps["cind"] = recon_cind_loss(outs["z"].sample, Tensor(g.X),
                                             model)
     if mode == "tide":
-        for pair in [p for p in CRITIC_PAIRS if reads(*p)]:
+        for pair in CRITIC_PAIRS:
             with _component(f"pmi_{pair}"):
                 comps[f"pmi_{pair}"] = club_estimate(
                     outs[pair[0]].sample, outs[pair[1]].sample, critics[pair])
-    if exposure is not None and reads("z"):
+    if exposure is not None:
         with _component("energy_reg"):
             comps["energy_reg"] = energy_margin(
                 outs["z"].logits, model, g, config, exposure,

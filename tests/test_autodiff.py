@@ -13,9 +13,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import tide.autodiff as ad
-from tide.autodiff import (DomainError, NumericsError, ScopeError,
-                           ShapeError, TapeError, Tensor, backward,
-                           check_gradients_params)
+from tide.autodiff import (DomainError, NumericsError, ShapeError,
+                           TapeError, Tensor, backward, check_gradients_params)
 from conftest import arrays_held_by, tensors_held_by
 from oracles import fd_gradient
 
@@ -25,7 +24,7 @@ finite = st.floats(min_value=-10, max_value=10, allow_nan=False,
 
 def check_scalar(fn, params):
     """``check_gradients_params`` for one scalar loss: error per parameter."""
-    return check_gradients_params(lambda name: {"loss": fn()}, params)["loss"]
+    return check_gradients_params(lambda: {"loss": fn()}, params)["loss"]
 
 
 def small_matrix(rows=(1, 4), cols=(1, 4), elements=finite):
@@ -753,64 +752,30 @@ def test_shared_sweep_equals_separate_sweeps_and_evaluates_once():
     params = {"x": x, "y": y}
     calls = []
 
-    def components(name):
-        calls.append(name)
+    def components():
+        calls.append((x.values.ndim, y.values.ndim))
         xy = ad.matmul(x, y)
         return {"sq": ad.tsum(ad.mul(xy, xy)), "soft": ad.tmean(ad.softplus(x))}
 
     errors = check_gradients_params(components, params)
-    # One taped forward per component, then per parameter one forward
-    # on the stack of its probes and one scope-check pair.
-    assert calls == [None] * 2 + ["x", "x", None] + ["y", "y", None]
+    # One taped evaluation per component, then per parameter one on the
+    # stack of its probes.
+    assert calls == [(2, 2)] * 2 + [(3, 2), (2, 3)]
     assert list(errors) == ["sq", "soft"]
     assert list(errors["sq"]) == list(errors["soft"]) == ["x", "y"]
     assert errors["soft"]["y"] == 0.0
     for comp in errors:
         alone = check_gradients_params(
-            lambda name: {comp: components(name)[comp]}, params)
+            lambda: {comp: components()[comp]}, params)
         assert alone == {comp: errors[comp]}
         assert max(errors[comp].values()) < 1e-6
-
-
-def test_scoped_sweep_is_checked_against_full_evaluations():
-    """``fn(name)`` may reuse what does not read ``name``: exact scoping
-    gives the unscoped sweep's errors, and a scoped evaluation that
-    misses a read raises ``ScopeError`` naming the parameter and the
-    component, with the parameter restored."""
-    rng = np.random.default_rng(9)
-    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    y = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
-    params = {"x": x, "y": y}
-
-    def full(name):
-        xy = ad.matmul(x, y)
-        return {"sq": ad.tsum(ad.mul(xy, xy)), "soft": ad.tmean(ad.softplus(x))}
-
-    with ad.no_grad():
-        soft = full(None)["soft"]
-
-    def scoped_to(skipped):
-        def fn(name):
-            comps = full(name)
-            if name == skipped:
-                comps["soft"] = soft
-            return comps
-        return fn
-
-    assert check_gradients_params(scoped_to("y"), params) \
-        == check_gradients_params(full, params)
-    start = x.values.copy()
-    with pytest.raises(ScopeError, match="scoped evaluation for x misses a "
-                                         "read: component soft differs"):
-        check_gradients_params(scoped_to("x"), params)
-    assert (x.values == start).all()
 
 
 def test_numerics_error_in_a_probe_names_parameter_and_entry():
     x = Tensor(np.zeros((2, 2)), requires_grad=True)
     w = Tensor(np.zeros((1, 3)), requires_grad=True)
 
-    def components(name):
+    def components():
         if (w.values[..., 0, 2] != 0.0).any():
             ad.mul([[1e200]], [[1e200]])
         return {"f": ad.add(ad.tsum(x), ad.tsum(w))}

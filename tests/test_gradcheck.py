@@ -30,7 +30,7 @@ def test_stacked_probe_forward_equals_each_2d_probe_bit_for_bit(seed):
                 stack[k].reshape(-1)[i] = value
             p.values = stack
             try:
-                stacked = components(name)
+                stacked = components()
             finally:
                 p.values = orig
             # The fused total reads every parameter, so it is a stack.
@@ -39,7 +39,7 @@ def test_stacked_probe_forward_equals_each_2d_probe_bit_for_bit(seed):
                 start = flat[i]
                 flat[i] = value
                 try:
-                    plain = components(name)
+                    plain = components()
                 finally:
                     flat[i] = start
                 for comp, t in plain.items():

@@ -189,8 +189,8 @@ def test_club_gradients_match_central_differences():
               "p": rng.normal(size=(4, 3))}
     leaves = {k: Tensor(v, requires_grad=True) for k, v in leaves.items()}
     errors = ad.check_gradients_params(
-        lambda name: {"club": club_estimate(leaves["s1"], leaves["s2"],
-                                            leaves["p"])},
+        lambda: {"club": club_estimate(leaves["s1"], leaves["s2"],
+                                       leaves["p"])},
         leaves)["club"]
     assert set(errors) == {"s1", "s2", "p"}
     assert max(errors.values()) < 1e-6, errors
@@ -287,8 +287,8 @@ def test_energy_reg_gradients_match_central_differences():
     x_id = Tensor(e_id.values.copy(), requires_grad=True)
     x_ood = Tensor(e_ood.values.copy(), requires_grad=True)
     errors = ad.check_gradients_params(
-        lambda name: {"id": energy_reg_loss(x_id, e_ood, -4.0, -3.0),
-                      "ood": energy_reg_loss(e_id, x_ood, -4.0, -3.0)},
+        lambda: {"id": energy_reg_loss(x_id, e_ood, -4.0, -3.0),
+                 "ood": energy_reg_loss(e_id, x_ood, -4.0, -3.0)},
         {"x_id": x_id, "x_ood": x_ood})
     assert max(errors["id"]["x_id"], errors["ood"]["x_ood"]) < 1e-6
     assert errors["id"]["x_ood"] == errors["ood"]["x_id"] == 0.0

@@ -280,7 +280,9 @@ def test_recorded_training_forward_holds_no_tensor_on_the_tape():
 def test_every_forward_component_is_a_weighted_term(mode, exposed,
                                                      monkeypatch):
     """Whatever the training forward computes is a ``TERMS`` entry, so it
-    reaches the fused loss or the log, and the log holds every term."""
+    reaches the fused loss or the log, and the log holds every term; of
+    a branch it keeps the sample, the logits and (the joint network's
+    only) the posterior mean."""
     g = fixture_graph()
     exposure = (apply_feature_shift(g, ShiftSpec("feature", intensity=0.8,
                                                  seed=8)) if exposed else None)
@@ -289,6 +291,9 @@ def test_every_forward_component_is_a_weighted_term(mode, exposed,
     def spy(*args):
         comps, outs = forward_components(*args)
         seen.append(set(comps))
+        for tag, out in outs.items():
+            assert out._fields == ("sample", "logits", "mu")
+            assert (out.mu is None) == (tag != "z"), tag
         return comps, outs
 
     monkeypatch.setattr("tide.trainer.forward_components", spy)
@@ -302,45 +307,74 @@ def test_every_forward_component_is_a_weighted_term(mode, exposed,
                                                  "total_q"}
 
 
-@pytest.mark.parametrize("net, rebuilt", [
-    ("z", {"ce_z", "kl_z", "cind", "pmi_zv", "pmi_zq", "energy_reg"}),
-    ("v", {"ce_v", "kl_v", "pmi_zv", "pmi_vq"}),
-    ("q", {"ce_q", "kl_q", "pmi_zq", "pmi_vq"}),
-    ("recon", {"cind"}),
-])
-def test_scoped_forward_equals_full_forward_bit_for_bit(net, rebuilt):
-    """With only ``net``'s parameters moved, the forward scoped to it
-    rebuilds just the components that read it and takes every other one
-    from the base, and each component and branch output equals the full
-    forward's bit for bit."""
-    g = fixture_graph()
-    exposure = apply_feature_shift(g, ShiftSpec("feature", intensity=0.8,
-                                                seed=8))
-    config = TideConfig(hidden=8, epochs=0, t_id=-1.2, t_ood=-1.0)
-    model = build_model(g.d, config.hidden, g.C, 0)
-    rng = np.random.default_rng(3)
-    eps = {tag: rng.standard_normal((g.n, config.hidden))
-           for tag in NOISE_STREAM}
-    critics = {pair: rng.normal(size=(config.hidden, config.hidden))
-               for pair in CRITIC_PAIRS}
-    with ad.no_grad():
-        base = forward_components(model, g, config, eps, critics, exposure)
-        for name in model.names_in(net):
-            model[name].values += rng.normal(scale=0.1, size=model[name].shape)
-        full = forward_components(model, g, config, eps, critics, exposure)
-        scoped = forward_components(model, g, config, eps, critics, exposure,
-                                    (*base, net))
-    assert list(scoped[0]) == list(full[0]) == list(TERMS)
-    for key, t in full[0].items():
-        assert scoped[0][key].values.tobytes() == t.values.tobytes(), key
-        assert (scoped[0][key] is base[0][key]) == (key not in rebuilt), key
-    for tag, out in full[1].items():
-        assert out._fields == ("sample", "logits", "mu")
-        assert (out.mu is None) == (tag != "z"), tag
-        for a, b in zip(scoped[1][tag], out):
-            assert (a is None) == (b is None), tag
-            if b is not None:
-                assert a.values.tobytes() == b.values.tobytes(), tag
+def _audit_forward_args(monkeypatch):
+    """The arguments of the seed-0 gradient audit's forward: the probe
+    model and graph, its tide config, frozen noise and fitted critics,
+    and the exposure graph."""
+    import tide.gradcheck as gc
+    seen = []
+    real = gc.forward_components
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gc, "forward_components", spy)
+    components, _ = gc.audit_probe(0)
+    components()
+    return seen[-1]
+
+
+def _term_gradients(term, args):
+    """Every parameter's gradient of ``term`` alone, off one forward."""
+    ad.clear_tape()
+    comps = forward_components(*args)[0]
+    return ad.backward(comps[term], args[0].params)
+
+
+def _unrouted(term, model):
+    """Parameters of the networks ``TERMS`` does not route ``term`` to;
+    a term routed to the joint network may also reach the decoder."""
+    nets = TERMS[term][1]
+    allowed = model.names_in(*nets, *(("recon",) if "z" in nets else ()))
+    return [name for name in model.params if name not in allowed]
+
+
+@pytest.mark.parametrize("term", list(TERMS))
+def test_each_term_trains_only_the_networks_it_is_routed_to(term,
+                                                            monkeypatch):
+    """Backpropagated alone through the audit probe's tide forward with
+    exposure, a term gives an exactly-zero gradient to every parameter
+    of a network it is not routed to, and reaches each one it is. The
+    gradient audit cannot see a read on the tape across networks: the
+    gradient is right, the routing is not."""
+    args = _audit_forward_args(monkeypatch)
+    model = args[0]
+    grads = _term_gradients(term, args)
+    assert [name for name in _unrouted(term, model) if grads[name].any()] == []
+    for net in TERMS[term][1]:
+        assert any(grads[name].any() for name in model.names_in(net)), net
+
+
+def test_routing_check_names_an_on_tape_cross_network_read(monkeypatch):
+    """The feature head's logits scaled by the joint head's weights' sum
+    through the tape: every audited gradient is right, but the feature
+    network's cross-entropy now trains the joint network, against
+    ``TERMS``, and the routing check names the term and the weight."""
+    args = _audit_forward_args(monkeypatch)
+
+    def planted(sample, A_norm, model, which):
+        logits = predict_logits(sample, A_norm, model, which)
+        if which != "v":
+            return logits
+        return ad.mul(logits, ad.tsum(model["z_head.W"]))
+
+    monkeypatch.setattr("tide.trainer.predict_logits", planted)
+    model = args[0]
+    grads = {term: _term_gradients(term, args) for term in TERMS}
+    leaks = [(term, name) for term in TERMS
+             for name in _unrouted(term, model) if grads[term][name].any()]
+    assert leaks == [("ce_v", "z_head.W")]
 
 
 def test_epoch_frees_its_samples_sigmas_and_gradients_before_next_forward(
@@ -596,8 +630,8 @@ def test_gradient_audit_probes_both_margin_hinges(monkeypatch):
 def test_gradient_audit_records_at_most_50k_ops(monkeypatch):
     """On the audit's small blocks each op's fixed cost outweighs its
     arithmetic, so the number of ops it runs, taped or not, is its
-    budget. One forward per parameter on the stack of its probes, with
-    one tape entry per fused loss term, makes it 4,166 at seed 0
+    budget. One full forward per parameter on the stack of its probes,
+    with one tape entry per fused loss term, makes it 2,764 at seed 0
     (49,710 with two forwards per parameter entry, and 114,438 before
     that, when the weighted total, the dependence estimate and the
     energy margin were chains of elementary ops)."""
@@ -610,47 +644,46 @@ def test_gradient_audit_records_at_most_50k_ops(monkeypatch):
 
     monkeypatch.setattr(ad, "_record", spy)
     gradient_check_report(seed=0)
-    assert len(calls) <= 4_200
+    assert len(calls) <= 2_800
 
 
 def _audit_forwards(monkeypatch):
     """Run the seed-0 audit and return, per ``forward_components`` call
-    of gradcheck, the network it was scoped to (None: a full forward)."""
+    of gradcheck, the parameter whose probes it ran on (None: a 2-D
+    forward)."""
     import tide.gradcheck as gc
-    scopes = []
+    stacked = []
     real = gc.forward_components
 
     def spy(*args):
-        scopes.append(args[6][2] if len(args) > 6 and args[6] else None)
+        moved = [name for name, p in args[0].params.items()
+                 if p.values.ndim == 3]
+        stacked.append(moved[0] if moved else None)
+        assert len(moved) <= 1
         return real(*args)
 
     monkeypatch.setattr(gc, "forward_components", spy)
-    return gradient_check_report(seed=0), scopes
+    return gradient_check_report(seed=0), stacked
 
 
 def test_gradient_audit_reads_every_component_off_one_forward(monkeypatch):
-    """Full forwards: one untaped to fit the critics, one untaped as the
-    base of the scoped ones, one per component on the tape and one per
-    parameter for its scoping check. Scoped to the parameter's network:
-    per parameter of the probe model, one forward on the stack of its
-    920-entry sweep's probes, read by every component, and one for its
-    scoping check."""
+    """The audit's forwards are all full ones: one untaped to fit the
+    critics, one per component on the tape, then per parameter of the
+    probe model, in order, one on the stack of its 920-entry sweep's
+    probes, read by every component."""
     import tide.gradcheck as gc
-    report, scopes = _audit_forwards(monkeypatch)
+    report, stacked = _audit_forwards(monkeypatch)
     model = build_model(gc.PROBE_D, gc.PROBE_HIDDEN, gc.PROBE_C, 0)
     entries = sum(p.values.size for p in model.params.values())
     assert entries == 920 and len(model.params) == 28 and len(report) == 6
-    assert scopes.count(None) == 1 + 1 + len(report) + len(model.params)
-    for net in ("z", "v", "q", "recon"):
-        assert scopes.count(net) == 2 * len(model.names_in(net))
-    assert len(scopes) == 2 + len(report) + 3 * len(model.params)
+    assert stacked == [None] * (1 + len(report)) + list(model.params)
+    assert len(stacked) == 35
 
 
 def test_gradient_audit_computes_each_ce_and_kl_once_per_forward(monkeypatch):
     """The audit reads the joint network's CE and KL off the training
-    forward rather than recomputing them: every full tide-mode forward
-    computes the three networks' CE and KL once each, one scoped to a
-    network computes that network's once (none for "recon"), and
+    forward rather than recomputing them: every one of its tide-mode
+    forwards computes the three networks' CE and KL once each, and
     nothing else does."""
     import tide.objectives as obj
     counts = dict.fromkeys(("cross_entropy", "kl_standard_normal"), 0)
@@ -667,14 +700,10 @@ def test_gradient_audit_computes_each_ce_and_kl_once_per_forward(monkeypatch):
         for key, module in list(sys.modules.items()):
             if key.startswith("tide.") and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, spy)
-    _, scopes = _audit_forwards(monkeypatch)
-    expected = sum(3 if net is None else int(net != "recon") for net in scopes)
-    # 36 full forwards; z, v and q hold 7, 10 and 7 parameters, each
-    # with a stacked and a scope-check forward. Unscoped forwards would
-    # make 3 * 92 = 276 each.
-    assert expected == 3 * 36 + 2 * (7 + 10 + 7)
-    assert counts["cross_entropy"] == expected
-    assert counts["kl_standard_normal"] == expected
+    _, stacked = _audit_forwards(monkeypatch)
+    assert len(stacked) == 35
+    assert counts["cross_entropy"] == 3 * 35
+    assert counts["kl_standard_normal"] == 3 * 35
 
 
 def test_gradient_audit_probe_failure_names_parameter_and_entry(monkeypatch):
@@ -712,19 +741,18 @@ def test_gradient_audit_loss_term_failure_names_parameter_entry_and_term(
         monkeypatch):
     """An overflow inside a loss term during a probe keeps its type, so
     the sweep still names the perturbed parameter and entry, and the
-    term's name survives beside them. The 25th call is the first of the
+    term's name survives beside them. The 22nd call is the first of the
     forward on the stack of z_enc.gcn1.W's probes: 3 calls each for the
-    critic fit and the base forward and 18 for the taped forwards
-    precede it, and it is scoped to the joint network, so it estimates
-    only the two pairs that contain it. That failure ends the stacked
-    forward and makes the audit re-evaluate the probes one at a time,
-    and the 38th call is the first of the seventh of them, entry 3's +h
-    probe, after 12 for the first three entries' six probes."""
+    critic fit and the six taped forwards precede it. That failure ends
+    the stacked forward and makes the audit re-evaluate the probes one
+    at a time, and the 41st call is the first of the seventh of them,
+    entry 3's +h probe, after 18 for the first three entries' six
+    probes."""
     calls = []
 
     def spy(*args):
         calls.append(None)
-        if len(calls) in (25, 38):
+        if len(calls) in (22, 41):
             ad.mul([[1e200]], [[1e200]])
         return club_estimate(*args)
 
