@@ -326,6 +326,10 @@ def cmd_compare(args) -> int:
         raise CliError("need at least one objective mode")
     if not seeds:
         raise CliError("need at least one seed")
+    for flag, values in (("modes", modes), ("seeds", seeds)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise CliError(f"--{flag} {repeated[0]} is given twice")
 
     epochs = BENCH_EPOCHS if args.epochs is None else args.epochs
     outdir = _check_out_dir(args.out)
@@ -358,6 +362,8 @@ def cmd_check_grad(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _dispatch(args) -> int:
+    import numpy as np
+
     from . import autodiff, detection, graph, model, shift, trainer
     usage_errors = (CliError, OSError, json.JSONDecodeError,
                     graph.GraphError, graph.GraphFormatError,
@@ -368,7 +374,10 @@ def _dispatch(args) -> int:
                       trainer.TrainingError,
                       detection.MetricError)
     try:
-        return args.func(args)
+        # _record turns every non-finite tape output into NumericsError,
+        # so numpy's floating-point warnings would only repeat that error.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except numeric_errors as err:
         print(f"tide: error: {err}", file=sys.stderr)
         return 2

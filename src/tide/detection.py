@@ -1,12 +1,11 @@
 """Energy scoring, propagation over the graph, and detection metrics.
 
 Scores are oriented "higher means more OOD" everywhere: the energy
--logsumexp(logits) is large for uncertain nodes. The energy
-(``energy_tensor``) and its propagation over ``g.propagation``
-(``propagate_energy_tensor``) are defined here once, each one fused
-autodiff op (``neg_row_logsumexp``, ``propagate``): the trainer's
-energy margin runs them on the tape, and ``energy_score``/
-``propagate_energy`` run them on constant tensors, so nothing is taped.
+-logsumexp(logits) is large for uncertain nodes. The energy and its
+propagation over ``g.propagation`` are each one fused autodiff op
+(``neg_row_logsumexp``, ``propagate``): the trainer's energy margin runs
+them on the tape, and ``energy_score``/``propagate_energy`` run them on
+constant tensors, so nothing is taped.
 ``score_splits`` is the one scoring path of eval and compare.
 Each metric reads the ID and OOD counts of every distinct score, highest
 first (``_tie_blocks``), with fixed tie rules that a brute-force
@@ -17,14 +16,14 @@ largest OOD score with k = ceil(0.95 * n_ood).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 # propagation_operator is re-exported for tidebench's layer map and tests.
-from .graph import AtomicFiles, Graph, SparseMatrix, propagation_operator  # noqa: F401
+from .graph import AtomicFiles, Graph, propagation_operator  # noqa: F401
 from .model import TideModel, joint_logits_at_mean
 
 # Bins of every histogram in eval's hist.json.
@@ -50,7 +49,7 @@ class DetectionReport:
     n_ood: int
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -59,27 +58,18 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def energy_tensor(logits: Tensor) -> Tensor:
-    """Per-node energy e_i = -log sum_c exp(logit_ic), stabilized, n x 1."""
-    return ad.neg_row_logsumexp(logits)
-
-
-def propagate_energy_tensor(e: Tensor, prop_op: SparseMatrix,
-                            alpha: float, k: int) -> Tensor:
-    """k rounds of e <- alpha*e + (1-alpha) * neighbor-mean(e)."""
-    return ad.propagate(e, prop_op, alpha, k)
-
-
 def energy_score(logits: np.ndarray) -> EnergyScores:
-    """``energy_tensor`` of constant logits, one energy per row."""
+    """Per-node energy e_i = -log sum_c exp(logit_ic) of constant logits
+    (``ad.neg_row_logsumexp``, stabilized), one energy per row."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[1] < 1:
         raise MetricError(f"logits must be n x C, got {logits.shape}")
-    return EnergyScores(e=energy_tensor(Tensor(logits)).values.ravel())
+    return EnergyScores(e=ad.neg_row_logsumexp(Tensor(logits)).values.ravel())
 
 
 def propagate_energy(scores: EnergyScores, g: Graph, alpha: float, k: int) -> EnergyScores:
-    """``propagate_energy_tensor`` of constant energies over ``g``."""
+    """k rounds of e <- alpha*e + (1-alpha) * neighbor-mean(e) of
+    constant energies over ``g`` (``ad.propagate``)."""
     if not (0.0 <= alpha <= 1.0):
         raise MetricError(f"alpha must be in [0, 1], got {alpha}")
     if k < 0:
@@ -87,7 +77,7 @@ def propagate_energy(scores: EnergyScores, g: Graph, alpha: float, k: int) -> En
     e = np.array(scores.e, dtype=np.float64)
     if e.shape != (g.n,):
         raise MetricError(f"scores length {e.shape} != n={g.n}")
-    out = propagate_energy_tensor(Tensor(e[:, None]), g.propagation, alpha, k)
+    out = ad.propagate(Tensor(e[:, None]), g.propagation, alpha, k)
     return EnergyScores(e=out.values.ravel())
 
 
@@ -252,8 +242,5 @@ def histogram_data(id_values: np.ndarray, ood_values: np.ndarray) -> dict:
     edges = np.linspace(lo, hi, HIST_BINS + 1)
     id_counts, _ = np.histogram(id_values, bins=edges)
     ood_counts, _ = np.histogram(ood_values, bins=edges)
-    return {
-        "edges": [float(x) for x in edges],
-        "id_counts": [int(c) for c in id_counts],
-        "ood_counts": [int(c) for c in ood_counts],
-    }
+    return {"edges": edges.tolist(), "id_counts": id_counts.tolist(),
+            "ood_counts": ood_counts.tolist()}

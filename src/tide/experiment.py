@@ -144,15 +144,9 @@ def summarize(rows: list[dict], modes: list[str]) -> list[dict]:
     return out
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def write_compare_csv(files: AtomicFiles, path, rows: list[dict]) -> None:
     lines = [",".join(COMPARE_COLUMNS)]
-    lines += [",".join(_fmt(row[c]) for c in COMPARE_COLUMNS) for row in rows]
+    lines += [",".join(str(row[c]) for c in COMPARE_COLUMNS) for row in rows]
     files.write(path, ("\n".join(lines) + "\n").encode())
 
 

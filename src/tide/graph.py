@@ -126,11 +126,7 @@ class Graph:
         return int(self.edges.shape[0])
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        if self.edges.size:
-            np.add.at(deg, self.edges[:, 0], 1)
-            np.add.at(deg, self.edges[:, 1], 1)
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     @cached_property
     def adjacency(self) -> SparseMatrix:
@@ -157,8 +153,6 @@ def canonical_edges(pairs: np.ndarray, n: int) -> np.ndarray:
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     keep = lo != hi
     lo, hi = lo[keep], hi[keep]
-    if lo.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
     keys = np.unique(lo * n + hi)
     return np.column_stack([keys // n, keys % n]).astype(np.int64)
 
@@ -169,8 +163,7 @@ def make_graph(X, edges, y, masks=None, C: int | None = None) -> Graph:
     X = np.array(X, dtype=np.float64, ndmin=2)
     y = np.asarray(y, dtype=np.int64).copy()
     n, d = X.shape
-    edges = canonical_edges(np.asarray(edges), n) if np.asarray(edges).size \
-        else np.empty((0, 2), dtype=np.int64)
+    edges = canonical_edges(edges, n)
     if C is None:
         labeled = y[y >= 0]
         C = int(labeled.max()) + 1 if labeled.size else 0

@@ -66,7 +66,6 @@ def vib_loss(logits: Tensor, labels: np.ndarray, mask: np.ndarray,
              dist: LatentDistribution) -> tuple[Tensor, Tensor]:
     """The bottleneck's supervised and compression terms on the mask:
     (cross-entropy, KL); ``TERMS`` weighs the KL by the network's beta."""
-    mask = np.asarray(mask, dtype=np.int64)
     return (cross_entropy(logits, labels, mask),
             kl_standard_normal(dist.rows(mask)))
 

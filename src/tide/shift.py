@@ -190,9 +190,8 @@ def apply_structure_shift(g: Graph, spec: ShiftSpec) -> Graph:
     keep_mask = np.ones(m, dtype=bool)
     keep_mask[drop] = False
 
-    existing = set((g.edges[:, 0] * g.n + g.edges[:, 1]).tolist())
+    seen = set((g.edges[:, 0] * g.n + g.edges[:, 1]).tolist())
     new_keys: list[int] = []
-    seen = set(existing)
     while len(new_keys) < k:
         u = rng.integers(0, g.n, size=4 * (k - len(new_keys)) + 8)
         v = rng.integers(0, g.n, size=u.size)
@@ -262,7 +261,7 @@ def label_leave_out_split(g: Graph, ood_classes) -> Graph:
     masks = {}
     for name in ("train", "val", "test_id"):
         old = g.mask(name)
-        masks[name] = old[~is_ood[old]] if old.size else old
+        masks[name] = old[~is_ood[old]]
     masks["test_ood"] = ood_nodes
     return make_graph(g.X, g.edges, y, masks=masks, C=len(kept_classes))
 

@@ -51,7 +51,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .detection import energy_tensor, propagate_energy_tensor
 from .graph import Graph, GraphError
 from .model import (NOISE_STREAM, LatentDistribution, TideModel, build_model,
                     component_rng, encode_feature, encode_joint,
@@ -287,15 +286,16 @@ class BranchOut(NamedTuple):
     mu: Tensor | None
 
 
-def _bottleneck(model: TideModel, g: Graph, tag: str, mode: str,
+def _bottleneck(model: TideModel, g: Graph, tag: str,
                 eps: np.ndarray | None, comps: dict[str, Tensor]
                 ) -> BranchOut:
     """Network ``tag``'s ``branch`` and its bottleneck terms, written
-    into ``comps``: ``ce_<tag>`` and ``kl_<tag>`` (sl: ``ce_z`` alone,
-    on the posterior mean)."""
+    into ``comps``: ``ce_<tag>`` and ``kl_<tag>``, or ``ce_<tag>`` alone
+    when the posterior has no sigma (sl draws no noise, so its joint
+    branch runs on the posterior mean and has no KL to take)."""
     dist, sample, logits = branch(model, g, tag, eps)
     with _component(f"vib_{tag}"):
-        if mode == "sl":
+        if dist.sigma is None:
             comps[f"ce_{tag}"] = cross_entropy(logits, g.y, g.mask("train"))
         else:
             comps[f"ce_{tag}"], comps[f"kl_{tag}"] = vib_loss(
@@ -309,11 +309,11 @@ def energy_margin(logits_z: Tensor, model: TideModel, g: Graph,
     """Margin between the propagated energies of the ID train rows and of
     the exposure graph's train rows. ``eps`` is the exposure pass's
     reparameterization noise; None runs it on the posterior mean."""
-    e_id = propagate_energy_tensor(energy_tensor(logits_z), g.propagation,
-                                   config.prop_alpha, config.prop_k)
+    e_id = ad.propagate(ad.neg_row_logsumexp(logits_z), g.propagation,
+                        config.prop_alpha, config.prop_k)
     logits = branch(model, exposure, "z", eps)[2]
-    e_ood = propagate_energy_tensor(energy_tensor(logits), exposure.propagation,
-                                    config.prop_alpha, config.prop_k)
+    e_ood = ad.propagate(ad.neg_row_logsumexp(logits), exposure.propagation,
+                         config.prop_alpha, config.prop_k)
     return energy_reg_loss(ad.gather_rows(e_id, g.mask("train")),
                            ad.gather_rows(e_ood, exposure.mask("train")),
                            config.t_id, config.t_ood)
@@ -344,7 +344,7 @@ def forward_components(model: TideModel, g: Graph, config: TideConfig,
     mode = config.objective_mode
     groups = MODE_GROUPS[mode]
     comps: dict[str, Tensor] = {}
-    outs = {tag: _bottleneck(model, g, tag, mode, eps.get(tag), comps)
+    outs = {tag: _bottleneck(model, g, tag, eps.get(tag), comps)
             for tag in NETWORKS if tag in groups}
     if "recon" in groups:
         with _component("cind"):

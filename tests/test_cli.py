@@ -606,7 +606,10 @@ def test_compare_no_seeds_is_usage_error(tmp_path):
     ("sl", "-1", "seed"),
     ("nope", "0", "objective_mode"),
     ("sl,nope", "0", "objective_mode"),
-], ids=["negative_seed", "unknown_mode", "unknown_mode_after_valid"])
+    ("sl,sl", "0", "--modes sl is given twice"),
+    ("sl", "0,1,0", "--seeds 0 is given twice"),
+], ids=["negative_seed", "unknown_mode", "unknown_mode_after_valid",
+        "repeated_mode", "repeated_seed"])
 def test_compare_bad_run_fails_before_training_and_writes_nothing(
         modes, seeds, named, tmp_path, monkeypatch, capsys):
     def no_training(*args, **kwargs):
@@ -774,6 +777,29 @@ def test_check_grad_fails_on_a_cross_network_read(plant, monkeypatch,
     out = capsys.readouterr().out
     assert "    tide_total  max rel err 1.036e+00\n" in out
     assert out.splitlines()[-1].startswith("FAIL: worst error")
+
+
+@pytest.mark.parametrize("case", ["lr", "step", "margin"])
+def test_numeric_failure_prints_only_tides_error(case, bundles, tmp_path,
+                                                 capsys):
+    """An overflowing learning rate, probe step or margin threshold ends
+    in tide's one-line NumericsError, with no numpy overflow warning
+    before it."""
+    id_bundle, ood_bundle = bundles
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"t_id": -1e308, "t_ood": 1e308}
+                                 if case == "margin" else {"lr": 1e300}))
+    train = ("train", "--data", id_bundle, "--config", config,
+             "--epochs", "3", "--out", tmp_path / "r")
+    argv = {"lr": train, "margin": (*train, "--exposure-data", ood_bundle),
+            "step": ("check-grad", "--step", "1e200")}[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would raise here
+        code = run_cli(*argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("tide: error: ") and "non-finite" in err
 
 
 @pytest.mark.parametrize("flag,value", [

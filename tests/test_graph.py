@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tide.detection import propagation_operator
+from tide.detection import (EnergyScores, propagate_energy,
+                            propagation_operator)
 from tide.graph import (Graph, GraphError, GraphFormatError, canonical_edges,
                         load_bundle, make_graph, save_bundle,
                         sym_normalized_adjacency)
@@ -146,6 +147,21 @@ class TestValidation:
     def test_canonical_edges_dedupes_and_orients(self):
         out = canonical_edges(np.array([[1, 0], [0, 1], [2, 2], [1, 2]]), 3)
         assert out.tolist() == [[0, 1], [1, 2]]
+
+    @pytest.mark.parametrize("pairs", [[], [[1, 1], [0, 0]]],
+                             ids=["no_pairs", "self_loops_only"])
+    def test_no_edge_left_gives_an_edgeless_graph(self, pairs):
+        """Every node is isolated: degree 0, and propagation keeps each
+        node's energy as it is."""
+        out = canonical_edges(pairs, 3)
+        assert out.shape == (0, 2) and out.dtype == np.int64
+        g = make_graph(np.zeros((3, 1)), pairs, [0, 1, 0])
+        assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+        deg = g.degrees()
+        assert deg.dtype == np.int64 and deg.tolist() == [0, 0, 0]
+        e = np.array([0.5, -1.0, 2.0])
+        out = propagate_energy(EnergyScores(e), g, alpha=0.5, k=2).e
+        np.testing.assert_array_equal(out, e)
 
 
 class TestAdjacency:

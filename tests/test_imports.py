@@ -100,3 +100,46 @@ def test_unnamed_definition_check_flags_dead_code():
               "used(), K()\n")
     assert unnamed_definitions({"m.py": source}, ["LAYERS = ('by_name',)"]) == [
         "m.py:3 recursive", "m.py:10 gone"]
+
+
+def pass_through_functions(source: str) -> list[str]:
+    """Module-level functions whose body, after any docstring, is one
+    ``return f(p1, p2, ...)`` of their own parameters in order, with no
+    keywords: their callers can call ``f`` directly. Methods are exempt,
+    since they may implement an interface or cache."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = node.body
+        if ast.get_docstring(node) is not None:
+            body = body[1:]
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        call = body[0].value
+        params = [a.arg for a in (*node.args.posonlyargs, *node.args.args)]
+        if (isinstance(call, ast.Call) and not call.keywords
+                and all(isinstance(a, ast.Name) for a in call.args)
+                and [a.id for a in call.args] == params):
+            found.append(f"line {node.lineno}: {node.name}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_pure_pass_through_function(path):
+    """A function that only forwards its parameters to another adds a
+    name and nothing else."""
+    assert pass_through_functions(path.read_text()) == []
+
+
+def test_pass_through_check_flags_forwarding_functions():
+    source = ('def plain(a, b):\n    return f(a, b)\n'
+              'def documented(x):\n    """Doc."""\n    return ad.op(x)\n'
+              'def keyword(a, b):\n    return f(a, b=b)\n'
+              'def reordered(a, b):\n    return f(b, a)\n'
+              'def transformed(a):\n    return f(a + 1)\n'
+              'def constant(a):\n    return f(a, 2)\n'
+              'def two_steps(a):\n    b = a\n    return f(b)\n'
+              'class K:\n    def method(self, a):\n        return f(self, a)\n')
+    assert pass_through_functions(source) == ["line 1: plain",
+                                              "line 3: documented"]
