@@ -25,15 +25,16 @@ beyond numpy's (size-1 axes), no GPU, and no higher-order gradients.
 Off the tape, every primitive works on the last two axes, so any
 operand may also be a stack of matrices, (..., rows, cols), which the
 others broadcast against: one evaluation then computes each slice with
-the bits of its own 2-D evaluation (``spmm`` and ``propagate`` fold the
-slices into the columns of one sparse product, and every stacked result
-is laid out like its 2-D counterpart, since numpy picks a matrix
-product's kernel from its operands' strides). ``_record`` refuses to
-tape anything else, so training and ``backward`` see matrices only. The
-primitive set is exactly what the encoders and losses in this package
-need, plus central-difference gradient checking: the elementwise and
-reduction ops, ``matmul``/``spmm``/``transpose``, ``gather_rows``, and
-eight fused ops: ``linear`` (every affine layer),
+the bits of its own 2-D evaluation (``spmm`` and ``propagate`` hand the
+whole stack to the operator's ``matmul``/``matmul_t``, which give each
+slice the bits of its own product, and every stacked result is laid out
+like its 2-D counterpart, since numpy picks a matrix product's kernel
+from its operands' strides). ``_record`` refuses to tape anything
+else, so training and ``backward`` see matrices only. The primitive set
+is exactly what the encoders and losses in this package need, plus
+central-difference gradient checking: the elementwise and reduction
+ops, ``matmul``/``spmm``/``transpose``, ``gather_rows``, and eight
+fused ops: ``linear`` (every affine layer),
 ``softmax_cross_entropy`` and ``gaussian_kl`` (the two variational loss
 terms), ``centred_bilinear`` (the dependence estimate),
 ``neg_row_logsumexp``, ``propagate`` and ``squared_hinges`` (the
@@ -234,23 +235,6 @@ def _broadcastable(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x == y or x == 1 or y == 1 for x, y in zip(a[::-1], b[::-1]))
 
 
-def _csr_matmul(csr, v: np.ndarray) -> np.ndarray:
-    """``csr @ v`` for each (n, h) slice of ``v`` (..., n, h).
-
-    A stack of slices is folded into the columns of one (n, B*h)
-    operand: scipy's kernel sums each output column over the row's
-    entries in storage order, however many columns there are, so every
-    slice gets the bits of its own product. The result is unfolded
-    C-contiguous, laid out like the 2-D product.
-    """
-    if v.ndim == 2:
-        return csr @ v
-    *lead, n, h = v.shape
-    out = csr @ np.moveaxis(v, -2, 0).reshape(n, -1)
-    return np.ascontiguousarray(np.moveaxis(
-        out.reshape(out.shape[0], *lead, h), 0, -2))
-
-
 def _once(fn: Callable[[np.ndarray], np.ndarray]
           ) -> Callable[[np.ndarray], np.ndarray]:
     """``fn(g)``, computed once per upstream gradient ``g``. Gradient
@@ -343,12 +327,12 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def spmm(sp, x: Tensor) -> Tensor:
-    """Sparse @ dense. ``sp`` is a constant operator with .csr / .csr_t."""
+    """Sparse @ dense. ``sp`` is a constant ``graph.SparseMatrix``: its
+    ``matmul`` is the forward product and its ``matmul_t`` the gradient."""
     x = _as_tensor(x)
     if sp.shape[1] != x.values.shape[-2]:
         raise ShapeError(f"spmm shape mismatch: {sp.shape} @ {x.values.shape}")
-    out = _csr_matmul(sp.csr, x.values)
-    return _record("spmm", out, (x,), (lambda g: sp.csr_t @ g,))
+    return _record("spmm", sp.matmul(x.values), (x,), (sp.matmul_t,))
 
 
 def log(a: Tensor) -> Tensor:
@@ -530,12 +514,12 @@ def centred_bilinear(s1: Tensor, s2: Tensor, p: Tensor) -> Tensor:
 def propagate(e: Tensor, sp, alpha: float, k: int) -> Tensor:
     """k rounds of e <- alpha e + (1 - alpha) sp @ e; k <= 0 returns e.
 
-    ``sp`` is a constant square operator with .csr / .csr_t. One tape
-    entry for the 4k-op chain add(mul(e, alpha), mul(spmm(sp, e),
-    1 - alpha)) per round, with the same values and gradient bit for
-    bit. ``e`` is recorded twice, (e, e): its gradient gets the first
-    round's spmm contribution and then its alpha contribution, one at a
-    time, as the chain adds them.
+    ``sp`` is a constant ``graph.SparseMatrix``, multiplied through its
+    ``matmul`` and ``matmul_t``. One tape entry for the 4k-op chain
+    add(mul(e, alpha), mul(spmm(sp, e), 1 - alpha)) per round, with the
+    same values and gradient bit for bit. ``e`` is recorded twice,
+    (e, e): its gradient gets the first round's spmm contribution and
+    then its alpha contribution, one at a time, as the chain adds them.
     """
     e = _as_tensor(e)
     k = int(k)
@@ -547,17 +531,17 @@ def propagate(e: Tensor, sp, alpha: float, k: int) -> Tensor:
     keep = 1.0 - alpha
     v = e.values
     for _ in range(k):
-        v = v * alpha + _csr_matmul(sp.csr, v) * keep
+        v = v * alpha + sp.matmul(v) * keep
 
     def first_round(g):
         """The gradient reaching the first round's output."""
         for _ in range(k - 1):
-            g = sp.csr_t @ (g * keep) + g * alpha
+            g = sp.matmul_t(g * keep) + g * alpha
         return g
 
     first = _once(first_round)
     return _record("propagate", v, (e, e),
-                   (lambda g: sp.csr_t @ (first(g) * keep),
+                   (lambda g: sp.matmul_t(first(g) * keep),
                     lambda g: first(g) * alpha))
 
 

@@ -263,10 +263,14 @@ def cmd_eval(args) -> int:
     from .graph import AtomicFiles, load_bundle
     from .model import load_checkpoint
 
-    model = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
+    outdir = _check_out_dir(args.out)
+    ckpt = _require_file(args.checkpoint, "checkpoint")
+    id_path = _require_file(args.data, "ID bundle")
+    ood_path = _require_file(args.ood_data, "OOD bundle")
+    model = load_checkpoint(ckpt)
     config = _load_config(args)
-    g_id = load_bundle(_require_file(args.data, "ID bundle"))
-    g_ood = load_bundle(_require_file(args.ood_data, "OOD bundle"))
+    g_id = load_bundle(id_path)
+    g_ood = load_bundle(ood_path)
     # Only the ID bundle must match: a label-leave-out OOD bundle may
     # legitimately carry fewer classes.
     if model.C != g_id.C:
@@ -276,7 +280,6 @@ def cmd_eval(args) -> int:
     s = score_splits(model, g_id, g_ood, config.prop_alpha, config.prop_k)
     report = s.report_prop
 
-    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     doc = report.to_dict()
     doc["raw"] = s.report_raw.to_dict()

@@ -9,7 +9,8 @@ construction.
 A graph builds each of its two operators at most once: ``g.adjacency``
 (``sym_normalized_adjacency``), the GCN operator of the encoders and
 heads, and ``g.propagation`` (``propagation_operator``), that of energy
-propagation. Training, the audit and scoring all read them there.
+propagation. Training, the audit and scoring all read them there, and
+each operator computes its own products (``SparseMatrix``).
 
 On disk a graph is a single-JSON "bundle" (see ``save_bundle``); it
 round-trips exactly, since floats are written with shortest-repr
@@ -38,8 +39,31 @@ class GraphFormatError(ValueError):
     """A bundle failed to parse; the message names the file."""
 
 
+# Operators with at most this many nodes multiply in numpy, larger ones in
+# scipy. Importing scipy.sparse takes 130-190 ms. One product with 1 to 64
+# columns takes scipy 4-5 us at n=10 and 4-9 us at n=32, and the numpy
+# sweep 10-12 us and 16-31 us. A 200-epoch `tide` run makes 2,602
+# products, so at n=32 the sweep costs it about 60 ms more than scipy,
+# a third of the import; at n=128 (87 against 22 us at 64 columns) the two
+# are even. The sweep's cost also grows with the widest row, hence the
+# margin (CPython 3.11, numpy 2.4, one thread, 2-vCPU container).
+NUMPY_PRODUCT_MAX_N = 32
+
+
 class SparseMatrix:
-    """Square sparse matrix in coordinate form with cached CSR products."""
+    """Square sparse matrix in coordinate form, and its two products.
+
+    ``matmul(v)`` is ``A @ v`` and ``matmul_t(g)`` is ``Aᵀ @ g``, each
+    for every (n, h) slice of a (..., n, h) operand; nothing else knows
+    how the operator is stored. Both sum each output entry over its
+    row's entries in scipy's storage order (the columns sorted),
+    starting from zero, so both paths give scipy's bits for every
+    slice. An operator of at most ``NUMPY_PRODUCT_MAX_N`` nodes runs
+    numpy's per-rank sweep (``_sweep``) and never loads scipy; a larger
+    one runs scipy's CSR kernel, which a stack is folded into the
+    columns of. ``csr`` and ``csr_t`` are built only when read (the
+    tests and tidebench's tracing read them too).
+    """
 
     def __init__(self, n: int, rows, cols, vals):
         self.n = int(n)
@@ -62,10 +86,30 @@ class SparseMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.n, self.n)
 
+    def matmul(self, v: np.ndarray) -> np.ndarray:
+        """``A @ v`` for each (n, h) slice of ``v`` (..., n, h)."""
+        if self.n <= NUMPY_PRODUCT_MAX_N:
+            return _sweep(self._plan, v)
+        return _csr_product(self.csr, v)
+
+    def matmul_t(self, g: np.ndarray) -> np.ndarray:
+        """``Aᵀ @ g`` for each (n, h) slice of ``g`` (..., n, h)."""
+        if self.n <= NUMPY_PRODUCT_MAX_N:
+            return _sweep(self._plan_t, g)
+        return _csr_product(self.csr_t, g)
+
+    @cached_property
+    def _plan(self):
+        return _sweep_plan(self.rows, self.cols, self.vals, self.n)
+
+    @cached_property
+    def _plan_t(self):
+        return _sweep_plan(self.cols, self.rows, self.vals, self.n)
+
     @cached_property
     def csr(self):
-        # Imported here, at the first sparse product, so that sampling
-        # and writing bundles never load scipy.
+        # Imported here, at the first large product, so that sampling,
+        # writing bundles and small graphs never load scipy.
         import scipy.sparse as sp
         return sp.csr_matrix((self.vals, (self.rows, self.cols)),
                              shape=self.shape)
@@ -73,6 +117,60 @@ class SparseMatrix:
     @cached_property
     def csr_t(self):
         return self.csr.T.tocsr()
+
+
+def _sweep_plan(rows, cols, vals, n):
+    """The entries regrouped for ``_sweep``, by rank within their row.
+
+    An entry's rank is its place in its row's storage order (the
+    columns sorted). Rows are laid out by descending entry count, so
+    the rows holding a rank-r entry are the first ``widths[r]`` of that
+    layout, and row i sits at ``slot[i]``. The entries come rank by
+    rank, each rank in slot order.
+    """
+    counts = np.bincount(rows, minlength=n)
+    order = np.lexsort((cols, rows))
+    rank = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows[order]]
+    slot = np.empty(n, dtype=np.int64)
+    slot[np.argsort(-counts, kind="stable")] = np.arange(n)
+    sweep = order[np.lexsort((slot[rows[order]], rank))]
+    return cols[sweep], vals[sweep, None], np.bincount(rank).tolist(), slot
+
+
+def _sweep(plan, v: np.ndarray) -> np.ndarray:
+    """``A @ v`` as scipy's ``csr_matvec(s)`` sums it, in numpy.
+
+    Every output entry starts from zero and adds its row's products
+    ``vals * v[cols]`` one rank at a time, in scipy's storage order. A
+    rank's rows are a prefix of the slot layout, so each addition is
+    one slice of the output, whatever the stack.
+    """
+    cols, vals, widths, slot = plan
+    terms = np.take(v, cols, axis=-2)
+    terms *= vals
+    out = np.zeros(terms.shape[:-2] + (slot.size, v.shape[-1]))
+    start = 0
+    for width in widths:
+        out[..., :width, :] += terms[..., start:start + width, :]
+        start += width
+    return np.take(out, slot, axis=-2)
+
+
+def _csr_product(csr, v: np.ndarray) -> np.ndarray:
+    """``csr @ v`` for each (n, h) slice of ``v`` (..., n, h).
+
+    A stack of slices is folded into the columns of one (n, B*h)
+    operand: scipy's kernel sums each output column over the row's
+    entries in storage order, however many columns there are, so every
+    slice gets the bits of its own product. The result is unfolded
+    C-contiguous, laid out like the 2-D product.
+    """
+    if v.ndim == 2:
+        return csr @ v
+    *lead, n, h = v.shape
+    out = csr @ np.moveaxis(v, -2, 0).reshape(n, -1)
+    return np.ascontiguousarray(np.moveaxis(
+        out.reshape(out.shape[0], *lead, h), 0, -2))
 
 
 @dataclass(frozen=True)

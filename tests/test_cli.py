@@ -684,20 +684,27 @@ def test_failed_output_write_keeps_previous_file_whole(
     assert sorted(p.name for p in out.iterdir()) == sorted(names)
 
 
-@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("command", ["train", "compare", "eval"])
 def test_out_under_a_regular_file_fails_before_training(
-        command, bundles, tmp_path, monkeypatch, capsys):
-    def no_training(*args, **kwargs):
-        raise AssertionError("a run trained before --out was checked")
+        command, bundles, tmp_path, monkeypatch, capsys, request):
+    argv = {"train": ("train", "--data", bundles[0], "--epochs", "1"),
+            "compare": ("compare", "--modes", "sl", "--seeds", "0",
+                        "--epochs", "1")}.get(command)
+    if command == "eval":
+        argv = ("eval", "--checkpoint",
+                request.getfixturevalue("trained") / "model.ckpt",
+                "--data", bundles[0], "--ood-data", bundles[1])
 
-    monkeypatch.setattr("tide.experiment.train_tide", no_training)
-    monkeypatch.setattr("tide.trainer.train_tide", no_training)
+    def no_training(*args, **kwargs):
+        raise AssertionError("a run trained or loaded before --out was "
+                             "checked")
+
+    for target in ("tide.experiment.train_tide", "tide.trainer.train_tide",
+                   "tide.model.load_checkpoint", "tide.graph.load_bundle"):
+        monkeypatch.setattr(target, no_training)
     blocker = tmp_path / "F"
     blocker.write_text("not a directory\n")
     out = blocker / "sub"
-    argv = {"train": ("train", "--data", bundles[0], "--epochs", "1"),
-            "compare": ("compare", "--modes", "sl", "--seeds", "0",
-                        "--epochs", "1")}[command]
     assert run_cli(*argv, "--out", out) == 1
     err = capsys.readouterr().err
     assert str(blocker) in err and "Traceback" not in err

@@ -260,6 +260,7 @@ _GENERATE = (_PACKAGE
              "    assert tide.cli.main(['generate', '--n', '40', '--classes', "
              "'3', '--dim', '4', '--shift', 'structure:0.3', '--shift', "
              "'feature:0.5', '--shift', 'label:1', '--out-dir', out]) == 0\n")
+_CHECK_GRAD = "import tide.cli\nassert tide.cli.main(['check-grad']) == 0\n"
 _SCORE = ("from tide.experiment import make_fixture\n"
           "from tide.model import build_model, joint_logits_at_mean\n"
           "g, _ = make_fixture('joint', 0)\n"
@@ -273,9 +274,11 @@ _SCORE = ("from tide.experiment import make_fixture\n"
     pytest.param(_PACKAGE, "scipy.special", False, id="scipy.special"),
     # Sampling and writing bundles build no sparse operator.
     pytest.param(_GENERATE, "scipy.sparse", False, id="generate-no-sparse"),
+    # The audit's 10-node products run in numpy.
+    pytest.param(_CHECK_GRAD, "scipy.sparse", False, id="check-grad-no-sparse"),
     # The cli pins BLAS threads from TIDE_THREADS before numpy loads.
     pytest.param("import tide.cli\n", "numpy", False, id="cli-no-numpy"),
-    # Control: the first sparse product does load scipy.sparse.
+    # Control: the first product of an n=500 operator loads scipy.sparse.
     pytest.param(_SCORE, "scipy.sparse", True, id="scoring-loads-sparse"),
 ])
 def test_import_guard(code, module, loaded):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tide import graph
 from tide.detection import (EnergyScores, propagate_energy,
                             propagation_operator)
 from tide.graph import (Graph, GraphError, GraphFormatError, canonical_edges,
@@ -234,3 +235,62 @@ def test_run_single_builds_each_operator_once_per_graph(monkeypatch):
         (name, id(g)) for name in ("sym_normalized_adjacency",
                                    "propagation_operator")
         for g in (g_id, g_ood))
+
+
+def _product_operators():
+    """Operators at or below ``NUMPY_PRODUCT_MAX_N`` nodes, by name: both
+    kinds on a graph with isolated nodes, a hand-built one with empty
+    rows and an unsorted, asymmetric entry order, and one with no
+    entries."""
+    rng = np.random.default_rng(5)
+    n = graph.NUMPY_PRODUCT_MAX_N
+    g = random_graph(rng, n=n - 2, p=0.15)  # nodes n-2 and n-1: no edges
+    g = make_graph(np.zeros((n, 1)), g.edges, [0] * n)
+    assert (g.degrees() == 0).sum() >= 2
+    rows = np.array([3, 0, 3, 5, 0, 3])
+    cols = np.array([4, 2, 0, 5, 1, 2])
+    return {
+        "sym_normalized": sym_normalized_adjacency(g),
+        "propagation": propagation_operator(g),
+        "empty_rows": graph.SparseMatrix(7, rows, cols, rng.normal(size=6)),
+        "no_entries": graph.SparseMatrix(4, [], [], []),
+    }
+
+
+@pytest.mark.parametrize("name", ["sym_normalized", "propagation",
+                                  "empty_rows", "no_entries"])
+@pytest.mark.parametrize("shape", [(1,), (6,), (3, 6), (2, 3, 1)],
+                         ids=["column", "block", "stack", "stack_of_columns"])
+def test_small_products_have_scipys_bits(name, shape):
+    """A small operator's numpy products equal scipy's ``csr @ v`` and
+    ``csr_t @ v`` byte for byte, slice by slice, without building a CSR
+    matrix. A (n, 1) column takes scipy's ``csr_matvec`` path, a block
+    its ``csr_matvecs``; -0.0 entries check that each sum starts from
+    +0.0 as scipy's does."""
+    A = _product_operators()[name]
+    assert A.n <= graph.NUMPY_PRODUCT_MAX_N
+    rng = np.random.default_rng(len(shape))
+    *lead, h = shape
+    v = rng.normal(size=(*lead, A.n, h))
+    v[rng.random(v.shape) < 0.2] = -0.0
+    got = A.matmul(v), A.matmul_t(v)
+    assert "csr" not in vars(A) and "csr_t" not in vars(A)
+    for out, csr in zip(got, (A.csr, A.csr_t)):
+        assert out.shape == v.shape and out.flags.c_contiguous
+        for index in np.ndindex(*lead):
+            want = csr @ v[index]
+            assert want.shape == out[index].shape
+            assert out[index].tobytes() == want.tobytes()
+
+
+def test_a_large_stack_folds_into_one_scipy_product():
+    """Above ``NUMPY_PRODUCT_MAX_N`` a stack is folded into one scipy
+    product, and each slice still gets the bits of its own product."""
+    g = random_graph(np.random.default_rng(2),
+                     n=graph.NUMPY_PRODUCT_MAX_N + 1)
+    A = propagation_operator(g)
+    v = np.random.default_rng(3).normal(size=(4, A.n, 2))
+    for out, csr in zip((A.matmul(v), A.matmul_t(v)), (A.csr, A.csr_t)):
+        assert out.flags.c_contiguous
+        for i in range(len(v)):
+            assert out[i].tobytes() == (csr @ v[i]).tobytes()
